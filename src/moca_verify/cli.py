@@ -2,7 +2,8 @@
 
 Exit codes: 0 verified (no violations or races), 1 violation / na race /
 expected-trace-count mismatch, 2 usage or parse error, 3 exploration budget
-exhausted (partial report).
+exhausted (partial report), 4 internal error (an uncaught exception inside
+the checker; one line on stderr, never a verdict).
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 def _load(path: str):
@@ -73,22 +75,20 @@ def _text_report(report: ExplorationReport) -> str:
 
 
 def _relation_dump(program, schedule: list[str]) -> dict:
-    state = run_sequence(program, schedule)
-    seq = state.sequence()
-    rels = compute_relations(seq)
+    rels = compute_relations(run_sequence(program, schedule).sequence())
     hb_edges = sorted(f"{a.pretty()} -> {b.pretty()}" for a, b in rels.hb_pairs())
     return {
         "schema": "moca-verify-relations/1",
         "schedule": schedule,
-        "events": [e.pretty() for e in seq.events],
-        "rf": sorted(f"{w.pretty()} -> {r.pretty()}" for r, w in seq.rf.items()),
+        "events": [e.pretty() for e in rels.events],
+        "rf": sorted(f"{w.pretty()} -> {r.pretty()}" for r, w in rels.rf.items()),
         "sw": sorted(f"{a.pretty()} -> {b.pretty()}" for a, b in rels.sw),
         "dob": sorted(f"{a.pretty()} -> {b.pretty()}" for a, b in rels.dob),
         "hb": hb_edges,
         "mo": {obj: [w.pretty() for w in ws] for obj, ws in rels.mo.items()},
         "to": [e.pretty() for e in rels.sc.order] if rels.sc.order is not None else None,
-        "coherent": check_moca(seq, rels).ok,
-        "c11_coherent": check_c11_oracle(seq, rels).ok,
+        "coherent": check_moca(rels).ok,
+        "c11_coherent": check_c11_oracle(rels).ok,
     }
 
 
@@ -105,7 +105,22 @@ def _relations_dot(dump: dict) -> str:
     return "\n".join(out)
 
 
-@click.group()
+class _Main(click.Group):
+    """Command group that turns an uncaught exception inside the checker into
+    exit code 4, so a crash never reads as a verdict."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (click.ClickException, click.exceptions.Exit, click.Abort):
+            raise
+        except Exception as e:
+            message = " ".join(str(e).split())
+            click.echo(f"internal error: {type(e).__name__}: {message}", err=True)
+            sys.exit(EXIT_INTERNAL)
+
+
+@click.group(cls=_Main)
 def main() -> None:
     """Model checker for litmus programs under multi-copy-atomic semantics."""
 
@@ -127,15 +142,9 @@ def main() -> None:
               help="print per-step shared-store snapshots of each distinct trace")
 @click.option("--replay", "replay_file", type=click.Path(), default=None,
               help="replay a witness schedule (JSON list of unit ids) instead of exploring")
-@click.option("--jobs", type=int, default=1, show_default=True,
-              help="worker count; branches are explored deterministically and"
-                   " the current implementation runs them serially")
 def verify(path, as_json, max_seqs, max_depth, no_early_write, no_enforce_expect,
-           emit_transformed, dump_relations, dump_trace, replay_file, jobs) -> None:
+           emit_transformed, dump_relations, dump_trace, replay_file) -> None:
     """Explore all traces of a litmus program; report violations and races."""
-    if jobs < 1:
-        click.echo("error: --jobs must be >= 1", err=True)
-        sys.exit(EXIT_USAGE)
     program = _load(path)
 
     if replay_file is not None:
@@ -192,17 +201,16 @@ def _replay(program, replay_file: str, use_early_write: bool, dump_trace: bool) 
     except ReplayError as e:
         click.echo(f"replay error: {e}", err=True)
         sys.exit(EXIT_USAGE)
-    seq = state.sequence()
-    rels = compute_relations(seq)
-    races = detect_na_races(seq, rels)
+    rels = compute_relations(state.sequence())
+    races = detect_na_races(rels)
     outcome = check_asserts(target, state)
     if dump_trace:
         for ev, snapshot in walk_trace(target, schedule):
             shr = " ".join(f"{o}={v}" for o, v in sorted(snapshot.items()))
             click.echo(f"  {ev.pretty():40s} | {shr}")
-    click.echo(f"trace_id: {canonical_trace_id(seq, rels)}")
+    click.echo(f"trace_id: {canonical_trace_id(rels)}")
     click.echo("final shared: " + " ".join(f"{o}={v}" for o, v in sorted(state.shr.items())))
-    click.echo(f"coherent: {check_moca(seq, rels).ok}")
+    click.echo(f"coherent: {check_moca(rels).ok}")
     for i in outcome.violations:
         click.echo(f"violated: assert never {target.asserts[i].text}")
     for a, b in races:
@@ -239,9 +247,7 @@ def enumerate_cmd(path, as_json, cap, no_early_write) -> None:
 
 @main.command("transform")
 @click.argument("path", type=click.Path())
-@click.option("--emit-transformed", is_flag=True, default=True,
-              help="print the transformed program (default)")
-def transform_cmd(path, emit_transformed) -> None:
+def transform_cmd(path) -> None:
     """Print the early-write transformed program."""
     program = _load(path)
     click.echo(pretty_print(early_write_transform(program)), nl=False)
@@ -264,3 +270,7 @@ def relations_cmd(path, dot, no_early_write) -> None:
     else:
         click.echo(json.dumps(dumps, indent=2, sort_keys=True))
     sys.exit(EXIT_OK)
+
+
+if __name__ == "__main__":
+    main()

@@ -1,11 +1,16 @@
 """Coherence checking for executed sequences.
 
-Two rule families are implemented over a common view:
+Two rule families are implemented:
 
 * the shadow-order rules (``shco``, ``shmo``, ``shmo1``..``shmo3``, ``shrmo``,
   ``shto``) that decide which interleavings the explorer may keep, and
 * the classic per-location coherence axioms (``mo1``..``mo4``, ``to``, ``co``)
   evaluated over (hb, rf, mo, to) as a post-hoc validation oracle.
+
+The shadow-order rules read a relations object directly: either the engine's
+``LiveRelations`` or a ``RelationSet`` rebuilt by ``compute_relations``; the
+two expose the same field names.  Reads are visited in ``rf`` insertion order
+and writes in sequence order, so both give the same first witness.
 
 Rules are evaluated with three-valued semantics so they apply to prefixes:
 an ordering constraint between two shadow-writes that are both still pending
@@ -23,14 +28,11 @@ equivalent to re-evaluating everything.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from .ir import Act, Event, MO
-from .engine import ExecState, Sequence
-from .relations import LiveRelations, RelationSet, build_sc_order
-
-MOCA_RULES = ("shco", "shmo", "shmo1", "shmo2", "shmo3", "shrmo", "shto")
-C11_RULES = ("mo1", "mo2", "mo3", "mo4", "to", "co")
+from .engine import ExecState
+from .relations import LiveRelations, RelationSet, Relations, build_sc_order
 
 Witness = tuple[Event, ...]
 
@@ -54,204 +56,151 @@ class CoherenceVerdict:
         }
 
 
-class RuleView:
-    """Uniform access to the relation data the rules quantify over."""
-
-    def __init__(self, events, pos, rf, readers, flush_pos, value_of,
-                 hb, mhb, sc_placed, init_len):
-        self.events: list[Event] = events
-        self.pos: dict[Event, int] = pos
-        self.rf: dict[Event, Event] = rf
-        self.readers: dict[Event, list[Event]] = readers
-        self.flush_pos: dict[Event, int] = flush_pos
-        self.value_of = value_of
-        self.hb: Callable[[Event, Event], bool] = hb
-        self.mhb: Callable[[Event, Event], bool] = mhb
-        self.sc_placed: list[tuple[Event, int]] = sc_placed
-        self.init_len = init_len
-        self.reads = [e for e in events if e.is_read_like]
-        self.program_writes = [e for e in events if e.is_write_like]
-        self.obj_reads: dict[str, list[Event]] = {}
-        for r in self.reads:
-            self.obj_reads.setdefault(r.obj_read, []).append(r)
-        self.obj_writes: dict[str, list[Event]] = {}
-        for w in self.program_writes:
-            self.obj_writes.setdefault(w.obj_written, []).append(w)
-
-    def flush_before(self, a: Event, b: Event) -> Optional[bool]:
-        """Does a's shared-store update occur before b's?  None if undecided."""
-        fa, fb = self.flush_pos.get(a), self.flush_pos.get(b)
-        if fa is not None and fb is not None:
-            return fa < fb
-        if fa is not None:
-            return True
-        if fb is not None:
-            return False
-        if a.thr == b.thr and a.obj_written == b.obj_written:
-            return self.pos[a] < self.pos[b]  # per-queue FIFO
-        return None
-
-    def mo_flushed(self, obj: str) -> list[Event]:
-        ws = [w for w in self.obj_writes.get(obj, ()) if w in self.flush_pos]
-        ws.sort(key=lambda w: self.flush_pos[w])
-        return ws
+def flush_before(rels: Relations, a: Event, b: Event) -> Optional[bool]:
+    """Does a's shared-store update occur before b's?  None if undecided."""
+    fa, fb = rels.flush_pos.get(a), rels.flush_pos.get(b)
+    if fa is not None and fb is not None:
+        return fa < fb
+    if fa is not None:
+        return True
+    if fb is not None:
+        return False
+    if a.thr == b.thr and a.obj_written == b.obj_written:
+        return rels.pos[a] < rels.pos[b]  # per-queue FIFO
+    return None
 
 
-def view_of_live(rels: LiveRelations) -> RuleView:
-    return RuleView(
-        events=rels.events, pos=rels.pos, rf=rels.rf, readers=rels.readers,
-        flush_pos=rels.flush_pos, value_of=rels.value_of,
-        hb=rels.hb, mhb=rels.mhb, sc_placed=rels.sc_placed,
-        init_len=rels.init_len,
-    )
-
-
-def view_of_sequence(seq: Sequence, rels: RelationSet) -> RuleView:
-    readers: dict[Event, list[Event]] = {}
-    for r, w in rels.rf.items():
-        readers.setdefault(w, []).append(r)
-    for rs in readers.values():
-        rs.sort(key=lambda e: seq.pos[e])
-    flush_pos = {w: seq.pos[sh] for w, sh in seq.shadow_of.items()}
-    return RuleView(
-        events=seq.events, pos=dict(seq.pos), rf=dict(rels.rf), readers=readers,
-        flush_pos=flush_pos, value_of=seq.value_of,
-        hb=rels.hb, mhb=rels.mhb,
-        sc_placed=sorted(rels.sc.placement.items(), key=lambda t: t[1]),
-        init_len=seq.init_len,
-    )
+def mo_flushed(rels: Relations, obj: str) -> list[Event]:
+    """Flushed writes of ``obj`` ordered by their flush positions."""
+    ws = [w for w in rels.obj_issue_order.get(obj, ()) if w in rels.flush_pos]
+    ws.sort(key=lambda w: rels.flush_pos[w])
+    return ws
 
 
 # ---------------------------------------------------------------------------
 # Shadow-order rules
 # ---------------------------------------------------------------------------
 
-def _rule_shco(v: RuleView) -> Optional[Witness]:
-    for r in v.reads:
-        src = v.rf[r]
-        if v.pos[src] >= v.pos[r] or v.hb(r, src):
+def _rule_shco(rels: Relations) -> Optional[Witness]:
+    for r, src in rels.rf.items():
+        if rels.pos[src] >= rels.pos[r] or rels.hb(r, src):
             return (r, src)
         if src.thr != r.thr:
-            f = v.flush_pos.get(src)
-            if f is None or f >= v.pos[r]:
+            f = rels.flush_pos.get(src)
+            if f is None or f >= rels.pos[r]:
                 return (r, src)
     return None
 
 
-def _rule_shmo(v: RuleView) -> Optional[Witness]:
+def _rule_shmo(rels: Relations) -> Optional[Witness]:
     # definitional: the per-object modification order *is* the flush order;
     # verify the recorded flush positions are strictly increasing per object
-    for obj, _ in v.obj_writes.items():
-        ws = v.mo_flushed(obj)
+    for obj in rels.obj_issue_order:
+        ws = mo_flushed(rels, obj)
         for a, b in zip(ws, ws[1:]):
-            if not v.flush_pos[a] < v.flush_pos[b]:
+            if not rels.flush_pos[a] < rels.flush_pos[b]:
                 return (a, b)
     return None
 
 
-def _shmo1_triggered(v: RuleView, e_w: Event, e: Event) -> bool:
+def _shmo1_triggered(rels: Relations, e_w: Event, e: Event) -> bool:
     if e.thr == e_w.thr:
         return False
-    if v.mhb(e_w, e):
+    if rels.mhb(e_w, e):
         return True
-    return any(v.pos[r] < v.pos[e] and v.mhb(r, e)
-               for r in v.readers.get(e_w, ()))
+    return any(rels.pos[r] < rels.pos[e] and rels.mhb(r, e)
+               for r in rels.readers.get(e_w, ()))
 
 
-def _rule_shmo1(v: RuleView, targets: Optional[list[Event]] = None) -> Optional[Witness]:
+def _rule_shmo1(rels: Relations, targets: Optional[list[Event]] = None) -> Optional[Witness]:
     if targets is None:
-        targets = [e for e in v.events if not e.is_init]
+        targets = [e for e in rels.events if not e.is_init]
+    writes = [e for e in rels.events if e.is_write_like]
     for e in targets:
-        for e_w in v.program_writes:
-            if not _shmo1_triggered(v, e_w, e):
+        for e_w in writes:
+            if not _shmo1_triggered(rels, e_w, e):
                 continue
             if e.is_write_like:
-                if v.flush_before(e_w, e) is False:
+                if flush_before(rels, e_w, e) is False:
                     return (e_w, e)
             else:
-                f = v.flush_pos.get(e_w)
-                if f is None or f >= v.pos[e]:
+                f = rels.flush_pos.get(e_w)
+                if f is None or f >= rels.pos[e]:
                     return (e_w, e)
     return None
 
 
-def _rule_shmo2(v: RuleView, only_reads: Optional[list[Event]] = None,
+def _rule_shmo2(rels: Relations, only_reads: Optional[list[Event]] = None,
                 resolved_src: Optional[Event] = None) -> Optional[Witness]:
-    for obj, rs in v.obj_reads.items():
+    for rs in rels.obj_reads.values():
         for j, r2 in enumerate(rs):
             if only_reads is not None and r2 not in only_reads:
                 continue
-            src2 = v.rf[r2]
+            src2 = rels.rf[r2]
             if resolved_src is not None and src2 != resolved_src:
                 continue
             for r1 in rs[:j]:
-                src1 = v.rf[r1]
-                if src1 == src2 or not v.hb(r1, r2):
+                src1 = rels.rf[r1]
+                if src1 == src2 or not rels.hb(r1, r2):
                     continue
-                if v.flush_before(src1, src2) is False:
+                if flush_before(rels, src1, src2) is False:
                     return (r1, r2)
     return None
 
 
-def _rule_shmo3(v: RuleView, only_reads: Optional[list[Event]] = None,
+def _rule_shmo3(rels: Relations, only_reads: Optional[list[Event]] = None,
                 resolved_src: Optional[Event] = None) -> Optional[Witness]:
-    for obj, rs in v.obj_reads.items():
+    for obj, rs in rels.obj_reads.items():
         for r in rs:
             if only_reads is not None and r not in only_reads:
                 continue
-            src = v.rf[r]
+            src = rels.rf[r]
             if resolved_src is not None and src != resolved_src:
                 continue
-            for w1 in v.obj_writes.get(obj, ()):
-                if w1 == src or not v.hb(w1, r):
+            for w1 in rels.obj_issue_order.get(obj, ()):
+                if w1 == src or not rels.hb(w1, r):
                     continue
-                if v.flush_before(w1, src) is False:
+                if flush_before(rels, w1, src) is False:
                     return (w1, r)
     return None
 
 
-def _rule_shrmo(v: RuleView, only: Optional[list[Event]] = None) -> Optional[Witness]:
-    rmws = [e for e in v.events if e.act is Act.RMW]
-    for e in rmws:
-        if only is not None and e not in only:
-            continue
-        src = v.rf[e]
-        order = v.mo_flushed(e.obj_read)
+def _rule_shrmo(rels: Relations, only: Optional[list[Event]] = None) -> Optional[Witness]:
+    if only is None:
+        only = [e for e in rels.events if e.act is Act.RMW]
+    for e in only:
+        src = rels.rf[e]
+        order = mo_flushed(rels, e.obj_read)
         i = order.index(e)
         if i == 0 or order[i - 1] != src:
             return (e, src)
     return None
 
 
-def _rule_shto(v: RuleView) -> Optional[Witness]:
-    sc = build_sc_order(v.sc_placed)
+def _rule_shto(rels: Relations) -> Optional[Witness]:
+    sc = build_sc_order(rels.sc_placed)
     if sc.cycle_witness is not None:
         return sc.cycle_witness
     for a, b in sc.pairs():
-        if v.hb(b, a):
+        if rels.hb(b, a):
             return (a, b)
         if (a.is_write_like and b.is_write_like
                 and a.obj_written == b.obj_written
-                and v.flush_before(b, a) is True):
+                and flush_before(rels, b, a) is True):
             return (a, b)
     return None
 
 
-def check_moca(seq: Sequence, rels: RelationSet) -> CoherenceVerdict:
+def check_moca(rels: Relations) -> CoherenceVerdict:
     """Evaluate every shadow-order rule on a (possibly partial) sequence."""
-    v = view_of_sequence(seq, rels)
-    return _check_all(v)
-
-
-def _check_all(v: RuleView) -> CoherenceVerdict:
     verdict = CoherenceVerdict()
-    verdict.rules["shco"] = _rule_shco(v)
-    verdict.rules["shmo"] = _rule_shmo(v)
-    verdict.rules["shmo1"] = _rule_shmo1(v)
-    verdict.rules["shmo2"] = _rule_shmo2(v)
-    verdict.rules["shmo3"] = _rule_shmo3(v)
-    verdict.rules["shrmo"] = _rule_shrmo(v)
-    verdict.rules["shto"] = _rule_shto(v)
+    verdict.rules["shco"] = _rule_shco(rels)
+    verdict.rules["shmo"] = _rule_shmo(rels)
+    verdict.rules["shmo1"] = _rule_shmo1(rels)
+    verdict.rules["shmo2"] = _rule_shmo2(rels)
+    verdict.rules["shmo3"] = _rule_shmo3(rels)
+    verdict.rules["shrmo"] = _rule_shrmo(rels)
+    verdict.rules["shto"] = _rule_shto(rels)
     return verdict
 
 
@@ -265,28 +214,27 @@ def check_step(rels: LiveRelations) -> Optional[tuple[str, Witness]]:
     Must be called on relation state whose every proper prefix already
     passed; returns the violated rule and witness, or None.
     """
-    v = view_of_live(rels)
     e = rels.events[-1]
 
     if e.is_read_like:
-        w = _rule_shco(v)  # cheap and safe; defensive for engine changes
+        w = _rule_shco(rels)  # cheap and safe; defensive for engine changes
         if w is not None:
             return ("shco", w)
-        w = _rule_shmo1(v, targets=[e])
+        w = _rule_shmo1(rels, targets=[e])
         if w is not None:
             return ("shmo1", w)
-        w = _rule_shmo2(v, only_reads=[e])
+        w = _rule_shmo2(rels, only_reads=[e])
         if w is not None:
             return ("shmo2", w)
-        w = _rule_shmo3(v, only_reads=[e])
+        w = _rule_shmo3(rels, only_reads=[e])
         if w is not None:
             return ("shmo3", w)
         if e.act is Act.RMW:
-            w = _rule_shrmo(v, only=[e])
+            w = _rule_shrmo(rels, only=[e])
             if w is not None:
                 return ("shrmo", w)
     elif e.act is Act.FENCE:
-        w = _rule_shmo1(v, targets=[e])
+        w = _rule_shmo1(rels, targets=[e])
         if w is not None:
             return ("shmo1", w)
 
@@ -296,18 +244,18 @@ def check_step(rels: LiveRelations) -> Optional[tuple[str, Witness]]:
     elif e.act is Act.RMW:
         flushed_write = e
     if flushed_write is not None:
-        w = _rule_shmo1(v, targets=[flushed_write])
+        w = _rule_shmo1(rels, targets=[flushed_write])
         if w is not None:
             return ("shmo1", w)
-        w = _rule_shmo2(v, only_reads=None, resolved_src=flushed_write)
+        w = _rule_shmo2(rels, only_reads=None, resolved_src=flushed_write)
         if w is not None:
             return ("shmo2", w)
-        w = _rule_shmo3(v, only_reads=None, resolved_src=flushed_write)
+        w = _rule_shmo3(rels, only_reads=None, resolved_src=flushed_write)
         if w is not None:
             return ("shmo3", w)
 
     if e.ord is MO.SC or (flushed_write is not None and flushed_write.ord is MO.SC):
-        w = _rule_shto(v)
+        w = _rule_shto(rels)
         if w is not None:
             return ("shto", w)
     return None
@@ -333,27 +281,19 @@ def check_incremental(state: ExecState,
 # Per-location coherence oracle
 # ---------------------------------------------------------------------------
 
-def check_c11_oracle(seq: Sequence, rels: RelationSet) -> CoherenceVerdict:
+def check_c11_oracle(rels: RelationSet) -> CoherenceVerdict:
     """Validate (hb, rf, mo, to) against the per-location coherence axioms
     and the sc total-order axiom; violations are verdicts, not exceptions."""
     verdict = CoherenceVerdict()
-    reads = [e for e in seq.events if e.is_read_like]
-    by_obj_w: dict[str, list[Event]] = {}
-    for w in (e for e in seq.events if e.is_write_like):
-        by_obj_w.setdefault(w.obj_written, []).append(w)
-    by_obj_r: dict[str, list[Event]] = {}
-    for r in reads:
-        by_obj_r.setdefault(r.obj_read, []).append(r)
-
     verdict.rules["mo1"] = None
-    for obj, ws in by_obj_w.items():
+    for obj, ws in rels.obj_issue_order.items():
         for w1 in ws:
             for w2 in ws:
                 if w1 != w2 and rels.hb(w1, w2) and not rels.mo_before(w1, w2):
                     verdict.rules["mo1"] = (w1, w2)
 
     verdict.rules["mo2"] = None
-    for obj, rs in by_obj_r.items():
+    for obj, rs in rels.obj_reads.items():
         for r1 in rs:
             for r2 in rs:
                 if r1 == r2 or not rels.hb(r1, r2):
@@ -363,18 +303,18 @@ def check_c11_oracle(seq: Sequence, rels: RelationSet) -> CoherenceVerdict:
                     verdict.rules["mo2"] = (r1, r2)
 
     verdict.rules["mo3"] = None
-    for obj, rs in by_obj_r.items():
+    for obj, rs in rels.obj_reads.items():
         for r1 in rs:
-            for w1 in by_obj_w.get(obj, ()):
+            for w1 in rels.obj_issue_order.get(obj, ()):
                 if rels.hb(r1, w1):
                     w2 = rels.rf[r1]
                     if not rels.mo_before(w2, w1):
                         verdict.rules["mo3"] = (r1, w1)
 
     verdict.rules["mo4"] = None
-    for obj, rs in by_obj_r.items():
+    for obj, rs in rels.obj_reads.items():
         for r1 in rs:
-            for w1 in by_obj_w.get(obj, ()):
+            for w1 in rels.obj_issue_order.get(obj, ()):
                 if rels.hb(w1, r1):
                     w2 = rels.rf[r1]
                     if w2 != w1 and not rels.mo_before(w1, w2):
@@ -389,7 +329,7 @@ def check_c11_oracle(seq: Sequence, rels: RelationSet) -> CoherenceVerdict:
                 verdict.rules["to"] = (a, b)
 
     verdict.rules["co"] = None
-    for r in reads:
+    for r in (e for e in rels.events if e.is_read_like):
         w = rels.rf.get(r)
         if w is None or rels.hb(r, w):
             verdict.rules["co"] = (r,) if w is None else (r, w)

@@ -26,7 +26,6 @@ from typing import Iterator, Optional
 from .ir import (
     Act,
     Cas,
-    ContractViolation,
     Event,
     Fadd,
     Fence,
@@ -77,12 +76,6 @@ class Sequence:
     shadow_of: dict[Event, Event]   # write/rmw -> shadow event (rmw maps to itself)
     origin_of: dict[Event, Event]   # shadow event -> originating write
     init_len: int
-
-    def prefix_before(self, e: Event) -> list[Event]:
-        return self.events[: self.pos[e]]
-
-    def order(self, a: Event, b: Event) -> bool:
-        return self.pos[a] < self.pos[b]
 
 
 class ExecState:
@@ -179,9 +172,9 @@ class ExecState:
 
     def latest_visible_write(self, obj: str) -> Event:
         """The write whose shadow-write most recently updated ``obj``."""
-        return self.rels.obj_flush_order[obj][-1]
+        return self.rels.mo[obj][-1]
 
-    def _resolve_rf(self, thread: str, obj: str) -> tuple[Event, bool]:
+    def resolve_rf(self, thread: str, obj: str) -> tuple[Event, bool]:
         """Deterministic source for a read of ``obj`` by ``thread``.
 
         Returns (source write, own_pending) where own_pending marks the case
@@ -213,7 +206,7 @@ class ExecState:
         env = self.lcl[unit]
         idx = self.unit_counts.get(unit, 0)
         if isinstance(stmt, Load):
-            src, own_pending = self._resolve_rf(unit, stmt.obj)
+            src, own_pending = self.resolve_rf(unit, stmt.obj)
             val = self.rels.value_of[src]
             ev = Event(thr=unit, act=Act.READ, obj=(stmt.obj,), ord=stmt.mo,
                        idx=idx, stmt=stmt)
@@ -225,7 +218,7 @@ class ExecState:
                        idx=idx, stmt=stmt)
             return Pending(unit=unit, event=ev, write_value=val, stmt=stmt)
         if isinstance(stmt, Fadd):
-            src, own_pending = self._resolve_rf(unit, stmt.obj)
+            src, own_pending = self.resolve_rf(unit, stmt.obj)
             old = self.rels.value_of[src]
             new = old + eval_expr(stmt.delta, env)
             ev = Event(thr=unit, act=Act.RMW, obj=(stmt.obj, stmt.obj), ord=stmt.mo,
@@ -233,7 +226,7 @@ class ExecState:
             return Pending(unit=unit, event=ev, rf_source=src, read_value=old,
                            write_value=new, stmt=stmt, rf_own_pending=own_pending)
         if isinstance(stmt, Cas):
-            src, own_pending = self._resolve_rf(unit, stmt.obj)
+            src, own_pending = self.resolve_rf(unit, stmt.obj)
             old = self.rels.value_of[src]
             if old == eval_expr(stmt.expect, env):
                 ev = Event(thr=unit, act=Act.RMW, obj=(stmt.obj, stmt.obj),
@@ -327,27 +320,6 @@ class ExecState:
 
 def initial_state(program: Program) -> ExecState:
     return ExecState(program)
-
-
-def enabled(state: ExecState) -> set[Event]:
-    return state.enabled_events()
-
-
-def step(state: ExecState, event: Event) -> ExecState:
-    """Execute ``event``; it must be enabled in ``state``."""
-    for unit in state.enabled_units():
-        if state.peek(unit).event == event:
-            return state.step(unit)
-    raise ContractViolation(f"event not enabled: {event}")
-
-
-def lw(state: ExecState, obj: str) -> Event:
-    """Write corresponding to the latest shadow-write of ``obj``."""
-    return state.latest_visible_write(obj)
-
-
-def resolve_rf(state: ExecState, thread: str, obj: str) -> Event:
-    return state._resolve_rf(thread, obj)[0]
 
 
 def run_sequence(program: Program, schedule: list[str]) -> ExecState:

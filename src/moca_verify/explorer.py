@@ -46,8 +46,8 @@ from .ir import (
     eval_expr,
     shadow_unit,
 )
-from .engine import ExecState, Sequence, initial_state
-from .relations import RelationSet, compute_relations
+from .engine import ExecState, initial_state
+from .relations import RelationSet, Relations, compute_relations
 from .coherence import check_moca, check_c11_oracle, check_step
 from .transform import early_write_transform
 
@@ -118,22 +118,17 @@ def _event_name(e: Event) -> str:
     return f"{e.thr}#{e.idx}:{e.act.value}:{','.join(e.obj)}:{e.ord.value}"
 
 
-def canonical_trace_id(seq: Sequence, rels: RelationSet) -> str:
-    """Stable id of the equivalence class of ``seq``.
+def canonical_trace_id(rels: RelationSet) -> str:
+    """Stable id of the equivalence class of the sequence behind ``rels``.
 
     Hashes the executed events, the reads-from edges, the per-object store
     order, and the happens-before edge set: sequences interleaving only
     independent events agree on all four, while differing rf, store order,
     or synchronization structure changes the id.
     """
-    events = sorted(_event_name(e) for e in seq.events)
-    rf = sorted(f"{_event_name(w)}->{_event_name(r)}" for r, w in seq.rf.items())
-    mo: dict[str, list[str]] = {}
-    for e in seq.events:
-        if e.act is Act.SHADOW:
-            mo.setdefault(e.obj[0], []).append(_event_name(seq.origin_of[e]))
-        elif e.act is Act.RMW:
-            mo.setdefault(e.obj_written, []).append(_event_name(e))
+    events = sorted(_event_name(e) for e in rels.events)
+    rf = sorted(f"{_event_name(w)}->{_event_name(r)}" for r, w in rels.rf.items())
+    mo = {obj: [_event_name(w) for w in ws] for obj, ws in rels.mo.items()}
     hb = sorted(f"{_event_name(a)}->{_event_name(b)}" for a, b in rels.hb_pairs())
     payload = json.dumps({"events": events, "rf": rf, "mo": mo, "hb": hb},
                          sort_keys=True)
@@ -144,10 +139,10 @@ def canonical_trace_id(seq: Sequence, rels: RelationSet) -> str:
 # Race and assertion reporting
 # ---------------------------------------------------------------------------
 
-def detect_na_races(seq: Sequence, rels: RelationSet) -> list[tuple[Event, Event]]:
+def detect_na_races(rels: Relations) -> list[tuple[Event, Event]]:
     """Pairs of non-atomic same-object accesses from different program
     threads, at least one a write, unordered by non-racing happens-before."""
-    accesses = [e for e in seq.events
+    accesses = [e for e in rels.events
                 if e.ord is MO.NA and not e.is_init
                 and e.act in (Act.READ, Act.WRITE, Act.RMW)]
     races: list[tuple[Event, Event]] = []
@@ -294,12 +289,10 @@ class _Node:
 
 
 class _Explorer:
-    def __init__(self, program: Program, max_seqs: int, max_depth: int,
-                 run_c11_oracle: bool = True):
+    def __init__(self, program: Program, max_seqs: int, max_depth: int):
         self.program = program
         self.max_seqs = max_seqs
         self.max_depth = max_depth
-        self.run_c11_oracle = run_c11_oracle
         self.unit_order = {t.name: i for i, t in enumerate(program.threads)}
         self.report = ExplorationReport(program=program.name)
         self._seen_ids: set[str] = set()
@@ -410,16 +403,14 @@ class _Explorer:
 
     def _record_maximal(self, state: ExecState) -> None:
         self.report.sequences_explored += 1
-        seq = state.sequence()
-        rels = compute_relations(seq)
-        verdict = check_moca(seq, rels)
-        if not verdict.ok:
+        rels = compute_relations(state.sequence())
+        if not check_moca(rels).ok:
             self.report.non_mca_sequences += 1
-        if self.run_c11_oracle and not check_c11_oracle(seq, rels).ok:
+        if not check_c11_oracle(rels).ok:
             self.report.c11_oracle_failures += 1
-        trace_id = canonical_trace_id(seq, rels)
+        trace_id = canonical_trace_id(rels)
         schedule = state.schedule_so_far()
-        races = detect_na_races(seq, rels)
+        races = detect_na_races(rels)
         if races:
             self.report.racy_sequence_count += 1
             for a, b in races:
@@ -445,7 +436,7 @@ class _Explorer:
                 schedule=schedule,
                 final_shared=dict(state.shr),
                 final_locals=state.final_locals(),
-                rf=sorted((_event_name(w), _event_name(r)) for r, w in seq.rf.items()
+                rf=sorted((_event_name(w), _event_name(r)) for r, w in rels.rf.items()
                           if not r.is_init),
                 racy=bool(races),
             ))
@@ -504,13 +495,12 @@ class _Explorer:
 
 
 def explore(program: Program, *, max_seqs: int = 1_000_000,
-            max_depth: int = 10_000, use_early_write: bool = True,
-            run_c11_oracle: bool = True) -> ExplorationReport:
+            max_depth: int = 10_000, use_early_write: bool = True) -> ExplorationReport:
     """Explore the state space of ``program`` (after the early-write
     transformation unless disabled) and report traces, assertion violations,
     and non-atomic races."""
     target = early_write_transform(program) if use_early_write else program
-    return _Explorer(target, max_seqs, max_depth, run_c11_oracle).run()
+    return _Explorer(target, max_seqs, max_depth).run()
 
 
 # ---------------------------------------------------------------------------
@@ -554,10 +544,9 @@ def enumerate_all(program: Program, *, cap: int = 12, use_early_write: bool = Tr
     def dfs(state: ExecState) -> None:
         units = state.enabled_units()
         if not units:
-            seq = state.sequence()
-            rels = compute_relations(seq)
-            if check_moca(seq, rels).ok:
-                tid = canonical_trace_id(seq, rels)
+            rels = compute_relations(state.sequence())
+            if check_moca(rels).ok:
+                tid = canonical_trace_id(rels)
                 results.setdefault(tid, state.schedule_so_far())
             return
         for unit in units:

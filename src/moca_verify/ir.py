@@ -353,8 +353,6 @@ class IfBlock(StmtBase):
 
 Stmt = Union[Load, Store, Fadd, Cas, Fence, LocalAssign, IfBlock]
 
-EVENT_STMTS = (Load, Store, Fadd, Cas, Fence)
-
 
 def stmt_locals_read(s: Stmt) -> frozenset[str]:
     if isinstance(s, Store):
@@ -382,10 +380,6 @@ def stmt_objs(s: Stmt) -> frozenset[str]:
     if isinstance(s, (Load, Store, Fadd, Cas)):
         return frozenset([s.obj])
     return frozenset()
-
-
-def is_event_stmt(s: Stmt) -> bool:
-    return isinstance(s, EVENT_STMTS)
 
 
 def flatten(body: list[Stmt]) -> Iterator[Stmt]:

@@ -10,6 +10,14 @@ Two implementations are kept deliberately separate:
 * ``compute_relations`` rebuilds everything from scratch from a finished
   ``Sequence`` and is the reference the incremental path is tested against.
 
+Both expose the data the coherence rules quantify over under the same names,
+so every consumer reads either one directly: ``events``, ``pos``, ``rf``,
+``readers`` (reads of each write, in sequence order), ``flush_pos`` (position
+of each write's shared-store update), ``obj_reads`` and ``obj_issue_order``
+(per-object reads and writes in sequence order), ``mo`` (per-object flush
+order, the modification order), ``sc_placed`` (sc events with their
+placement positions, in placement order), and ``hb``/``mhb``.
+
 Relations computed: per-unit program order (program threads, shadow-threads,
 and the init prefix), synchronizes-with (release write read by an acquire
 read, plus the three fence synchronization shapes), dependency-ordered-before
@@ -20,7 +28,7 @@ induced by shadow-write order, and the total order on sc events.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, TYPE_CHECKING
 
 from .ir import Act, ContractViolation, Event, MO, at_least
@@ -124,7 +132,7 @@ class LiveRelations:
 
     __slots__ = (
         "events", "pos", "init_len", "init_mask", "value_of", "rf", "readers",
-        "flush_event", "flush_pos", "origin_of", "obj_flush_order",
+        "flush_event", "flush_pos", "origin_of", "mo",
         "obj_issue_order", "obj_reads", "thread_obj_writes", "thread_reads",
         "rel_fences", "hb_mask", "cd_mask", "sw_edges", "dob_edges",
         "sc_placed", "unit_last",
@@ -141,8 +149,10 @@ class LiveRelations:
         self.flush_event: dict[Event, Event] = {}
         self.flush_pos: dict[Event, int] = {}
         self.origin_of: dict[Event, Event] = {}
-        self.obj_flush_order: dict[str, list[Event]] = {}
+        self.mo: dict[str, list[Event]] = {}
         self.obj_issue_order: dict[str, list[Event]] = {}
+        # keyed in first-read order, as compute_relations keys it, so the
+        # rules visit objects in one order on both implementations
         self.obj_reads: dict[str, list[Event]] = {}
         self.thread_obj_writes: dict[tuple[str, str], list[Event]] = {}
         self.thread_reads: dict[str, list[Event]] = {}
@@ -166,7 +176,7 @@ class LiveRelations:
         other.flush_event = dict(self.flush_event)
         other.flush_pos = dict(self.flush_pos)
         other.origin_of = dict(self.origin_of)
-        other.obj_flush_order = {k: list(v) for k, v in self.obj_flush_order.items()}
+        other.mo = {k: list(v) for k, v in self.mo.items()}
         other.obj_issue_order = {k: list(v) for k, v in self.obj_issue_order.items()}
         other.obj_reads = {k: list(v) for k, v in self.obj_reads.items()}
         other.thread_obj_writes = {k: list(v) for k, v in self.thread_obj_writes.items()}
@@ -194,9 +204,6 @@ class LiveRelations:
     def last_obj_write_of_thread(self, thread: str, obj: str) -> Optional[Event]:
         ws = self.thread_obj_writes.get((thread, obj))
         return ws[-1] if ws else None
-
-    def program_events(self) -> list[Event]:
-        return [e for e in self.events if e.act is not Act.SHADOW]
 
     # -- low-level append -------------------------------------------------------
 
@@ -242,8 +249,7 @@ class LiveRelations:
         self.value_of[w] = value
         obj = w.obj[0]
         self.obj_issue_order[obj] = [w]
-        self.obj_flush_order[obj] = []
-        self.obj_reads[obj] = []
+        self.mo[obj] = []
         self.thread_obj_writes.setdefault((w.thr, obj), []).append(w)
 
     def append_init_flush(self, sh: Event, w: Event) -> None:
@@ -253,7 +259,7 @@ class LiveRelations:
         self.origin_of[sh] = w
         self.flush_event[w] = sh
         self.flush_pos[w] = self.pos[sh]
-        self.obj_flush_order[obj].append(w)
+        self.mo[obj].append(w)
 
     def seal_init(self) -> None:
         self.init_len = len(self.events)
@@ -303,7 +309,7 @@ class LiveRelations:
         self.value_of[e] = value
         self.rf[e] = src
         self.readers.setdefault(src, []).append(e)
-        self.obj_reads[obj].append(e)
+        self.obj_reads.setdefault(obj, []).append(e)
         self.thread_reads.setdefault(e.thr, []).append(e)
 
     def append_write(self, e: Event, value: int) -> None:
@@ -321,22 +327,22 @@ class LiveRelations:
         cd: list[Event] = [src, self.obj_issue_order[obj][-1]]
         if src.thr != e.thr:
             cd.append(self.flush_event[src])
-        flushed = self.obj_flush_order[obj]
+        flushed = self.mo[obj]
         if flushed:
             cd.append(self.flush_event[flushed[-1]])
         # the atomic update orders after earlier reads of other threads
-        cd.extend(r for r in self.obj_reads[obj] if r.thr != e.thr)
+        cd.extend(r for r in self.obj_reads.get(obj, ()) if r.thr != e.thr)
         if e.ord is MO.SC:
             cd.extend(self._place_sc(e, len(self.events)))
         self._register(e, self._po_pred(e) + sync, cd)
         self.value_of[e] = new
         self.rf[e] = src
         self.readers.setdefault(src, []).append(e)
-        self.obj_reads[obj].append(e)
+        self.obj_reads.setdefault(obj, []).append(e)
         self.thread_reads.setdefault(e.thr, []).append(e)
         self.obj_issue_order[obj].append(e)
         self.thread_obj_writes.setdefault((e.thr, obj), []).append(e)
-        self.obj_flush_order[obj].append(e)
+        self.mo[obj].append(e)
         self.flush_event[e] = e
         self.flush_pos[e] = self.pos[e]
 
@@ -362,12 +368,12 @@ class LiveRelations:
     def append_flush(self, e: Event, w: Event) -> None:
         obj = e.obj[0]
         cd: list[Event] = [w]
-        flushed = self.obj_flush_order[obj]
+        flushed = self.mo[obj]
         if flushed:
             cd.append(self.flush_event[flushed[-1]])
         # a foreign read never moves after a later flush of its object; the
         # flushing thread's own reads commute with it
-        cd.extend(r for r in self.obj_reads[obj] if r.thr != w.thr)
+        cd.extend(r for r in self.obj_reads.get(obj, ()) if r.thr != w.thr)
         if w.ord is MO.SC:
             cd.extend(self._place_sc(w, len(self.events)))
         self._register(e, self._po_pred(e), cd)
@@ -375,15 +381,7 @@ class LiveRelations:
         self.origin_of[e] = w
         self.flush_event[w] = e
         self.flush_pos[w] = self.pos[e]
-        self.obj_flush_order[obj].append(w)
-
-    # -- derived views ----------------------------------------------------------
-
-    def mo(self) -> dict[str, list[Event]]:
-        return {obj: list(ws) for obj, ws in self.obj_flush_order.items()}
-
-    def sc_order(self) -> ScOrder:
-        return build_sc_order(self.sc_placed)
+        self.mo[obj].append(w)
 
 
 # ---------------------------------------------------------------------------
@@ -397,13 +395,17 @@ class RelationSet:
     events: list[Event]
     pos: dict[Event, int]
     rf: dict[Event, Event]
+    readers: dict[Event, list[Event]]
+    flush_pos: dict[Event, int]
+    obj_reads: dict[str, list[Event]]
+    obj_issue_order: dict[str, list[Event]]
+    mo: dict[str, list[Event]]
+    sc_placed: list[tuple[Event, int]]
     sw: set[tuple[Event, Event]]
     dob: set[tuple[Event, Event]]
     ithb: dict[Event, frozenset[Event]]     # successors
-    mo: dict[str, list[Event]]
     sc: ScOrder
     init_len: int
-    value_of: dict[Event, int] = field(default_factory=dict)
 
     def po(self, a: Event, b: Event) -> bool:
         return a.thr == b.thr and a.idx < b.idx
@@ -417,9 +419,6 @@ class RelationSet:
 
     def mhb(self, a: Event, b: Event) -> bool:
         return self.hb(a, b) and (a, b) not in self.sw and (a, b) not in self.dob
-
-    def mo_index(self, obj: str, w: Event) -> int:
-        return self.mo[obj].index(w)
 
     def mo_before(self, a: Event, b: Event) -> bool:
         obj = a.obj_written
@@ -439,6 +438,10 @@ class RelationSet:
         return out
 
 
+# either implementation: both expose the fields the coherence rules read
+Relations = LiveRelations | RelationSet
+
+
 def release_sequence(seq: "Sequence", head: Event) -> list[Event]:
     """Release sequence headed by ``head`` within ``seq`` (issue order)."""
     obj = head.obj_written
@@ -455,9 +458,17 @@ def compute_relations(seq: "Sequence") -> RelationSet:
         if r not in rf:
             raise ContractViolation(f"unresolved read in sequence: {r}")
 
-    writes = [e for e in events if e.is_write_like]
     reads = [e for e in events if e.is_read_like]
     fences = [e for e in events if e.act is Act.FENCE]
+    readers: dict[Event, list[Event]] = {}
+    obj_reads: dict[str, list[Event]] = {}
+    for r in reads:
+        readers.setdefault(rf[r], []).append(r)
+        obj_reads.setdefault(r.obj_read, []).append(r)
+    obj_issue_order: dict[str, list[Event]] = {}
+    for w in (e for e in events if e.is_write_like):
+        obj_issue_order.setdefault(w.obj_written, []).append(w)
+    flush_pos = {w: pos[sh] for w, sh in seq.shadow_of.items()}
 
     # synchronizes-with: release write read by acquire read, plus fences
     sw: set[tuple[Event, Event]] = set()
@@ -482,20 +493,17 @@ def compute_relations(seq: "Sequence") -> RelationSet:
 
     # dependency-ordered-before via release sequences
     dob: set[tuple[Event, Event]] = set()
-    issue_by_obj: dict[str, list[Event]] = {}
-    for w in writes:
-        issue_by_obj.setdefault(w.obj_written, []).append(w)
     for r in reads:
         if not at_least(r.ord, MO.ACQ):
             continue
         src = rf[r]
         obj = r.obj_read
-        for head in issue_by_obj.get(obj, ()):
+        for head in obj_issue_order.get(obj, ()):
             if head == src or pos[head] > pos[src]:
                 continue
             if not at_least(head.ord, MO.REL):
                 continue
-            if src in release_sequence_members(issue_by_obj[obj], head):
+            if src in release_sequence_members(obj_issue_order[obj], head):
                 dob.add((head, r))
 
     # inter-thread closure: reachability over unit-successor + sync edges,
@@ -548,7 +556,8 @@ def compute_relations(seq: "Sequence") -> RelationSet:
     placed.sort(key=lambda t: t[1])
 
     return RelationSet(
-        events=list(events), pos=dict(pos), rf=dict(rf), sw=sw, dob=dob,
-        ithb=ithb, mo=mo, sc=build_sc_order(placed), init_len=seq.init_len,
-        value_of=dict(seq.value_of),
+        events=list(events), pos=dict(pos), rf=dict(rf), readers=readers,
+        flush_pos=flush_pos, obj_reads=obj_reads, obj_issue_order=obj_issue_order,
+        mo=mo, sc_placed=placed, sw=sw, dob=dob, ithb=ithb,
+        sc=build_sc_order(placed), init_len=seq.init_len,
     )

@@ -1,12 +1,18 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from conftest import CORPUS
 
+import moca_verify
+from moca_verify import cli
 from moca_verify.cli import main
 
 
@@ -93,9 +99,37 @@ class TestVerify:
         assert rel["schema"] == "moca-verify-relations/1"
         assert set(rel) >= {"rf", "sw", "dob", "hb", "mo", "to"}
 
-    def test_jobs_flag_accepted(self, runner):
-        result = runner.invoke(main, ["verify", corpus("mp"), "--jobs", "2"])
-        assert result.exit_code == 0
+    def test_internal_error_exits_four(self, runner, monkeypatch):
+        def crash(*args, **kwargs):
+            raise RecursionError("maximum recursion depth exceeded\nin _explore")
+
+        monkeypatch.setattr(cli, "explore", crash)
+        result = runner.invoke(main, ["verify", corpus("mp")])
+        assert result.exit_code == 4
+        assert result.stdout == ""
+        assert result.stderr == (
+            "internal error: RecursionError: maximum recursion depth exceeded"
+            " in _explore\n")
+
+    def test_usage_errors_keep_their_exit_codes(self, runner):
+        result = runner.invoke(main, ["verify", corpus("mp"), "--max-seqs", "x"])
+        assert result.exit_code == 2
+        assert runner.invoke(main, ["--help"]).exit_code == 0
+
+
+class TestModuleEntryPoints:
+    @pytest.mark.parametrize("module", ["moca_verify", "moca_verify.cli"])
+    @pytest.mark.parametrize("name,code", [("mp", 0), ("luc10", 1)])
+    def test_python_dash_m_verifies(self, module, name, code):
+        src = str(Path(moca_verify.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        result = subprocess.run(
+            [sys.executable, "-m", module, "verify", corpus(name)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert result.returncode == code, result.stderr
+        assert "distinct_traces:" in result.stdout
 
 
 class TestReplay:
@@ -141,8 +175,7 @@ class TestEnumerate:
 
 class TestTransform:
     def test_transform_prints_hoisted_source(self, runner):
-        result = runner.invoke(
-            main, ["transform", corpus("s-popl"), "--emit-transformed"])
+        result = runner.invoke(main, ["transform", corpus("s-popl")])
         assert result.exit_code == 0
         lines = [l.strip() for l in result.output.splitlines()]
         t1 = lines.index("thread T1:")

@@ -25,13 +25,13 @@ class TestCheckMoca:
     def test_empty_sequence_passes(self):
         p = parse_program("program e\ninit x = 0\n")
         _, seq, rels = run(p, [])
-        assert check_moca(seq, rels).ok
+        assert check_moca(rels).ok
 
     def test_mp_forbidden_outcome_fails_shmo1(self, mp):
         # flag flushed and observed, payload not yet visible at its read
         st, seq, rels = run(mp, ["T1", "T1", "sth_f(T1)", "T2", "T2", "sth_x(T1)"])
         assert st.lcl["T2"] == {"r": 1, "s": 0}
-        verdict = check_moca(seq, rels)
+        verdict = check_moca(rels)
         assert not verdict.ok
         witness = verdict.failures["shmo1"]
         assert witness[0].key == ("T1", 0)  # the payload write
@@ -50,7 +50,7 @@ thread T2:
         # r1 reads the own pending store; a foreign flush lands before r2
         st, seq, rels = run(p, ["T1", "T1", "T2", "sth_x(T2)", "T1", "sth_x(T1)"])
         assert st.lcl["T1"] == {"r1": 1, "r2": 2}
-        verdict = check_moca(seq, rels)
+        verdict = check_moca(rels)
         assert verdict.failures.get("shmo2") is not None
         r1, r2 = verdict.failures["shmo2"]
         assert (r1.key, r2.key) == (("T1", 1), ("T1", 2))
@@ -92,7 +92,7 @@ class TestIncrementalAgainstPostHoc:
                     assert check_step(child.rels) is None, (name, t.schedule)
                     st = child
                 seq = st.sequence()
-                assert check_moca(seq, compute_relations(seq)).ok
+                assert check_moca(compute_relations(seq)).ok
 
     def test_prefilter_matches_post_hoc_filter(self):
         # the enumeration oracle gives identical trace sets whether coherence
@@ -114,7 +114,7 @@ class TestC11Oracle:
     def test_empty_sequence_passes(self):
         p = parse_program("program e\ninit x = 0\n")
         _, seq, rels = run(p, [])
-        assert check_c11_oracle(seq, rels).ok
+        assert check_c11_oracle(rels).ok
 
     def test_read_bound_to_hb_later_write_fails_co(self):
         p = parse_program("""
@@ -128,7 +128,7 @@ thread T1:
         r = next(e for e in seq.events if e.key == ("T1", 0))
         w = next(e for e in seq.events if e.key == ("T1", 1))
         rels.rf[r] = w  # deliberately corrupted: source is po-after the read
-        verdict = check_c11_oracle(seq, rels)
+        verdict = check_c11_oracle(rels)
         assert verdict.rules["co"] is not None
 
     def test_mo1_detects_inverted_store_order(self, w_rwr):
@@ -136,5 +136,5 @@ thread T1:
             w_rwr, ["T1", "sth_x(T1)", "T2", "T2", "T2", "sth_x(T2)"])
         # invert the modification order behind the oracle's back
         rels.mo["x"] = list(reversed(rels.mo["x"]))
-        verdict = check_c11_oracle(seq, rels)
+        verdict = check_c11_oracle(rels)
         assert verdict.rules["mo1"] is not None or verdict.rules["mo4"] is not None

@@ -52,7 +52,7 @@ class TestCanonicalTraceId:
         # different objects: the two flushes are independent
         _, q1, r1 = trace_of(target, s1)
         _, q2, r2 = trace_of(target, s2)
-        assert canonical_trace_id(q1, r1) == canonical_trace_id(q2, r2)
+        assert canonical_trace_id(r1) == canonical_trace_id(r2)
 
     def test_different_rf_different_id(self, mp):
         target = early_write_transform(mp)
@@ -60,13 +60,13 @@ class TestCanonicalTraceId:
         s2 = ["T2", "T2", "T1", "T1", "sth_x(T1)", "sth_f(T1)"]   # reads 0,0
         _, q1, r1 = trace_of(target, s1)
         _, q2, r2 = trace_of(target, s2)
-        assert canonical_trace_id(q1, r1) != canonical_trace_id(q2, r2)
+        assert canonical_trace_id(r1) != canonical_trace_id(r2)
 
     def test_same_schedule_same_id(self, w_rwr):
         s = ["T1", "sth_x(T1)", "T2", "T2", "T2", "sth_x(T2)"]
         _, q1, r1 = trace_of(w_rwr, s)
         _, q2, r2 = trace_of(w_rwr, s)
-        assert canonical_trace_id(q1, r1) == canonical_trace_id(q2, r2)
+        assert canonical_trace_id(r1) == canonical_trace_id(r2)
 
     def test_unobserved_flush_order_distinguished(self):
         # two writers, no readers: the two final states are different traces
@@ -77,7 +77,7 @@ class TestCanonicalTraceId:
         s2 = ["T1", "T2", "sth_x(T2)", "sth_x(T1)"]
         _, q1, r1 = trace_of(p, s1)
         _, q2, r2 = trace_of(p, s2)
-        assert canonical_trace_id(q1, r1) != canonical_trace_id(q2, r2)
+        assert canonical_trace_id(r1) != canonical_trace_id(r2)
 
 
 class TestNaRaces:
@@ -175,7 +175,7 @@ class TestWitnessReplay:
             st = run_sequence(target, r["schedule"])
             seq = st.sequence()
             rels = compute_relations(seq)
-            races = {(a.pretty(), b.pretty()) for a, b in detect_na_races(seq, rels)}
+            races = {(a.pretty(), b.pretty()) for a, b in detect_na_races(rels)}
             assert tuple(r["events"]) in races
 
     def test_report_deterministic(self):
@@ -193,7 +193,7 @@ class TestWitnessReplay:
                 assert st.enabled_units() == []
                 assert st.shr == t.final_shared
                 seq = st.sequence()
-                assert check_moca(seq, compute_relations(seq)).ok
+                assert check_moca(compute_relations(seq)).ok
 
 
 class TestBudget:

@@ -199,7 +199,7 @@ def check_hb_validity(source: str, rng: random.Random,
 
         # property 4: linearizations of the causal order are equivalent
         # execution sequences with identical reads-from and store orders
-        base_id = canonical_trace_id(seq, rels)
+        base_id = canonical_trace_id(rels)
         base_rf = {r.key: w.key for r, w in seq.rf.items()}
         assert base_id == trace.trace_id
         states_by_id.setdefault(base_id, _signature(final))
@@ -208,7 +208,7 @@ def check_hb_validity(source: str, rng: random.Random,
             rseq = replayed.sequence()
             rrels = compute_relations(rseq)
             assert {r.key: w.key for r, w in rseq.rf.items()} == base_rf, source
-            assert canonical_trace_id(rseq, rrels) == base_id, source
+            assert canonical_trace_id(rrels) == base_id, source
             assert _signature(replayed) == _signature(final), source
             # property 5 across representatives
             assert states_by_id[base_id] == _signature(replayed), source
@@ -225,8 +225,8 @@ def check_hb_validity(source: str, rng: random.Random,
                     continue
                 s1 = p1.sequence()
                 s2 = p2.sequence()
-                if canonical_trace_id(s1, compute_relations(s1)) != \
-                        canonical_trace_id(s2, compute_relations(s2)):
+                if canonical_trace_id(compute_relations(s1)) != \
+                        canonical_trace_id(compute_relations(s2)):
                     continue
                 if _signature(p1) != _signature(p2):
                     continue
@@ -234,8 +234,8 @@ def check_hb_validity(source: str, rng: random.Random,
                 e1 = run_sequence(target, trace.schedule[:cut] + suffix)
                 e2 = run_sequence(target, p2_sched + suffix)
                 q1, q2 = e1.sequence(), e2.sequence()
-                assert canonical_trace_id(q1, compute_relations(q1)) == \
-                    canonical_trace_id(q2, compute_relations(q2)), source
+                assert canonical_trace_id(compute_relations(q1)) == \
+                    canonical_trace_id(compute_relations(q2)), source
 
     # property 5 over every explored trace: id determines the final state
     for trace in report.traces:

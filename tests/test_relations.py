@@ -188,6 +188,13 @@ class TestLiveMatchesReference:
                     st = st.step(u)
                     seq = st.sequence()
                     rels = compute_relations(seq)
+                    # the fields the coherence rules read, in iteration order
+                    for field in ("rf", "readers", "flush_pos", "obj_reads",
+                                  "obj_issue_order", "mo"):
+                        live_items = list(getattr(st.rels, field).items())
+                        assert live_items == list(getattr(rels, field).items()), \
+                            (name, field)
+                    assert st.rels.sc_placed == rels.sc_placed, name
                     for a in seq.events:
                         for b in seq.events:
                             if a is b:
