@@ -16,7 +16,7 @@ import click
 
 from .ir import ParseError, parse_program, pretty_print
 from .engine import ReplayError, run_sequence, walk_trace
-from .relations import compute_relations
+from .relations import compute_relations, hb_pairs
 from .coherence import check_c11_oracle, check_moca
 from .explorer import (
     EnumerationCapExceeded,
@@ -76,7 +76,7 @@ def _text_report(report: ExplorationReport) -> str:
 
 def _relation_dump(program, schedule: list[str]) -> dict:
     rels = compute_relations(run_sequence(program, schedule).sequence())
-    hb_edges = sorted(f"{a.pretty()} -> {b.pretty()}" for a, b in rels.hb_pairs())
+    hb_edges = sorted(f"{a.pretty()} -> {b.pretty()}" for a, b in hb_pairs(rels))
     return {
         "schema": "moca-verify-relations/1",
         "schedule": schedule,
@@ -210,7 +210,10 @@ def _replay(program, replay_file: str, use_early_write: bool, dump_trace: bool) 
             click.echo(f"  {ev.pretty():40s} | {shr}")
     click.echo(f"trace_id: {canonical_trace_id(rels)}")
     click.echo("final shared: " + " ".join(f"{o}={v}" for o, v in sorted(state.shr.items())))
-    click.echo(f"coherent: {check_moca(rels).ok}")
+    verdict = check_moca(rels)
+    click.echo(f"coherent: {verdict.ok}")
+    for rule, witness in verdict.failures.items():
+        click.echo(f"incoherent: {rule}: {', '.join(e.pretty() for e in witness)}")
     for i in outcome.violations:
         click.echo(f"violated: assert never {target.asserts[i].text}")
     for a, b in races:

@@ -2,7 +2,7 @@
 
 Two rule families are implemented:
 
-* the shadow-order rules (``shco``, ``shmo``, ``shmo1``..``shmo3``, ``shrmo``,
+* the shadow-order rules (``shco``, ``shmo1``..``shmo3``, ``shrmo``,
   ``shto``) that decide which interleavings the explorer may keep, and
 * the classic per-location coherence axioms (``mo1``..``mo4``, ``to``, ``co``)
   evaluated over (hb, rf, mo, to) as a post-hoc validation oracle.
@@ -11,6 +11,10 @@ The shadow-order rules read a relations object directly: either the engine's
 ``LiveRelations`` or a ``RelationSet`` rebuilt by ``compute_relations``; the
 two expose the same field names.  Reads are visited in ``rf`` insertion order
 and writes in sequence order, so both give the same first witness.
+
+The base rule ``shmo`` (the modification order of each object is the order
+of its shared-store updates) holds by construction and has no check: ``mo``
+*is* the flush order, in both relation implementations.
 
 Rules are evaluated with three-valued semantics so they apply to prefixes:
 an ordering constraint between two shadow-writes that are both still pending
@@ -92,23 +96,15 @@ def _rule_shco(rels: Relations) -> Optional[Witness]:
     return None
 
 
-def _rule_shmo(rels: Relations) -> Optional[Witness]:
-    # definitional: the per-object modification order *is* the flush order;
-    # verify the recorded flush positions are strictly increasing per object
-    for obj in rels.obj_issue_order:
-        ws = mo_flushed(rels, obj)
-        for a, b in zip(ws, ws[1:]):
-            if not rels.flush_pos[a] < rels.flush_pos[b]:
-                return (a, b)
-    return None
-
-
-def _shmo1_triggered(rels: Relations, e_w: Event, e: Event) -> bool:
+def _shmo1_triggered(rels: Relations, e_w: Event, e: Event, hb_e: int) -> bool:
+    """``hb_e`` is ``rels.hb_mask[e]``; its bit test rules out most pairs
+    before ``mhb`` is asked (an hb predecessor also precedes in sequence)."""
     if e.thr == e_w.thr:
         return False
-    if rels.mhb(e_w, e):
+    pos = rels.pos
+    if hb_e >> pos[e_w] & 1 and rels.mhb(e_w, e):
         return True
-    return any(rels.pos[r] < rels.pos[e] and rels.mhb(r, e)
+    return any(hb_e >> pos[r] & 1 and rels.mhb(r, e)
                for r in rels.readers.get(e_w, ()))
 
 
@@ -117,8 +113,9 @@ def _rule_shmo1(rels: Relations, targets: Optional[list[Event]] = None) -> Optio
         targets = [e for e in rels.events if not e.is_init]
     writes = [e for e in rels.events if e.is_write_like]
     for e in targets:
+        hb_e = rels.hb_mask[e]
         for e_w in writes:
-            if not _shmo1_triggered(rels, e_w, e):
+            if not _shmo1_triggered(rels, e_w, e, hb_e):
                 continue
             if e.is_write_like:
                 if flush_before(rels, e_w, e) is False:
@@ -195,7 +192,6 @@ def check_moca(rels: Relations) -> CoherenceVerdict:
     """Evaluate every shadow-order rule on a (possibly partial) sequence."""
     verdict = CoherenceVerdict()
     verdict.rules["shco"] = _rule_shco(rels)
-    verdict.rules["shmo"] = _rule_shmo(rels)
     verdict.rules["shmo1"] = _rule_shmo1(rels)
     verdict.rules["shmo2"] = _rule_shmo2(rels)
     verdict.rules["shmo3"] = _rule_shmo3(rels)
@@ -284,12 +280,22 @@ def check_incremental(state: ExecState,
 def check_c11_oracle(rels: RelationSet) -> CoherenceVerdict:
     """Validate (hb, rf, mo, to) against the per-location coherence axioms
     and the sc total-order axiom; violations are verdicts, not exceptions."""
+    # positions in ``rels.mo`` as it stands, so a query costs O(1)
+    mo_index = {obj: {w: i for i, w in enumerate(ws)} for obj, ws in rels.mo.items()}
+
+    def mo_before(a: Event, b: Event) -> bool:
+        obj = a.obj_written
+        if obj is None or obj != b.obj_written:
+            return False
+        index = mo_index.get(obj, {})
+        return a in index and b in index and index[a] < index[b]
+
     verdict = CoherenceVerdict()
     verdict.rules["mo1"] = None
     for obj, ws in rels.obj_issue_order.items():
         for w1 in ws:
             for w2 in ws:
-                if w1 != w2 and rels.hb(w1, w2) and not rels.mo_before(w1, w2):
+                if w1 != w2 and rels.hb(w1, w2) and not mo_before(w1, w2):
                     verdict.rules["mo1"] = (w1, w2)
 
     verdict.rules["mo2"] = None
@@ -299,7 +305,7 @@ def check_c11_oracle(rels: RelationSet) -> CoherenceVerdict:
                 if r1 == r2 or not rels.hb(r1, r2):
                     continue
                 w1, w2 = rels.rf[r1], rels.rf[r2]
-                if w1 != w2 and not rels.mo_before(w1, w2):
+                if w1 != w2 and not mo_before(w1, w2):
                     verdict.rules["mo2"] = (r1, r2)
 
     verdict.rules["mo3"] = None
@@ -308,7 +314,7 @@ def check_c11_oracle(rels: RelationSet) -> CoherenceVerdict:
             for w1 in rels.obj_issue_order.get(obj, ()):
                 if rels.hb(r1, w1):
                     w2 = rels.rf[r1]
-                    if not rels.mo_before(w2, w1):
+                    if not mo_before(w2, w1):
                         verdict.rules["mo3"] = (r1, w1)
 
     verdict.rules["mo4"] = None
@@ -317,7 +323,7 @@ def check_c11_oracle(rels: RelationSet) -> CoherenceVerdict:
             for w1 in rels.obj_issue_order.get(obj, ()):
                 if rels.hb(w1, r1):
                     w2 = rels.rf[r1]
-                    if w2 != w1 and not rels.mo_before(w1, w2):
+                    if w2 != w1 and not mo_before(w1, w2):
                         verdict.rules["mo4"] = (w1, r1)
 
     verdict.rules["to"] = None
@@ -325,7 +331,7 @@ def check_c11_oracle(rels: RelationSet) -> CoherenceVerdict:
         verdict.rules["to"] = rels.sc.cycle_witness
     else:
         for a, b in rels.sc.pairs():
-            if rels.hb(b, a) or rels.mo_before(b, a):
+            if rels.hb(b, a) or mo_before(b, a):
                 verdict.rules["to"] = (a, b)
 
     verdict.rules["co"] = None

@@ -47,7 +47,7 @@ from .ir import (
     shadow_unit,
 )
 from .engine import ExecState, initial_state
-from .relations import RelationSet, Relations, compute_relations
+from .relations import Relations, compute_relations, hb_pairs
 from .coherence import check_moca, check_c11_oracle, check_step
 from .transform import early_write_transform
 
@@ -118,7 +118,7 @@ def _event_name(e: Event) -> str:
     return f"{e.thr}#{e.idx}:{e.act.value}:{','.join(e.obj)}:{e.ord.value}"
 
 
-def canonical_trace_id(rels: RelationSet) -> str:
+def canonical_trace_id(rels: Relations) -> str:
     """Stable id of the equivalence class of the sequence behind ``rels``.
 
     Hashes the executed events, the reads-from edges, the per-object store
@@ -126,10 +126,11 @@ def canonical_trace_id(rels: RelationSet) -> str:
     independent events agree on all four, while differing rf, store order,
     or synchronization structure changes the id.
     """
-    events = sorted(_event_name(e) for e in rels.events)
-    rf = sorted(f"{_event_name(w)}->{_event_name(r)}" for r, w in rels.rf.items())
-    mo = {obj: [_event_name(w) for w in ws] for obj, ws in rels.mo.items()}
-    hb = sorted(f"{_event_name(a)}->{_event_name(b)}" for a, b in rels.hb_pairs())
+    name = {e: _event_name(e) for e in rels.events}
+    events = sorted(name.values())
+    rf = sorted(f"{name[w]}->{name[r]}" for r, w in rels.rf.items())
+    mo = {obj: [name[w] for w in ws] for obj, ws in rels.mo.items()}
+    hb = sorted(f"{name[a]}->{name[b]}" for a, b in hb_pairs(rels))
     payload = json.dumps({"events": events, "rf": rf, "mo": mo, "hb": hb},
                          sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]

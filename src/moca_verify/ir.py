@@ -95,7 +95,7 @@ def is_shadow_unit(unit: str) -> bool:
     return unit.startswith("sth_")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Event:
     """One shared-memory action: ``(thr, act, obj, ord, idx)``.
 
@@ -103,6 +103,11 @@ class Event:
     ``(read_obj, write_obj)`` for rmw events.  ``(thr, idx)`` identifies the
     event within a sequence.  ``stmt`` links back to the originating statement
     and is excluded from equality.
+
+    Events are hashed and queried on every relation lookup, so the hash and
+    the derived attributes (``key``, ``objects``, ``obj_read``,
+    ``obj_written``, ``is_write_like``, ``is_read_like``, ``is_init``) are
+    fixed once at construction.
     """
 
     thr: str
@@ -110,42 +115,39 @@ class Event:
     obj: tuple[str, ...]
     ord: MO
     idx: int
-    stmt: Optional["Stmt"] = field(default=None, compare=False, repr=False, hash=False)
+    stmt: Optional["Stmt"] = field(default=None, repr=False)
 
-    @property
-    def key(self) -> tuple[str, int]:
-        return (self.thr, self.idx)
+    def __post_init__(self) -> None:
+        thr, act, obj = self.thr, self.act, self.obj
+        fields = (thr, act, obj, self.ord, self.idx)
+        reads = act is Act.READ or act is Act.RMW
+        if act is Act.WRITE or act is Act.SHADOW:
+            written = obj[0]
+        elif act is Act.RMW:
+            written = obj[-1]
+        else:
+            written = None
+        attrs = self.__dict__
+        attrs["_fields"] = fields
+        attrs["_hash"] = hash(fields)
+        attrs["key"] = (thr, self.idx)
+        attrs["objects"] = frozenset(obj)
+        attrs["obj_read"] = obj[0] if reads else None
+        attrs["obj_written"] = written
+        # member of the write category: issues a store (write or rmw)
+        attrs["is_write_like"] = act is Act.WRITE or act is Act.RMW
+        attrs["is_read_like"] = reads
+        attrs["is_init"] = thr == INIT_THREAD or thr.endswith(f"({INIT_THREAD})")
 
-    @property
-    def objects(self) -> frozenset[str]:
-        return frozenset(self.obj)
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not Event:
+            return NotImplemented
+        return self._hash == other._hash and self._fields == other._fields
 
-    @property
-    def obj_read(self) -> Optional[str]:
-        if self.act in (Act.READ, Act.RMW):
-            return self.obj[0]
-        return None
-
-    @property
-    def obj_written(self) -> Optional[str]:
-        if self.act in (Act.WRITE, Act.SHADOW):
-            return self.obj[0]
-        if self.act is Act.RMW:
-            return self.obj[-1]
-        return None
-
-    @property
-    def is_write_like(self) -> bool:
-        """Member of the write category: issues a store (write or rmw)."""
-        return self.act in (Act.WRITE, Act.RMW)
-
-    @property
-    def is_read_like(self) -> bool:
-        return self.act in (Act.READ, Act.RMW)
-
-    @property
-    def is_init(self) -> bool:
-        return self.thr == INIT_THREAD or self.thr.endswith(f"({INIT_THREAD})")
+    def __hash__(self) -> int:
+        return self._hash
 
     def pretty(self) -> str:
         o = ",".join(self.obj)

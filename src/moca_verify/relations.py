@@ -4,11 +4,19 @@ Two implementations are kept deliberately separate:
 
 * ``LiveRelations`` grows incrementally as the engine appends events.  Every
   synchronization edge attaches to the newly appended event, so predecessor
-  sets are stable under extension and are stored as position bitmasks (one
-  int per event), giving O(1) ordering queries and O(n^2) total state.
+  sets are stable under extension.
 
 * ``compute_relations`` rebuilds everything from scratch from a finished
   ``Sequence`` and is the reference the incremental path is tested against.
+  It derives sw and dob from the sequence's own rf and release sequences,
+  then happens-before in one forward pass over the events: each event's
+  predecessors are final when it is reached because every po, sw and dob
+  edge points forward in the sequence (a backward sync edge is a
+  ``ContractViolation``).
+
+Both store happens-before as position bitmasks, ``hb_mask[e]`` holding the
+positions of e's strict predecessors (one int per event), so ``hb`` and
+``mhb`` are O(1) bit tests and ``hb_pairs`` lists the edges of either.
 
 Both expose the data the coherence rules quantify over under the same names,
 so every consumer reads either one directly: ``events``, ``pos``, ``rf``,
@@ -403,43 +411,33 @@ class RelationSet:
     sc_placed: list[tuple[Event, int]]
     sw: set[tuple[Event, Event]]
     dob: set[tuple[Event, Event]]
-    ithb: dict[Event, frozenset[Event]]     # successors
+    hb_mask: dict[Event, int]               # positions of strict hb predecessors
     sc: ScOrder
     init_len: int
 
-    def po(self, a: Event, b: Event) -> bool:
-        return a.thr == b.thr and a.idx < b.idx
-
     def hb(self, a: Event, b: Event) -> bool:
-        if a == b:
-            return False
-        if a.is_init and not b.is_init:
-            return True
-        return self.po(a, b) or b in self.ithb.get(a, frozenset())
+        return bool(self.hb_mask[b] >> self.pos[a] & 1)
 
     def mhb(self, a: Event, b: Event) -> bool:
         return self.hb(a, b) and (a, b) not in self.sw and (a, b) not in self.dob
 
-    def mo_before(self, a: Event, b: Event) -> bool:
-        obj = a.obj_written
-        if obj is None or obj != b.obj_written:
-            return False
-        order = self.mo.get(obj, [])
-        if a not in order or b not in order:
-            return False
-        return order.index(a) < order.index(b)
-
-    def hb_pairs(self) -> set[tuple[Event, Event]]:
-        out = set()
-        for a in self.events:
-            for b in self.events:
-                if a != b and self.hb(a, b):
-                    out.add((a, b))
-        return out
-
 
 # either implementation: both expose the fields the coherence rules read
 Relations = LiveRelations | RelationSet
+
+
+def hb_pairs(rels: Relations) -> list[tuple[Event, Event]]:
+    """Every happens-before edge ``(a, b)``, read off the set bits of
+    ``hb_mask``; ordered by ``b``'s position, then ``a``'s."""
+    events = rels.events
+    out: list[tuple[Event, Event]] = []
+    for b in events:
+        mask = rels.hb_mask[b]
+        while mask:
+            low = mask & -mask
+            out.append((events[low.bit_length() - 1], b))
+            mask ^= low
+    return out
 
 
 def release_sequence(seq: "Sequence", head: Event) -> list[Event]:
@@ -506,35 +504,40 @@ def compute_relations(seq: "Sequence") -> RelationSet:
             if src in release_sequence_members(obj_issue_order[obj], head):
                 dob.add((head, r))
 
-    # inter-thread closure: reachability over unit-successor + sync edges,
-    # counting paths with at least one sync edge
-    succ: dict[Event, list[tuple[Event, bool]]] = {e: [] for e in events}
-    by_unit: dict[str, list[Event]] = {}
-    for e in events:
-        by_unit.setdefault(e.thr, []).append(e)
-    for unit_events in by_unit.values():
-        unit_events.sort(key=lambda e: e.idx)
-        for a, b in zip(unit_events, unit_events[1:]):
-            succ[a].append((b, False))
+    # happens-before in one forward pass: po plus the inter-thread closure,
+    # i.e. reachability over unit-successor + sync edges counting paths with
+    # at least one sync edge; every edge points forward in the sequence, so
+    # an event's predecessors are final by the time it is reached
+    sync_preds: dict[Event, list[Event]] = {}
     for a, b in sw | dob:
-        succ[a].append((b, True))
-
-    ithb: dict[Event, frozenset[Event]] = {}
-    for start in events:
-        reached: set[tuple[Event, bool]] = set()
-        stack: list[tuple[Event, bool]] = [(start, False)]
-        via_sync: set[Event] = set()
-        while stack:
-            node, sync = stack.pop()
-            for nxt, edge_sync in succ[node]:
-                st = (nxt, sync or edge_sync)
-                if st in reached:
-                    continue
-                reached.add(st)
-                if st[1]:
-                    via_sync.add(nxt)
-                stack.append(st)
-        ithb[start] = frozenset(via_sync)
+        if pos[a] >= pos[b]:
+            raise ContractViolation(f"synchronization edge points backward: {a} -> {b}")
+        sync_preds.setdefault(b, []).append(a)
+    unit_last: dict[str, Event] = {}
+    po_mask: dict[Event, int] = {}      # earlier events of e's unit
+    reach: dict[Event, int] = {}        # sources of a path into e
+    via_sync: dict[Event, int] = {}     # sources of a path with a sync edge
+    init_mask = 0
+    hb_mask: dict[Event, int] = {}
+    for e in events:
+        po = reach_e = via = 0
+        last = unit_last.get(e.thr)
+        if last is not None:
+            bit = 1 << pos[last]
+            po = po_mask[last] | bit
+            reach_e = reach[last] | bit
+            via = via_sync[last]
+        for s in sync_preds.get(e, ()):
+            into_s = reach[s] | 1 << pos[s]
+            reach_e |= into_s
+            via |= into_s
+        unit_last[e.thr] = e
+        po_mask[e], reach[e], via_sync[e] = po, reach_e, via
+        if e.is_init:   # the init events form the sequence's prefix
+            init_mask |= 1 << pos[e]
+            hb_mask[e] = po | via
+        else:
+            hb_mask[e] = po | via | init_mask
 
     # modification order per object: init write first, then flush order
     mo: dict[str, list[Event]] = {}
@@ -558,6 +561,6 @@ def compute_relations(seq: "Sequence") -> RelationSet:
     return RelationSet(
         events=list(events), pos=dict(pos), rf=dict(rf), readers=readers,
         flush_pos=flush_pos, obj_reads=obj_reads, obj_issue_order=obj_issue_order,
-        mo=mo, sc_placed=placed, sw=sw, dob=dob, ithb=ithb,
+        mo=mo, sc_placed=placed, sw=sw, dob=dob, hb_mask=hb_mask,
         sc=build_sc_order(placed), init_len=seq.init_len,
     )

@@ -142,6 +142,20 @@ class TestReplay:
         assert result.exit_code == 0
         assert "trace_id:" in result.output
         assert "coherent: True" in result.output
+        assert "incoherent:" not in result.output
+
+    def test_replay_names_failing_rule_and_witness(self, runner, tmp_path):
+        # both sc reads are placed before both sc stores flush, and po puts
+        # each store before its own thread's read: the sc order has a cycle
+        sched = tmp_path / "sched.json"
+        sched.write_text(json.dumps(
+            ["T1", "T2", "T1", "T2", "sth_x(T1)", "sth_y(T2)"]))
+        result = runner.invoke(
+            main, ["verify", corpus("sb-sc"), "--replay", str(sched)])
+        lines = result.output.splitlines()
+        assert "coherent: False" in lines
+        assert [l for l in lines if l.startswith("incoherent:")] == [
+            "incoherent: shto: T1#1:read(y)sc, T2#1:read(x)sc"]
 
     def test_replay_witness_reproduces_violation(self, runner, tmp_path):
         explore_result = runner.invoke(main, ["verify", corpus("luc10"), "--json"])

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,6 +10,7 @@ from moca_verify.ir import (
     Act,
     ContractViolation,
     Event,
+    INIT_THREAD,
     ParseError,
     at_least,
     dep,
@@ -16,6 +19,7 @@ from moca_verify.ir import (
     orders_at_least,
     parse_program,
     pretty_print,
+    shadow_unit,
     stmt_dep,
     structurally_equal,
 )
@@ -253,3 +257,60 @@ class TestDep:
             dep(Event("T2", Act.READ, ("x",), MO.RLX, 0, stmt=load), e2)
         with pytest.raises(ContractViolation):
             dep(e2, e1)
+
+
+def property_definitions(e: Event) -> dict:
+    """The derived attributes of an event by their definitions."""
+    return {
+        "key": (e.thr, e.idx),
+        "objects": frozenset(e.obj),
+        "obj_read": e.obj[0] if e.act in (Act.READ, Act.RMW) else None,
+        "obj_written": (e.obj[0] if e.act in (Act.WRITE, Act.SHADOW)
+                        else e.obj[-1] if e.act is Act.RMW else None),
+        "is_write_like": e.act in (Act.WRITE, Act.RMW),
+        "is_read_like": e.act in (Act.READ, Act.RMW),
+        "is_init": e.thr == INIT_THREAD or e.thr.endswith(f"({INIT_THREAD})"),
+    }
+
+
+def sample_events() -> list[Event]:
+    objs = {Act.WRITE: ("x",), Act.READ: ("x",), Act.RMW: ("x", "y"),
+            Act.FENCE: (), Act.SHADOW: ("x",)}
+    out = []
+    for act in Act:
+        threads = ["T1", INIT_THREAD] if act is not Act.SHADOW else [
+            shadow_unit("T1", "x"), shadow_unit(INIT_THREAD, "x")]
+        for thr in threads:
+            out.append(Event(thr, act, objs[act], MO.RLX, 3))
+    return out
+
+
+class TestEventAttributes:
+    @pytest.mark.parametrize("e", sample_events(), ids=lambda e: f"{e.thr}-{e.act.value}")
+    def test_attributes_equal_definitions(self, e):
+        for name, value in property_definitions(e).items():
+            assert getattr(e, name) == value, name
+
+    def test_stmt_ignored_by_equality_and_hash(self):
+        p = parse_program("program s\ninit x = 0\nthread T1:\n  store(x, 1, rlx)\n")
+        stmt = p.threads[0].body[0]
+        a = Event("T1", Act.WRITE, ("x",), MO.RLX, 0)
+        b = Event("T1", Act.WRITE, ("x",), MO.RLX, 0, stmt=stmt)
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_fields_decide_equality(self):
+        a = Event("T1", Act.WRITE, ("x",), MO.RLX, 0)
+        for change in ({"thr": "T2"}, {"act": Act.READ}, {"obj": ("y",)},
+                       {"ord": MO.REL}, {"idx": 1}):
+            assert a != dataclasses.replace(a, **change), change
+
+    def test_replace_recomputes_derived_attributes(self):
+        e = Event("T1", Act.RMW, ("x", "x"), MO.SC, 0)
+        for change in ({"idx": 4}, {"thr": INIT_THREAD}, {"act": Act.WRITE},
+                       {"obj": ("y", "z")}):
+            r = dataclasses.replace(e, **change)
+            fresh = Event(r.thr, r.act, r.obj, r.ord, r.idx)
+            assert r == fresh and hash(r) == hash(fresh)
+            for name, value in property_definitions(r).items():
+                assert getattr(r, name) == value, (change, name)

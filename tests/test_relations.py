@@ -2,12 +2,52 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import corpus_program
+from conftest import corpus_names, corpus_program
 
 from moca_verify import parse_program, run_sequence
 from moca_verify.engine import initial_state
+from moca_verify.explorer import canonical_trace_id
 from moca_verify.ir import Act, ContractViolation
 from moca_verify.relations import compute_relations, release_sequence
+
+
+def reference_hb_mask(seq, rels):
+    """Happens-before by its definition, as position bitmasks: po (same unit,
+    smaller index), every init event before every non-init event, and the
+    inter-thread closure, i.e. reachability over unit-successor + sw + dob
+    edges counting only paths with at least one sync edge."""
+    events = seq.events
+    succ = {e: [] for e in events}
+    by_unit = {}
+    for e in events:
+        by_unit.setdefault(e.thr, []).append(e)
+    for unit_events in by_unit.values():
+        unit_events.sort(key=lambda e: e.idx)
+        for a, b in zip(unit_events, unit_events[1:]):
+            succ[a].append((b, False))
+    for a, b in rels.sw | rels.dob:
+        succ[a].append((b, True))
+
+    mask = {e: 0 for e in events}
+    for start in events:
+        bit = 1 << seq.pos[start]
+        reached = set()
+        stack = [(start, False)]
+        while stack:
+            node, sync = stack.pop()
+            for nxt, edge_sync in succ[node]:
+                st = (nxt, sync or edge_sync)
+                if st in reached:
+                    continue
+                reached.add(st)
+                if st[1]:
+                    mask[nxt] |= bit
+                stack.append(st)
+        for b in events:
+            po = start.thr == b.thr and start.idx < b.idx
+            if po or (start.is_init and not b.is_init):
+                mask[b] |= bit
+    return mask
 
 
 def run(program, schedule):
@@ -195,9 +235,35 @@ class TestLiveMatchesReference:
                         assert live_items == list(getattr(rels, field).items()), \
                             (name, field)
                     assert st.rels.sc_placed == rels.sc_placed, name
+                    assert rels.hb_mask == reference_hb_mask(seq, rels), name
                     for a in seq.events:
                         for b in seq.events:
                             if a is b:
                                 continue
                             assert st.rels.hb(a, b) == rels.hb(a, b), (name, a, b)
                             assert st.rels.mhb(a, b) == rels.mhb(a, b), (name, a, b)
+
+    def test_live_trace_id_matches_rebuilt(self):
+        from moca_verify import explore
+        from moca_verify.transform import early_write_transform
+        for name in corpus_names():
+            p = corpus_program(name)
+            target = early_write_transform(p)
+            for t in explore(p).traces:
+                st = run_sequence(target, t.schedule)
+                live = canonical_trace_id(st.rels)
+                assert live == canonical_trace_id(compute_relations(st.sequence()))
+                assert live == t.trace_id, (name, t.schedule)
+
+
+class TestHappensBeforeMask:
+    def test_backward_sync_edge_is_a_contract_violation(self, mp):
+        st = run_sequence(mp, ["T1", "T1", "sth_x(T1)", "sth_f(T1)", "T2", "T2"])
+        seq = st.sequence()
+        w_f, r_f = by_key(seq, "T1", 1), by_key(seq, "T2", 0)
+        # swap the synchronizing pair so the sw edge points backward
+        i, j = seq.pos[w_f], seq.pos[r_f]
+        seq.events[i], seq.events[j] = r_f, w_f
+        seq.pos[w_f], seq.pos[r_f] = j, i
+        with pytest.raises(ContractViolation):
+            compute_relations(seq)
