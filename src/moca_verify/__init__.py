@@ -15,7 +15,7 @@ from .ir import (
 )
 from .engine import ExecState, Sequence, initial_state, run_sequence
 from .relations import RelationSet, compute_relations, release_sequence
-from .coherence import check_c11_oracle, check_incremental, check_moca
+from .coherence import check_c11_oracle, check_moca
 from .transform import check_spr, early_write_transform
 from .explorer import (
     ExplorationReport,
@@ -30,7 +30,7 @@ __all__ = [
     "Act", "Event", "MO", "ParseError", "Program", "dep", "ord_leq",
     "parse_program", "pretty_print", "ExecState", "Sequence", "initial_state",
     "run_sequence", "RelationSet", "compute_relations", "release_sequence",
-    "check_c11_oracle", "check_incremental", "check_moca", "check_spr",
+    "check_c11_oracle", "check_moca", "check_spr",
     "early_write_transform", "ExplorationReport", "canonical_trace_id",
     "check_asserts", "detect_na_races", "enumerate_all", "explore",
 ]

@@ -16,7 +16,7 @@ import click
 
 from .ir import ParseError, parse_program, pretty_print
 from .engine import ReplayError, run_sequence, walk_trace
-from .relations import compute_relations, hb_pairs
+from .relations import compute_relations, hb_pairs, sc_order
 from .coherence import check_c11_oracle, check_moca
 from .explorer import (
     EnumerationCapExceeded,
@@ -77,6 +77,7 @@ def _text_report(report: ExplorationReport) -> str:
 def _relation_dump(program, schedule: list[str]) -> dict:
     rels = compute_relations(run_sequence(program, schedule).sequence())
     hb_edges = sorted(f"{a.pretty()} -> {b.pretty()}" for a, b in hb_pairs(rels))
+    to, _ = sc_order(rels.sc_placed)
     return {
         "schema": "moca-verify-relations/1",
         "schedule": schedule,
@@ -86,7 +87,7 @@ def _relation_dump(program, schedule: list[str]) -> dict:
         "dob": sorted(f"{a.pretty()} -> {b.pretty()}" for a, b in rels.dob),
         "hb": hb_edges,
         "mo": {obj: [w.pretty() for w in ws] for obj, ws in rels.mo.items()},
-        "to": [e.pretty() for e in rels.sc.order] if rels.sc.order is not None else None,
+        "to": None if to is None else [e.pretty() for e in to],
         "coherent": check_moca(rels).ok,
         "c11_coherent": check_c11_oracle(rels).ok,
     }

@@ -35,8 +35,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .ir import Act, Event, MO
-from .engine import ExecState
-from .relations import LiveRelations, RelationSet, Relations, build_sc_order
+from .relations import LiveRelations, Relations, sc_order, sc_pairs
 
 Witness = tuple[Event, ...]
 
@@ -52,12 +51,6 @@ class CoherenceVerdict:
     @property
     def failures(self) -> dict[str, Witness]:
         return {r: w for r, w in self.rules.items() if w is not None}
-
-    def to_json(self) -> dict:
-        return {
-            rule: (None if w is None else [e.pretty() for e in w])
-            for rule, w in self.rules.items()
-        }
 
 
 def flush_before(rels: Relations, a: Event, b: Event) -> Optional[bool]:
@@ -175,10 +168,10 @@ def _rule_shrmo(rels: Relations, only: Optional[list[Event]] = None) -> Optional
 
 
 def _rule_shto(rels: Relations) -> Optional[Witness]:
-    sc = build_sc_order(rels.sc_placed)
-    if sc.cycle_witness is not None:
-        return sc.cycle_witness
-    for a, b in sc.pairs():
+    _, cycle = sc_order(rels.sc_placed)
+    if cycle is not None:
+        return cycle
+    for a, b in sc_pairs(rels.sc_placed):
         if rels.hb(b, a):
             return (a, b)
         if (a.is_write_like and b.is_write_like
@@ -257,29 +250,14 @@ def check_step(rels: LiveRelations) -> Optional[tuple[str, Witness]]:
     return None
 
 
-def check_incremental(state: ExecState,
-                      choice: "str | Event") -> Optional[tuple[str, Witness]]:
-    """Would executing the given enabled event (or unit's next event) violate
-    a rule on the extended prefix?  Pruned events are permanently excluded at
-    this state."""
-    if isinstance(choice, Event):
-        for unit in state.enabled_units():
-            if state.peek(unit).event == choice:
-                choice = unit
-                break
-        else:
-            raise ValueError(f"event not enabled: {choice}")
-    child = state.step(choice)
-    return check_step(child.rels)
-
-
 # ---------------------------------------------------------------------------
 # Per-location coherence oracle
 # ---------------------------------------------------------------------------
 
-def check_c11_oracle(rels: RelationSet) -> CoherenceVerdict:
+def check_c11_oracle(rels: Relations) -> CoherenceVerdict:
     """Validate (hb, rf, mo, to) against the per-location coherence axioms
-    and the sc total-order axiom; violations are verdicts, not exceptions."""
+    and the sc total-order axiom; violations are verdicts, not exceptions.
+    Each axiom reports its first violating pair, in scan order."""
     # positions in ``rels.mo`` as it stands, so a query costs O(1)
     mo_index = {obj: {w: i for i, w in enumerate(ws)} for obj, ws in rels.mo.items()}
 
@@ -290,54 +268,34 @@ def check_c11_oracle(rels: RelationSet) -> CoherenceVerdict:
         index = mo_index.get(obj, {})
         return a in index and b in index and index[a] < index[b]
 
+    hb, rf = rels.hb, rels.rf
+    issued = rels.obj_issue_order
     verdict = CoherenceVerdict()
-    verdict.rules["mo1"] = None
-    for obj, ws in rels.obj_issue_order.items():
-        for w1 in ws:
-            for w2 in ws:
-                if w1 != w2 and rels.hb(w1, w2) and not mo_before(w1, w2):
-                    verdict.rules["mo1"] = (w1, w2)
+    verdict.rules["mo1"] = next(
+        ((w1, w2) for ws in issued.values() for w1 in ws for w2 in ws
+         if w1 != w2 and hb(w1, w2) and not mo_before(w1, w2)), None)
+    verdict.rules["mo2"] = next(
+        ((r1, r2) for rs in rels.obj_reads.values() for r1 in rs for r2 in rs
+         if r1 != r2 and hb(r1, r2)
+         and rf[r1] != rf[r2] and not mo_before(rf[r1], rf[r2])), None)
+    verdict.rules["mo3"] = next(
+        ((r1, w1) for obj, rs in rels.obj_reads.items() for r1 in rs
+         for w1 in issued.get(obj, ())
+         if hb(r1, w1) and not mo_before(rf[r1], w1)), None)
+    verdict.rules["mo4"] = next(
+        ((w1, r1) for obj, rs in rels.obj_reads.items() for r1 in rs
+         for w1 in issued.get(obj, ())
+         if hb(w1, r1) and rf[r1] != w1 and not mo_before(w1, rf[r1])), None)
 
-    verdict.rules["mo2"] = None
-    for obj, rs in rels.obj_reads.items():
-        for r1 in rs:
-            for r2 in rs:
-                if r1 == r2 or not rels.hb(r1, r2):
-                    continue
-                w1, w2 = rels.rf[r1], rels.rf[r2]
-                if w1 != w2 and not mo_before(w1, w2):
-                    verdict.rules["mo2"] = (r1, r2)
-
-    verdict.rules["mo3"] = None
-    for obj, rs in rels.obj_reads.items():
-        for r1 in rs:
-            for w1 in rels.obj_issue_order.get(obj, ()):
-                if rels.hb(r1, w1):
-                    w2 = rels.rf[r1]
-                    if not mo_before(w2, w1):
-                        verdict.rules["mo3"] = (r1, w1)
-
-    verdict.rules["mo4"] = None
-    for obj, rs in rels.obj_reads.items():
-        for r1 in rs:
-            for w1 in rels.obj_issue_order.get(obj, ()):
-                if rels.hb(w1, r1):
-                    w2 = rels.rf[r1]
-                    if w2 != w1 and not mo_before(w1, w2):
-                        verdict.rules["mo4"] = (w1, r1)
-
-    verdict.rules["to"] = None
-    if rels.sc.cycle_witness is not None:
-        verdict.rules["to"] = rels.sc.cycle_witness
-    else:
-        for a, b in rels.sc.pairs():
-            if rels.hb(b, a) or mo_before(b, a):
-                verdict.rules["to"] = (a, b)
+    _, cycle = sc_order(rels.sc_placed)
+    verdict.rules["to"] = cycle if cycle is not None else next(
+        ((a, b) for a, b in sc_pairs(rels.sc_placed)
+         if hb(b, a) or mo_before(b, a)), None)
 
     verdict.rules["co"] = None
     for r in (e for e in rels.events if e.is_read_like):
-        w = rels.rf.get(r)
-        if w is None or rels.hb(r, w):
+        w = rf.get(r)
+        if w is None or hb(r, w):
             verdict.rules["co"] = (r,) if w is None else (r, w)
-
+            break
     return verdict

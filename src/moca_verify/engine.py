@@ -62,7 +62,6 @@ class Pending:
     read_value: Optional[int] = None
     write_value: Optional[int] = None    # for write-like events
     stmt: Optional[Stmt] = None
-    rf_own_pending: bool = False         # read satisfied by a not-yet-flushed own write
 
 
 @dataclass
@@ -174,18 +173,15 @@ class ExecState:
         """The write whose shadow-write most recently updated ``obj``."""
         return self.rels.mo[obj][-1]
 
-    def resolve_rf(self, thread: str, obj: str) -> tuple[Event, bool]:
-        """Deterministic source for a read of ``obj`` by ``thread``.
-
-        Returns (source write, own_pending) where own_pending marks the case
-        of reading a same-thread write whose shadow-write has not flushed.
-        """
+    def resolve_rf(self, thread: str, obj: str) -> Event:
+        """Deterministic source write for a read of ``obj`` by ``thread``:
+        the thread's own latest write of ``obj`` if it was issued after the
+        latest visible write's flush, else the latest visible write."""
         lw = self.latest_visible_write(obj)
-        lw_flush_pos = self.rels.flush_pos[lw]
         own = self.rels.last_obj_write_of_thread(thread, obj)
-        if own is not None and self.rels.pos[own] > lw_flush_pos:
-            return own, self.rels.flush_pos.get(own) is None
-        return lw, False
+        if own is not None and self.rels.pos[own] > self.rels.flush_pos[lw]:
+            return own
+        return lw
 
     # -- peeking -------------------------------------------------------------
 
@@ -206,38 +202,37 @@ class ExecState:
         env = self.lcl[unit]
         idx = self.unit_counts.get(unit, 0)
         if isinstance(stmt, Load):
-            src, own_pending = self.resolve_rf(unit, stmt.obj)
+            src = self.resolve_rf(unit, stmt.obj)
             val = self.rels.value_of[src]
             ev = Event(thr=unit, act=Act.READ, obj=(stmt.obj,), ord=stmt.mo,
                        idx=idx, stmt=stmt)
             return Pending(unit=unit, event=ev, rf_source=src, read_value=val,
-                           stmt=stmt, rf_own_pending=own_pending)
+                           stmt=stmt)
         if isinstance(stmt, Store):
             val = eval_expr(stmt.value, env)
             ev = Event(thr=unit, act=Act.WRITE, obj=(stmt.obj,), ord=stmt.mo,
                        idx=idx, stmt=stmt)
             return Pending(unit=unit, event=ev, write_value=val, stmt=stmt)
         if isinstance(stmt, Fadd):
-            src, own_pending = self.resolve_rf(unit, stmt.obj)
+            src = self.resolve_rf(unit, stmt.obj)
             old = self.rels.value_of[src]
             new = old + eval_expr(stmt.delta, env)
             ev = Event(thr=unit, act=Act.RMW, obj=(stmt.obj, stmt.obj), ord=stmt.mo,
                        idx=idx, stmt=stmt)
             return Pending(unit=unit, event=ev, rf_source=src, read_value=old,
-                           write_value=new, stmt=stmt, rf_own_pending=own_pending)
+                           write_value=new, stmt=stmt)
         if isinstance(stmt, Cas):
-            src, own_pending = self.resolve_rf(unit, stmt.obj)
+            src = self.resolve_rf(unit, stmt.obj)
             old = self.rels.value_of[src]
             if old == eval_expr(stmt.expect, env):
                 ev = Event(thr=unit, act=Act.RMW, obj=(stmt.obj, stmt.obj),
                            ord=stmt.mo, idx=idx, stmt=stmt)
                 return Pending(unit=unit, event=ev, rf_source=src, read_value=old,
-                               write_value=eval_expr(stmt.desired, env), stmt=stmt,
-                               rf_own_pending=own_pending)
+                               write_value=eval_expr(stmt.desired, env), stmt=stmt)
             ev = Event(thr=unit, act=Act.READ, obj=(stmt.obj,), ord=stmt.mo,
                        idx=idx, stmt=stmt)
             return Pending(unit=unit, event=ev, rf_source=src, read_value=old,
-                           stmt=stmt, rf_own_pending=own_pending)
+                           stmt=stmt)
         if isinstance(stmt, Fence):
             ev = Event(thr=unit, act=Act.FENCE, obj=(), ord=stmt.mo, idx=idx, stmt=stmt)
             return Pending(unit=unit, event=ev, stmt=stmt)

@@ -279,14 +279,17 @@ class ExplorationReport:
 # ---------------------------------------------------------------------------
 
 class _Node:
-    __slots__ = ("state", "backtrack", "done", "sleep", "candidates")
+    """One state on the search path: its coherent successor states keyed by
+    unit (``candidates``) and the unit whose subtree is being explored."""
 
-    def __init__(self, state: ExecState, sleep: set[str], candidates: set[str]):
-        self.state = state
+    __slots__ = ("backtrack", "done", "sleep", "candidates", "unit")
+
+    def __init__(self, sleep: set[str], candidates: dict[str, ExecState]):
         self.backtrack: set[str] = set()
         self.done: set[str] = set()
         self.sleep = sleep
         self.candidates = candidates
+        self.unit: Optional[str] = None
 
 
 class _Explorer:
@@ -392,8 +395,9 @@ class _Explorer:
         # only entries that can actually run from the node satisfy the
         # insertion: sleeping units never run there, and units whose next
         # event the coherence filter rejected cannot be scheduled at all
-        runnable = (initials & node.candidates) - node.sleep
-        if (node.backtrack & node.candidates - node.sleep) & initials:
+        candidates = node.candidates.keys()
+        runnable = (initials & candidates) - node.sleep
+        if (node.backtrack & candidates - node.sleep) & initials:
             return
         if runnable:
             node.backtrack.add(min(runnable, key=self.unit_key))
@@ -447,15 +451,37 @@ class _Explorer:
     # -- DFS ------------------------------------------------------------------
 
     def run(self) -> ExplorationReport:
+        """Depth-first search with ``self.nodes`` as the explicit stack: the
+        top node either explores its next backtrack unit or is popped, and
+        the unit it explored joins its sleep set once the search returns."""
         try:
-            self._explore(initial_state(self.program), set())
+            self._push(initial_state(self.program), set())
+            while self.nodes:
+                node = self.nodes[-1]
+                if node.unit is not None:
+                    node.sleep.add(node.unit)
+                    node.unit = None
+                unit = self._next_unit(node)
+                if unit is None:
+                    self.nodes.pop()
+                    continue
+                node.unit = unit
+                candidates = node.candidates
+                child = candidates[unit]
+                executed = child.rels.events[-1]
+                self._find_races(child, executed)
+                child_sleep = {q for q in node.sleep if q in candidates
+                               and not conflicts(executed, candidates[q].rels.events[-1])}
+                self._push(child, child_sleep)
         except ExplorationBudgetExceeded:
             self.report.budget_exhausted = True
         self.report.distinct_traces = len(self._seen_ids)
         self.report.traces.sort(key=lambda t: t.schedule)
         return self.report
 
-    def _explore(self, state: ExecState, sleep: set[str]) -> None:
+    def _push(self, state: ExecState, sleep: set[str]) -> None:
+        """Record ``state`` if maximal, else push a node for it unless every
+        coherent candidate sleeps."""
         if len(self.nodes) > self.max_depth:
             self.report.budget_exhausted = True
             return
@@ -466,33 +492,22 @@ class _Explorer:
         available = [u for u in candidates if u not in sleep]
         if not available:
             return  # sleep-set blocked or fully pruned: redundant or incoherent
-        node = _Node(state, sleep, set(candidates))
+        node = _Node(sleep, candidates)
         node.backtrack.add(min(available, key=self.unit_key))
         node.backtrack.update(u for u in recoveries if u in candidates)
         self.nodes.append(node)
-        try:
-            while True:
-                todo = [u for u in node.backtrack - node.done - node.sleep
-                        if u in candidates]
-                node.done.update(u for u in node.backtrack - node.done
-                                 if u not in candidates)
-                if not todo:
-                    break
-                unit = min(todo, key=self.unit_key)
-                node.done.add(unit)
-                child = candidates[unit]
-                executed = child.rels.events[-1]
-                self._find_races(child, executed)
-                child_sleep = set()
-                for q in node.sleep:
-                    if q in candidates:
-                        other = candidates[q].rels.events[-1]
-                        if not conflicts(executed, other):
-                            child_sleep.add(q)
-                self._explore(child, child_sleep)
-                node.sleep.add(unit)
-        finally:
-            self.nodes.pop()
+
+    def _next_unit(self, node: _Node) -> Optional[str]:
+        """The smallest backtrack unit of ``node`` still to explore, marked
+        done; backtrack units the coherence filter rejected count as done."""
+        candidates = node.candidates
+        todo = [u for u in node.backtrack - node.done - node.sleep if u in candidates]
+        node.done.update(u for u in node.backtrack - node.done if u not in candidates)
+        if not todo:
+            return None
+        unit = min(todo, key=self.unit_key)
+        node.done.add(unit)
+        return unit
 
 
 def explore(program: Program, *, max_seqs: int = 1_000_000,

@@ -23,8 +23,13 @@ so every consumer reads either one directly: ``events``, ``pos``, ``rf``,
 ``readers`` (reads of each write, in sequence order), ``flush_pos`` (position
 of each write's shared-store update), ``obj_reads`` and ``obj_issue_order``
 (per-object reads and writes in sequence order), ``mo`` (per-object flush
-order, the modification order), ``sc_placed`` (sc events with their
-placement positions, in placement order), and ``hb``/``mhb``.
+order, the modification order), ``sw`` and ``dob`` (the synchronizes-with
+and dependency-ordered-before edge sets), ``sc_placed`` (sc events with
+their placement positions, in placement order), and ``hb``/``mhb``.
+
+Neither stores the sc total order: ``sc_order(rels.sc_placed)`` derives it
+from the placements (program order within a thread, placement order across
+threads) in one walk, and ``sc_pairs`` lists the ordered pairs it implies.
 
 Relations computed: per-unit program order (program threads, shadow-threads,
 and the init prefix), synchronizes-with (release write read by an acquire
@@ -75,53 +80,38 @@ def release_sequence_members(issue_order: Iterable[Event], head: Event) -> list[
 # sc total order
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ScOrder:
-    """Tournament over sc events: same-thread pairs follow program order,
-    cross-thread pairs follow placement order (writes place at their
-    shadow-write, rmws at their own atomic update)."""
+def sc_order(placed: list[tuple[Event, int]]
+             ) -> tuple[Optional[list[Event]], Optional[tuple[Event, Event]]]:
+    """Total order of the placed sc events, or the witness of a cycle.
 
-    nodes: list[Event]                      # logical sc events
-    placement: dict[Event, int]             # logical event -> placement position
-    order: Optional[list[Event]] = None     # topological order when acyclic
-    cycle_witness: Optional[tuple[Event, Event]] = None
-
-    def edge(self, a: Event, b: Event) -> bool:
-        """True iff a is ordered before b."""
-        if a.thr == b.thr:
-            return a.idx < b.idx
-        return self.placement[a] < self.placement[b]
-
-    def pairs(self) -> Iterable[tuple[Event, Event]]:
-        for i, a in enumerate(self.nodes):
-            for b in self.nodes[i + 1:]:
-                yield (a, b) if self.edge(a, b) else (b, a)
-
-
-def build_sc_order(placed: list[tuple[Event, int]]) -> ScOrder:
-    sc = ScOrder(nodes=[e for e, _ in placed], placement={e: p for e, p in placed})
-    indeg = {e: 0 for e in sc.nodes}
-    for a, b in sc.pairs():
-        indeg[b] += 1
+    The order is the tournament that ``sc_pairs`` orients: same-thread pairs
+    follow program order, cross-thread pairs follow placement order (writes
+    place at their shadow-write, rmws at their own atomic update).  Walking
+    the remaining events in placement order, only the po-first remaining
+    event of the earliest-placed one's thread can be minimal, and it is
+    minimal iff no other thread's event is placed before it.  Returns
+    ``(order, None)``, or ``(None, (a, b))`` with the first two remaining
+    events by placement when no minimum exists.
+    """
+    remaining = [e for e, _ in placed]
     order: list[Event] = []
-    remaining = set(sc.nodes)
     while remaining:
-        roots = [e for e in remaining if indeg[e] == 0]
-        if not roots:
-            # any remaining pair on the cycle serves as a witness
-            rem = sorted(remaining, key=lambda e: sc.placement[e])
-            sc.cycle_witness = (rem[0], rem[1])
-            return sc
-        roots.sort(key=lambda e: sc.placement[e])
-        e = roots[0]
-        remaining.remove(e)
-        order.append(e)
-        for x in remaining:
-            a, b = (e, x) if sc.edge(e, x) else (x, e)
-            if a is e:
-                indeg[x] -= 1
-    sc.order = order
-    return sc
+        thr = remaining[0].thr
+        first = min((i for i, e in enumerate(remaining) if e.thr == thr),
+                    key=lambda i: remaining[i].idx)
+        if any(e.thr != thr for e in remaining[:first]):
+            return None, (remaining[0], remaining[1])
+        order.append(remaining.pop(first))
+    return order, None
+
+
+def sc_pairs(placed: list[tuple[Event, int]]) -> Iterable[tuple[Event, Event]]:
+    """Every pair of placed sc events, ordered: by program order within a
+    thread, by placement across threads; pairs come in placement order."""
+    events = [e for e, _ in placed]
+    for i, a in enumerate(events):
+        for b in events[i + 1:]:
+            yield (b, a) if a.thr == b.thr and b.idx < a.idx else (a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +132,7 @@ class LiveRelations:
         "events", "pos", "init_len", "init_mask", "value_of", "rf", "readers",
         "flush_event", "flush_pos", "origin_of", "mo",
         "obj_issue_order", "obj_reads", "thread_obj_writes", "thread_reads",
-        "rel_fences", "hb_mask", "cd_mask", "sw_edges", "dob_edges",
+        "rel_fences", "hb_mask", "cd_mask", "sw", "dob",
         "sc_placed", "unit_last",
     )
 
@@ -167,8 +157,8 @@ class LiveRelations:
         self.rel_fences: dict[str, list[Event]] = {}
         self.hb_mask: dict[Event, int] = {}
         self.cd_mask: dict[Event, int] = {}
-        self.sw_edges: set[tuple[Event, Event]] = set()
-        self.dob_edges: set[tuple[Event, Event]] = set()
+        self.sw: set[tuple[Event, Event]] = set()
+        self.dob: set[tuple[Event, Event]] = set()
         self.sc_placed: list[tuple[Event, int]] = []  # (logical event, placement pos)
         self.unit_last: dict[str, Event] = {}
 
@@ -192,8 +182,8 @@ class LiveRelations:
         other.rel_fences = {k: list(v) for k, v in self.rel_fences.items()}
         other.hb_mask = dict(self.hb_mask)
         other.cd_mask = dict(self.cd_mask)
-        other.sw_edges = set(self.sw_edges)
-        other.dob_edges = set(self.dob_edges)
+        other.sw = set(self.sw)
+        other.dob = set(self.dob)
         other.sc_placed = list(self.sc_placed)
         other.unit_last = dict(self.unit_last)
         return other
@@ -204,7 +194,7 @@ class LiveRelations:
         return bool(self.hb_mask[b] >> self.pos[a] & 1)
 
     def mhb(self, a: Event, b: Event) -> bool:
-        return self.hb(a, b) and (a, b) not in self.sw_edges and (a, b) not in self.dob_edges
+        return self.hb(a, b) and (a, b) not in self.sw and (a, b) not in self.dob
 
     def cd(self, a: Event, b: Event) -> bool:
         return bool(self.cd_mask[b] >> self.pos[a] & 1)
@@ -282,12 +272,12 @@ class LiveRelations:
         if not at_least(e.ord, MO.ACQ):
             return preds
         if src.is_write_like and at_least(src.ord, MO.REL):
-            self.sw_edges.add((src, e))
+            self.sw.add((src, e))
             preds.append(src)
         # release fence sequenced before the source write
         for f in self.rel_fences.get(src.thr, ()):
             if self.pos[f] < self.pos[src]:
-                self.sw_edges.add((f, e))
+                self.sw.add((f, e))
                 preds.append(f)
         # release-sequence heads whose sequence contains the source
         obj = e.obj_read
@@ -299,7 +289,7 @@ class LiveRelations:
             if self.pos[head] > self.pos[src]:
                 continue
             if src in release_sequence_members(self.obj_issue_order[obj], head):
-                self.dob_edges.add((head, e))
+                self.dob.add((head, e))
                 preds.append(head)
         return preds
 
@@ -360,11 +350,11 @@ class LiveRelations:
             for r in self.thread_reads.get(e.thr, ()):
                 src = self.rf[r]
                 if src.is_write_like and at_least(src.ord, MO.REL):
-                    self.sw_edges.add((src, e))
+                    self.sw.add((src, e))
                     sync.append(src)
                 for f in self.rel_fences.get(src.thr, ()):
                     if self.pos[f] < self.pos[src]:
-                        self.sw_edges.add((f, e))
+                        self.sw.add((f, e))
                         sync.append(f)
         cd: list[Event] = []
         if e.ord is MO.SC:
@@ -412,7 +402,6 @@ class RelationSet:
     sw: set[tuple[Event, Event]]
     dob: set[tuple[Event, Event]]
     hb_mask: dict[Event, int]               # positions of strict hb predecessors
-    sc: ScOrder
     init_len: int
 
     def hb(self, a: Event, b: Event) -> bool:
@@ -547,7 +536,7 @@ def compute_relations(seq: "Sequence") -> RelationSet:
         elif e.act is Act.RMW:
             mo.setdefault(e.obj_written, []).append(e)
 
-    # sc total order over placed sc program events
+    # sc program events at their placement positions, in placement order
     placed: list[tuple[Event, int]] = []
     for e in events:
         if e.ord is not MO.SC:
@@ -562,5 +551,5 @@ def compute_relations(seq: "Sequence") -> RelationSet:
         events=list(events), pos=dict(pos), rf=dict(rf), readers=readers,
         flush_pos=flush_pos, obj_reads=obj_reads, obj_issue_order=obj_issue_order,
         mo=mo, sc_placed=placed, sw=sw, dob=dob, hb_mask=hb_mask,
-        sc=build_sc_order(placed), init_len=seq.init_len,
+        init_len=seq.init_len,
     )

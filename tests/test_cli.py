@@ -56,6 +56,23 @@ class TestVerify:
         result = runner.invoke(main, ["verify", "/nonexistent/zz.lit"])
         assert result.exit_code == 2
 
+    def test_deep_single_thread_explores(self, runner, tmp_path):
+        # 500 stores put about 1000 events on one search path: the search
+        # needs no recursion, and only --max-depth bounds it
+        deep = tmp_path / "deep.lit"
+        deep.write_text("program deep\ninit x = 0\nthread T1:\n"
+                        + "".join(f"  store(x, {i}, rlx)\n" for i in range(500)))
+        result = runner.invoke(main, ["verify", str(deep), "--json"])
+        assert result.exit_code == 0, result.output
+        payload = json.loads(result.stdout)
+        assert payload["sequences_explored"] == 1
+        assert not payload["budget_exhausted"]
+        result = runner.invoke(main, ["verify", str(deep), "--json", "--max-depth", "50"])
+        assert result.exit_code == 3, result.output
+        payload = json.loads(result.stdout)
+        assert payload["budget_exhausted"]
+        assert payload["sequences_explored"] == 0
+
     def test_budget_exhausted_exits_three(self, runner):
         result = runner.invoke(main, ["verify", corpus("ww-rr"), "--max-seqs", "2"])
         assert result.exit_code == 3

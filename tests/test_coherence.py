@@ -3,12 +3,7 @@ from __future__ import annotations
 from conftest import corpus_names, corpus_program
 
 from moca_verify import parse_program, run_sequence
-from moca_verify.coherence import (
-    check_c11_oracle,
-    check_incremental,
-    check_moca,
-    check_step,
-)
+from moca_verify.coherence import check_c11_oracle, check_moca, check_step
 from moca_verify.engine import initial_state
 from moca_verify.relations import compute_relations
 from moca_verify.transform import early_write_transform
@@ -69,14 +64,11 @@ class TestIncrementalAgainstPostHoc:
         st = initial_state(early_write_transform(mp))
         for unit in ["T1", "T1", "sth_f(T1)"]:
             st = st.step(unit)
-        verdict = check_incremental(st, "T2")
+        verdict = check_step(st.step("T2").rels)
         assert verdict is not None
         rule, witness = verdict
         assert rule == "shmo1"
         assert witness[0].key == ("T1", 0)
-        # event-based form agrees
-        event = st.peek("T2").event
-        assert check_incremental(st, event) == verdict
 
     def test_survivors_pass_post_hoc(self):
         # filter/post-hoc agreement: replaying any surviving schedule through
@@ -129,7 +121,20 @@ thread T1:
         w = next(e for e in seq.events if e.key == ("T1", 1))
         rels.rf[r] = w  # deliberately corrupted: source is po-after the read
         verdict = check_c11_oracle(rels)
-        assert verdict.rules["co"] is not None
+        assert verdict.rules["co"] == (r, w)
+
+    def test_live_relations_give_rebuilt_verdicts(self):
+        # the oracle reads only fields both relation classes share, so the
+        # engine's live relations give the rebuilt relations' rules and
+        # witnesses on every corpus trace
+        for name in corpus_names():
+            p = corpus_program(name)
+            target = early_write_transform(p)
+            for t in explore(p).traces:
+                st = run_sequence(target, t.schedule)
+                rebuilt = check_c11_oracle(compute_relations(st.sequence()))
+                assert check_c11_oracle(st.rels).rules == rebuilt.rules, \
+                    (name, t.schedule)
 
     def test_mo1_detects_inverted_store_order(self, w_rwr):
         st, seq, rels = run(

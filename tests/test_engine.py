@@ -30,7 +30,7 @@ class TestWorkedExample:
 
     def test_read_own_unflushed_write(self, w_rwr):
         st = run_sequence(w_rwr, ["T1", "sth_x(T1)", "T2", "T2"])
-        src = st.resolve_rf("T2", "x")[0]
+        src = st.resolve_rf("T2", "x")
         assert src.key == ("T2", 1)  # later same-thread write overrides
 
     def test_rf_assignment(self, w_rwr):
@@ -42,7 +42,7 @@ class TestWorkedExample:
     def test_read_from_init(self, w_rwr):
         st = initial_state(w_rwr)
         assert st.latest_visible_write("x").thr == "init"
-        src = st.resolve_rf("T2", "x")[0]
+        src = st.resolve_rf("T2", "x")
         assert src.thr == "init"
         st = st.step("T2")
         assert st.lcl["T2"]["b"] == 0

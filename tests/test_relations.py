@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from conftest import corpus_names, corpus_program
@@ -7,8 +9,13 @@ from conftest import corpus_names, corpus_program
 from moca_verify import parse_program, run_sequence
 from moca_verify.engine import initial_state
 from moca_verify.explorer import canonical_trace_id
-from moca_verify.ir import Act, ContractViolation
-from moca_verify.relations import compute_relations, release_sequence
+from moca_verify.ir import Act, ContractViolation, Event, MO
+from moca_verify.relations import (
+    compute_relations,
+    release_sequence,
+    sc_order,
+    sc_pairs,
+)
 
 
 def reference_hb_mask(seq, rels):
@@ -48,6 +55,48 @@ def reference_hb_mask(seq, rels):
             if po or (start.is_init and not b.is_init):
                 mask[b] |= bit
     return mask
+
+
+def reference_sc_order(placed):
+    """The sc total order by its definition: a tournament over the placed sc
+    events (same-thread pairs by program order, cross-thread pairs by
+    placement), topologically sorted by Kahn's algorithm taking the
+    earliest-placed root first.  Returns ``(order, cycle witness, pairs)``;
+    the witness is the first two remaining events by placement."""
+    nodes = [e for e, _ in placed]
+    placement = dict(placed)
+
+    def edge(a, b):
+        if a.thr == b.thr:
+            return a.idx < b.idx
+        return placement[a] < placement[b]
+
+    pairs = [(a, b) if edge(a, b) else (b, a)
+             for i, a in enumerate(nodes) for b in nodes[i + 1:]]
+    indeg = {e: 0 for e in nodes}
+    for _, b in pairs:
+        indeg[b] += 1
+    order = []
+    remaining = set(nodes)
+    while remaining:
+        roots = [e for e in remaining if indeg[e] == 0]
+        if not roots:
+            rem = sorted(remaining, key=placement.get)
+            return None, (rem[0], rem[1]), pairs
+        e = min(roots, key=placement.get)
+        remaining.remove(e)
+        order.append(e)
+        for x in remaining:
+            if edge(e, x):
+                indeg[x] -= 1
+    return order, None, pairs
+
+
+def assert_sc_matches_reference(placed):
+    order, witness, pairs = reference_sc_order(placed)
+    assert sc_order(placed) == (order, witness), placed
+    assert list(sc_pairs(placed)) == pairs, placed
+    return witness is not None
 
 
 def run(program, schedule):
@@ -151,8 +200,9 @@ thread T2:
             "thread T2:\n  r = load(y, sc)\n")
         # the read executes before the store's flush: total order puts it first
         _, seq, rels = run(p, ["T1", "T2", "sth_x(T1)"])
-        assert rels.sc.order is not None
-        assert [e.act for e in rels.sc.order] == [Act.READ, Act.WRITE]
+        order, witness = sc_order(rels.sc_placed)
+        assert witness is None
+        assert [e.act for e in order] == [Act.READ, Act.WRITE]
 
     def test_hb_contained_in_sequence_order(self):
         for name in ("mp", "simple-ithb", "ww-rr"):
@@ -234,7 +284,10 @@ class TestLiveMatchesReference:
                         live_items = list(getattr(st.rels, field).items())
                         assert live_items == list(getattr(rels, field).items()), \
                             (name, field)
+                    assert st.rels.sw == rels.sw, name
+                    assert st.rels.dob == rels.dob, name
                     assert st.rels.sc_placed == rels.sc_placed, name
+                    assert_sc_matches_reference(rels.sc_placed)
                     assert rels.hb_mask == reference_hb_mask(seq, rels), name
                     for a in seq.events:
                         for b in seq.events:
@@ -254,6 +307,42 @@ class TestLiveMatchesReference:
                 live = canonical_trace_id(st.rels)
                 assert live == canonical_trace_id(compute_relations(st.sequence()))
                 assert live == t.trace_id, (name, t.schedule)
+
+
+class TestScOrder:
+    def test_matches_reference_on_random_placements(self):
+        # placement lists of up to 7 sc events over up to 3 threads; each
+        # thread's events take increasing idx in creation order, then the
+        # events are placed in a random order, so placement and program
+        # order disagree (and the tournament has a cycle) in many lists
+        rng = random.Random(20211)
+        pool = {(t, i): Event(thr=f"T{t}", act=Act.READ, obj=("x",), ord=MO.SC, idx=i)
+                for t in range(3) for i in range(7)}
+        cyclic = 0
+        for _ in range(100_000):
+            threads = rng.randint(1, 3)
+            counts = [0] * threads
+            events = []
+            for _ in range(rng.randint(0, 7)):
+                t = rng.randrange(threads)
+                events.append(pool[t, counts[t]])
+                counts[t] += 1
+            rng.shuffle(events)
+            placed, p = [], 0
+            for e in events:
+                p += rng.randint(1, 3)
+                placed.append((e, p))
+            cyclic += assert_sc_matches_reference(placed)
+        assert 0 < cyclic < 100_000
+
+    def test_cycle_witness_is_first_two_by_placement(self):
+        a0 = Event(thr="T1", act=Act.READ, obj=("x",), ord=MO.SC, idx=0)
+        a1 = Event(thr="T1", act=Act.READ, obj=("y",), ord=MO.SC, idx=1)
+        b0 = Event(thr="T2", act=Act.READ, obj=("x",), ord=MO.SC, idx=0)
+        # T1's idx 1 is placed before T2's event, which precedes T1's idx 0
+        placed = [(a1, 5), (b0, 6), (a0, 7)]
+        assert sc_order(placed) == (None, (a1, b0))
+        assert list(sc_pairs(placed)) == [(a1, b0), (a0, a1), (b0, a0)]
 
 
 class TestHappensBeforeMask:
