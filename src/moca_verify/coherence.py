@@ -23,16 +23,21 @@ constraint resolves and can fail.  On a maximal sequence nothing is pending,
 so the prefix evaluation coincides with the full quantified check; the
 post-hoc checker is the reference the incremental filter is tested against.
 
-``check_step`` re-examines only the rule instances whose truth can change at
-the newly appended event (its own instances, plus ordering constraints
-resolved by a flush); happens-before is stable under extension, so this is
-equivalent to re-evaluating everything.
+Each rule is written once as ``_rule_X(rels, at=None)``.  With ``at=None``
+it checks every instance; that is ``check_moca``, the post-hoc check of a
+maximal sequence.  With an event ``at`` it checks only the instances ``at``
+decides; that is ``check_step``, the explorer's per-step filter, which
+passes the newly appended event, or the write a shadow-write flushes (a
+write issue decides nothing).  It is called only on a prefix whose every
+proper prefix passed, and happens-before, reads-from and earlier flush
+positions are stable under extension, so every failing instance involves
+``at``, and the first one is the one a full scan would report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
 from .ir import Act, Event, MO
 from .relations import LiveRelations, Relations, sc_order, sc_pairs
@@ -67,19 +72,15 @@ def flush_before(rels: Relations, a: Event, b: Event) -> Optional[bool]:
     return None
 
 
-def mo_flushed(rels: Relations, obj: str) -> list[Event]:
-    """Flushed writes of ``obj`` ordered by their flush positions."""
-    ws = [w for w in rels.obj_issue_order.get(obj, ()) if w in rels.flush_pos]
-    ws.sort(key=lambda w: rels.flush_pos[w])
-    return ws
-
-
 # ---------------------------------------------------------------------------
 # Shadow-order rules
 # ---------------------------------------------------------------------------
 
-def _rule_shco(rels: Relations) -> Optional[Witness]:
-    for r, src in rels.rf.items():
+def _rule_shco(rels: Relations, at: Optional[Event] = None) -> Optional[Witness]:
+    for r in rels.rf if at is None else (at,):
+        if not r.is_read_like:
+            continue
+        src = rels.rf[r]
         if rels.pos[src] >= rels.pos[r] or rels.hb(r, src):
             return (r, src)
         if src.thr != r.thr:
@@ -101,9 +102,8 @@ def _shmo1_triggered(rels: Relations, e_w: Event, e: Event, hb_e: int) -> bool:
                for r in rels.readers.get(e_w, ()))
 
 
-def _rule_shmo1(rels: Relations, targets: Optional[list[Event]] = None) -> Optional[Witness]:
-    if targets is None:
-        targets = [e for e in rels.events if not e.is_init]
+def _rule_shmo1(rels: Relations, at: Optional[Event] = None) -> Optional[Witness]:
+    targets = [e for e in rels.events if not e.is_init] if at is None else [at]
     writes = [e for e in rels.events if e.is_write_like]
     for e in targets:
         hb_e = rels.hb_mask[e]
@@ -120,58 +120,61 @@ def _rule_shmo1(rels: Relations, targets: Optional[list[Event]] = None) -> Optio
     return None
 
 
-def _rule_shmo2(rels: Relations, only_reads: Optional[list[Event]] = None,
-                resolved_src: Optional[Event] = None) -> Optional[Witness]:
-    for rs in rels.obj_reads.values():
-        for j, r2 in enumerate(rs):
-            if only_reads is not None and r2 not in only_reads:
+def _reads(rels: Relations, at: Optional[Event]) -> Iterable[Event]:
+    """The reads whose ``shmo2``/``shmo3`` instances ``at`` decides: its own
+    read, or the reads of the write it flushes; every read, by object, for
+    ``None``."""
+    if at is None:
+        return (r for rs in rels.obj_reads.values() for r in rs)
+    return (at,) if at.is_read_like else rels.readers.get(at, ())
+
+
+def _rule_shmo2(rels: Relations, at: Optional[Event] = None) -> Optional[Witness]:
+    for r2 in _reads(rels, at):
+        src2 = rels.rf[r2]
+        for r1 in rels.obj_reads[r2.obj_read]:
+            if r1 is r2:
+                break
+            src1 = rels.rf[r1]
+            if src1 == src2 or not rels.hb(r1, r2):
                 continue
-            src2 = rels.rf[r2]
-            if resolved_src is not None and src2 != resolved_src:
-                continue
-            for r1 in rs[:j]:
-                src1 = rels.rf[r1]
-                if src1 == src2 or not rels.hb(r1, r2):
-                    continue
-                if flush_before(rels, src1, src2) is False:
-                    return (r1, r2)
+            if flush_before(rels, src1, src2) is False:
+                return (r1, r2)
     return None
 
 
-def _rule_shmo3(rels: Relations, only_reads: Optional[list[Event]] = None,
-                resolved_src: Optional[Event] = None) -> Optional[Witness]:
-    for obj, rs in rels.obj_reads.items():
-        for r in rs:
-            if only_reads is not None and r not in only_reads:
+def _rule_shmo3(rels: Relations, at: Optional[Event] = None) -> Optional[Witness]:
+    for r in _reads(rels, at):
+        src = rels.rf[r]
+        for w1 in rels.obj_issue_order.get(r.obj_read, ()):
+            if w1 == src or not rels.hb(w1, r):
                 continue
-            src = rels.rf[r]
-            if resolved_src is not None and src != resolved_src:
-                continue
-            for w1 in rels.obj_issue_order.get(obj, ()):
-                if w1 == src or not rels.hb(w1, r):
-                    continue
-                if flush_before(rels, w1, src) is False:
-                    return (w1, r)
+            if flush_before(rels, w1, src) is False:
+                return (w1, r)
     return None
 
 
-def _rule_shrmo(rels: Relations, only: Optional[list[Event]] = None) -> Optional[Witness]:
-    if only is None:
-        only = [e for e in rels.events if e.act is Act.RMW]
-    for e in only:
+def _rule_shrmo(rels: Relations, at: Optional[Event] = None) -> Optional[Witness]:
+    for e in rels.events if at is None else (at,):
+        if e.act is not Act.RMW:
+            continue
         src = rels.rf[e]
-        order = mo_flushed(rels, e.obj_read)
+        order = rels.mo[e.obj_read]
         i = order.index(e)
         if i == 0 or order[i - 1] != src:
             return (e, src)
     return None
 
 
-def _rule_shto(rels: Relations) -> Optional[Witness]:
+def _rule_shto(rels: Relations, at: Optional[Event] = None) -> Optional[Witness]:
+    if at is not None and at.ord is not MO.SC:
+        return None
     _, cycle = sc_order(rels.sc_placed)
     if cycle is not None:
         return cycle
     for a, b in sc_pairs(rels.sc_placed):
+        if at is not None and at not in (a, b):
+            continue
         if rels.hb(b, a):
             return (a, b)
         if (a.is_write_like and b.is_write_like
@@ -181,73 +184,45 @@ def _rule_shto(rels: Relations) -> Optional[Witness]:
     return None
 
 
+# in report order; ``check_step`` reports the first failure in this order
+_RULES = (("shco", _rule_shco), ("shmo1", _rule_shmo1), ("shmo2", _rule_shmo2),
+          ("shmo3", _rule_shmo3), ("shrmo", _rule_shrmo), ("shto", _rule_shto))
+
+
 def check_moca(rels: Relations) -> CoherenceVerdict:
     """Evaluate every shadow-order rule on a (possibly partial) sequence."""
-    verdict = CoherenceVerdict()
-    verdict.rules["shco"] = _rule_shco(rels)
-    verdict.rules["shmo1"] = _rule_shmo1(rels)
-    verdict.rules["shmo2"] = _rule_shmo2(rels)
-    verdict.rules["shmo3"] = _rule_shmo3(rels)
-    verdict.rules["shrmo"] = _rule_shrmo(rels)
-    verdict.rules["shto"] = _rule_shto(rels)
-    return verdict
+    return CoherenceVerdict({name: rule(rels) for name, rule in _RULES})
 
-
-# ---------------------------------------------------------------------------
-# Incremental filtering
-# ---------------------------------------------------------------------------
 
 def check_step(rels: LiveRelations) -> Optional[tuple[str, Witness]]:
-    """Judge the rule instances decidable at the newly appended event.
+    """Judge the rule instances decided by the newly appended event.
 
     Must be called on relation state whose every proper prefix already
-    passed; returns the violated rule and witness, or None.
+    passed; returns the first violated rule with its witness, or None.
     """
-    e = rels.events[-1]
-
-    if e.is_read_like:
-        w = _rule_shco(rels)  # cheap and safe; defensive for engine changes
+    new = rels.events[-1]
+    if new.act is Act.WRITE:
+        return None
+    at = rels.origin_of[new] if new.act is Act.SHADOW else new
+    for name, rule in _RULES:
+        w = rule(rels, at)
         if w is not None:
-            return ("shco", w)
-        w = _rule_shmo1(rels, targets=[e])
-        if w is not None:
-            return ("shmo1", w)
-        w = _rule_shmo2(rels, only_reads=[e])
-        if w is not None:
-            return ("shmo2", w)
-        w = _rule_shmo3(rels, only_reads=[e])
-        if w is not None:
-            return ("shmo3", w)
-        if e.act is Act.RMW:
-            w = _rule_shrmo(rels, only=[e])
-            if w is not None:
-                return ("shrmo", w)
-    elif e.act is Act.FENCE:
-        w = _rule_shmo1(rels, targets=[e])
-        if w is not None:
-            return ("shmo1", w)
-
-    flushed_write: Optional[Event] = None
-    if e.act is Act.SHADOW:
-        flushed_write = rels.origin_of[e]
-    elif e.act is Act.RMW:
-        flushed_write = e
-    if flushed_write is not None:
-        w = _rule_shmo1(rels, targets=[flushed_write])
-        if w is not None:
-            return ("shmo1", w)
-        w = _rule_shmo2(rels, only_reads=None, resolved_src=flushed_write)
-        if w is not None:
-            return ("shmo2", w)
-        w = _rule_shmo3(rels, only_reads=None, resolved_src=flushed_write)
-        if w is not None:
-            return ("shmo3", w)
-
-    if e.ord is MO.SC or (flushed_write is not None and flushed_write.ord is MO.SC):
-        w = _rule_shto(rels)
-        if w is not None:
-            return ("shto", w)
+            return (name, w)
     return None
+
+
+def overdue_write(rels: Relations, rule: str, witness: Witness) -> Optional[Event]:
+    """The write whose pending shared-store update a failure of ``rule``
+    blames, or None: flushing it is the direct repair."""
+    if rule in ("shmo1", "shmo3"):
+        w = witness[0]
+    elif rule == "shmo2":
+        w = rels.rf[witness[0]]
+    elif rule == "shrmo":
+        w = witness[1]
+    else:
+        return None
+    return None if w in rels.flush_pos else w
 
 
 # ---------------------------------------------------------------------------

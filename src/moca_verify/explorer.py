@@ -48,7 +48,7 @@ from .ir import (
 )
 from .engine import ExecState, initial_state
 from .relations import Relations, compute_relations, hb_pairs
-from .coherence import check_moca, check_c11_oracle, check_step
+from .coherence import check_moca, check_c11_oracle, check_step, overdue_write
 from .transform import early_write_transform
 
 
@@ -329,21 +329,10 @@ class _Explorer:
                 out[unit] = child
                 continue
             self._find_races(child, child.rels.events[-1])
-            rule, witness = verdict
-            overdue = self._overdue_write(child, rule, witness)
-            if overdue is not None and overdue not in child.rels.flush_pos:
+            overdue = overdue_write(child.rels, *verdict)
+            if overdue is not None:
                 recoveries.add(shadow_unit(overdue.thr, overdue.obj_written))
         return out, recoveries
-
-    @staticmethod
-    def _overdue_write(child: ExecState, rule: str, witness) -> Optional[Event]:
-        if rule in ("shmo1", "shmo3"):
-            return witness[0]
-        if rule == "shmo2":
-            return child.rels.rf.get(witness[0])
-        if rule == "shrmo":
-            return witness[1]
-        return None
 
     # -- race detection ----------------------------------------------------------
 

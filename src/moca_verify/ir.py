@@ -356,18 +356,40 @@ class IfBlock(StmtBase):
 Stmt = Union[Load, Store, Fadd, Cas, Fence, LocalAssign, IfBlock]
 
 
-def stmt_locals_read(s: Stmt) -> frozenset[str]:
+def stmt_fingerprint(s: Stmt) -> tuple:
+    """A statement's own fields, without uid, line or nested bodies."""
     if isinstance(s, Store):
-        return expr_locals(s.value)
+        return ("store", s.obj, render_expr(s.value), s.mo)
+    if isinstance(s, Load):
+        return ("load", s.local, s.obj, s.mo)
     if isinstance(s, Fadd):
-        return expr_locals(s.delta)
+        return ("fadd", s.local, s.obj, render_expr(s.delta), s.mo)
     if isinstance(s, Cas):
-        return expr_locals(s.expect) | expr_locals(s.desired)
+        return ("cas", s.local, s.obj, render_expr(s.expect), render_expr(s.desired), s.mo)
+    if isinstance(s, Fence):
+        return ("fence", s.mo)
     if isinstance(s, LocalAssign):
-        return expr_locals(s.value)
+        return ("assign", s.local, render_expr(s.value))
     if isinstance(s, IfBlock):
-        return expr_locals(s.cond)
-    return frozenset()
+        return ("if", render_expr(s.cond))
+    raise TypeError(s)
+
+
+def stmt_exprs(s: Stmt) -> tuple[Expr, ...]:
+    """The expressions a statement evaluates (an if's condition only)."""
+    if isinstance(s, (Store, LocalAssign)):
+        return (s.value,)
+    if isinstance(s, Fadd):
+        return (s.delta,)
+    if isinstance(s, Cas):
+        return (s.expect, s.desired)
+    if isinstance(s, IfBlock):
+        return (s.cond,)
+    return ()
+
+
+def stmt_locals_read(s: Stmt) -> frozenset[str]:
+    return frozenset().union(*map(expr_locals, stmt_exprs(s)))
 
 
 def stmt_locals_written(s: Stmt) -> frozenset[str]:
@@ -627,6 +649,13 @@ def _parse_order(tz: _Tokenizer) -> MO:
     return _ORDER_NAMES[tok[1]]
 
 
+def _parse_object(tz: _Tokenizer) -> str:
+    tok = tz.next()
+    if tok[0] != "name":
+        raise tz.fail("expected object name")
+    return tok[1]
+
+
 def _indent_of(raw: str) -> int:
     n = 0
     for ch in raw:
@@ -652,15 +681,13 @@ def _parse_statement(tz: _Tokenizer) -> Stmt:
     if value == "store":
         tz.next()
         tz.expect("(")
-        obj = tz.next()
-        if obj[0] != "name":
-            raise tz.fail("expected object name")
+        obj = _parse_object(tz)
         tz.expect(",")
         val = _parse_expr(tz)
         tz.expect(",")
         mo = _parse_order(tz)
         tz.expect(")")
-        return Store(obj=obj[1], value=val, mo=mo, line=line)
+        return Store(obj=obj, value=val, mo=mo, line=line)
     if value == "fence":
         tz.next()
         tz.expect("(")
@@ -682,27 +709,25 @@ def _parse_statement(tz: _Tokenizer) -> Stmt:
         if nxt and nxt[1] == "load":
             tz.next()
             tz.expect("(")
-            obj = tz.next()
-            if obj[0] != "name":
-                raise tz.fail("expected object name")
+            obj = _parse_object(tz)
             tz.expect(",")
             mo = _parse_order(tz)
             tz.expect(")")
-            return Load(local=local, obj=obj[1], mo=mo, line=line)
+            return Load(local=local, obj=obj, mo=mo, line=line)
         if nxt and nxt[1] == "fadd":
             tz.next()
             tz.expect("(")
-            obj = tz.next()
+            obj = _parse_object(tz)
             tz.expect(",")
             delta = _parse_expr(tz)
             tz.expect(",")
             mo = _parse_order(tz)
             tz.expect(")")
-            return Fadd(local=local, obj=obj[1], delta=delta, mo=mo, line=line)
+            return Fadd(local=local, obj=obj, delta=delta, mo=mo, line=line)
         if nxt and nxt[1] == "cas":
             tz.next()
             tz.expect("(")
-            obj = tz.next()
+            obj = _parse_object(tz)
             tz.expect(",")
             expect = _parse_expr(tz)
             tz.expect(",")
@@ -710,7 +735,7 @@ def _parse_statement(tz: _Tokenizer) -> Stmt:
             tz.expect(",")
             mo = _parse_order(tz)
             tz.expect(")")
-            return Cas(local=local, obj=obj[1], expect=expect, desired=desired, mo=mo, line=line)
+            return Cas(local=local, obj=obj, expect=expect, desired=desired, mo=mo, line=line)
         return LocalAssign(local=local, value=_parse_expr(tz), line=line)
     raise tz.fail(f"cannot parse statement starting with {value!r}")
 
@@ -725,9 +750,9 @@ def parse_program(text: str) -> Program:
     expect_traces: Optional[int] = None
 
     lines = text.splitlines()
-    # pending thread parse state: (name, indent stack of (indent, body-list))
-    cur_thread: Optional[ThreadBody] = None
-    # stack entries: (indent, body list, owning IfBlock or None, arm)
+    cur_thread: Optional[ThreadBody] = None  # the thread being parsed
+    # open blocks, innermost last: (indent of the line that opened it, the
+    # body its statements go to); the thread body itself sits at indent -1
     block_stack: list[tuple[int, list[Stmt]]] = []
     last_if: dict[int, IfBlock] = {}  # indent -> most recent IfBlock at that indent
 
@@ -953,28 +978,14 @@ def pretty_print(prog: Program) -> str:
 
 def structurally_equal(a: Program, b: Program) -> bool:
     """Structural identity ignoring statement uids and line numbers."""
-    def canon_stmt(s: Stmt) -> tuple:
-        if isinstance(s, IfBlock):
-            return ("if", render_expr(s.cond),
-                    tuple(canon_stmt(x) for x in s.then_body),
-                    tuple(canon_stmt(x) for x in s.else_body))
-        if isinstance(s, Store):
-            return ("store", s.obj, render_expr(s.value), s.mo)
-        if isinstance(s, Load):
-            return ("load", s.local, s.obj, s.mo)
-        if isinstance(s, Fadd):
-            return ("fadd", s.local, s.obj, render_expr(s.delta), s.mo)
-        if isinstance(s, Cas):
-            return ("cas", s.local, s.obj, render_expr(s.expect), render_expr(s.desired), s.mo)
-        if isinstance(s, Fence):
-            return ("fence", s.mo)
-        if isinstance(s, LocalAssign):
-            return ("assign", s.local, render_expr(s.value))
-        raise TypeError(s)
+    def canon(body: list[Stmt]) -> tuple:
+        return tuple(stmt_fingerprint(s) + ((canon(s.then_body), canon(s.else_body))
+                                            if isinstance(s, IfBlock) else ())
+                     for s in body)
 
     return (a.name == b.name and a.objects == b.objects
             and a.expect_traces == b.expect_traces
             and [x.text for x in a.asserts] == [x.text for x in b.asserts]
             and [t.name for t in a.threads] == [t.name for t in b.threads]
-            and all(tuple(canon_stmt(s) for s in ta.body) == tuple(canon_stmt(s) for s in tb.body)
+            and all(canon(ta.body) == canon(tb.body)
                     for ta, tb in zip(a.threads, b.threads)))

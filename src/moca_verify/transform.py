@@ -21,11 +21,14 @@ per-object access order.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from copy import deepcopy
 from dataclasses import dataclass, field
 
 from .ir import (
+    BinOp,
     Cas,
+    Const,
     Expr,
     Fadd,
     Fence,
@@ -36,9 +39,12 @@ from .ir import (
     Program,
     Stmt,
     Store,
+    UnOp,
     at_least,
     eval_expr,
-    render_expr,
+    flatten,
+    stmt_exprs,
+    stmt_fingerprint,
     stmt_locals_read,
     stmt_locals_written,
     stmt_objs,
@@ -126,37 +132,8 @@ class SprVerdict:
         return self.spr1 and self.spr2 and self.spr3
 
 
-def _stmt_fingerprint(s: Stmt) -> tuple:
-    if isinstance(s, Store):
-        return ("store", s.obj, render_expr(s.value), s.mo)
-    if isinstance(s, Load):
-        return ("load", s.local, s.obj, s.mo)
-    if isinstance(s, Fadd):
-        return ("fadd", s.local, s.obj, render_expr(s.delta), s.mo)
-    if isinstance(s, Cas):
-        return ("cas", s.local, s.obj, render_expr(s.expect), render_expr(s.desired), s.mo)
-    if isinstance(s, Fence):
-        return ("fence", s.mo)
-    if isinstance(s, LocalAssign):
-        return ("assign", s.local, render_expr(s.value))
-    if isinstance(s, IfBlock):
-        return ("if", render_expr(s.cond))
-    raise TypeError(s)
-
-
-def _multiset(body: list[Stmt]) -> dict[tuple, int]:
-    counts: dict[tuple, int] = {}
-
-    def walk(stmts: list[Stmt]) -> None:
-        for s in stmts:
-            fp = _stmt_fingerprint(s)
-            counts[fp] = counts.get(fp, 0) + 1
-            if isinstance(s, IfBlock):
-                walk(s.then_body)
-                walk(s.else_body)
-
-    walk(body)
-    return counts
+def _multiset(body: list[Stmt]) -> Counter:
+    return Counter(map(stmt_fingerprint, flatten(body)))
 
 
 def _value_domain(program: Program) -> list[int]:
@@ -164,7 +141,6 @@ def _value_domain(program: Program) -> list[int]:
     values.update(program.objects.values())
 
     def scan_expr(e: Expr) -> None:
-        from .ir import BinOp, Const, UnOp
         if isinstance(e, Const):
             values.add(e.value)
         elif isinstance(e, UnOp):
@@ -174,22 +150,9 @@ def _value_domain(program: Program) -> list[int]:
             scan_expr(e.right)
 
     for t in program.threads:
-        def walk(body: list[Stmt]) -> None:
-            for s in body:
-                if isinstance(s, Store):
-                    scan_expr(s.value)
-                elif isinstance(s, Fadd):
-                    scan_expr(s.delta)
-                elif isinstance(s, Cas):
-                    scan_expr(s.expect)
-                    scan_expr(s.desired)
-                elif isinstance(s, LocalAssign):
-                    scan_expr(s.value)
-                elif isinstance(s, IfBlock):
-                    scan_expr(s.cond)
-                    walk(s.then_body)
-                    walk(s.else_body)
-        walk(t.body)
+        for s in flatten(t.body):
+            for e in stmt_exprs(s):
+                scan_expr(e)
     return sorted(values)
 
 
@@ -212,18 +175,8 @@ def _read_slots(body: list[Stmt]) -> list[tuple]:
     execution-time ordinal of a fingerprint identifies the same read in the
     original and the transformed body.
     """
-    counts: dict[tuple, int] = {}
-
-    def walk(stmts: list[Stmt]) -> None:
-        for s in stmts:
-            if isinstance(s, (Load, Fadd, Cas)):
-                fp = _stmt_fingerprint(s)
-                counts[fp] = counts.get(fp, 0) + 1
-            elif isinstance(s, IfBlock):
-                walk(s.then_body)
-                walk(s.else_body)
-
-    walk(body)
+    counts = Counter(stmt_fingerprint(s) for s in flatten(body)
+                     if isinstance(s, (Load, Fadd, Cas)))
     return [(fp, i) for fp in sorted(counts) for i in range(counts[fp])]
 
 
@@ -239,7 +192,7 @@ def _run_thread(body: list[Stmt], valuation: dict[tuple, int]) -> _SeqRun:
     seen: dict[tuple, int] = {}
 
     def key(s: Stmt) -> tuple:
-        fp = _stmt_fingerprint(s)
+        fp = stmt_fingerprint(s)
         n = seen.get(fp, 0)
         seen[fp] = n + 1
         return (fp, n)

@@ -1,13 +1,28 @@
 from __future__ import annotations
 
+import random
+
 from conftest import corpus_names, corpus_program
+from test_properties import random_program_source
 
 from moca_verify import parse_program, run_sequence
 from moca_verify.coherence import check_c11_oracle, check_moca, check_step
 from moca_verify.engine import initial_state
 from moca_verify.relations import compute_relations
 from moca_verify.transform import early_write_transform
-from moca_verify.explorer import enumerate_all, explore
+from moca_verify.explorer import _estimate_events, enumerate_all, explore
+
+
+CORR2 = """
+program corr2
+init x = 0
+thread T1:
+  store(x, 1, rlx)
+  r1 = load(x, rlx)
+  r2 = load(x, rlx)
+thread T2:
+  store(x, 2, rlx)
+"""
 
 
 def run(program, schedule):
@@ -32,16 +47,7 @@ class TestCheckMoca:
         assert witness[0].key == ("T1", 0)  # the payload write
 
     def test_read_read_against_store_order_fails_shmo2(self):
-        p = parse_program("""
-program corr2
-init x = 0
-thread T1:
-  store(x, 1, rlx)
-  r1 = load(x, rlx)
-  r2 = load(x, rlx)
-thread T2:
-  store(x, 2, rlx)
-""")
+        p = parse_program(CORR2)
         # r1 reads the own pending store; a foreign flush lands before r2
         st, seq, rels = run(p, ["T1", "T1", "T2", "sth_x(T2)", "T1", "sth_x(T1)"])
         assert st.lcl["T1"] == {"r1": 1, "r2": 2}
@@ -49,6 +55,20 @@ thread T2:
         assert verdict.failures.get("shmo2") is not None
         r1, r2 = verdict.failures["shmo2"]
         assert (r1.key, r2.key) == (("T1", 1), ("T1", 2))
+
+    def test_read_before_its_source_fails_shco(self):
+        p = parse_program("""
+program shco
+init x = 0
+thread T1:
+  r = load(x, rlx)
+  store(x, 1, rlx)
+""")
+        st, seq, rels = run(p, ["T1", "T1", "sth_x(T1)"])
+        r = next(e for e in seq.events if e.key == ("T1", 0))
+        w = next(e for e in seq.events if e.key == ("T1", 1))
+        rels.rf[r] = w  # deliberately corrupted: source is po-after the read
+        assert check_moca(rels).failures == {"shco": (r, w)}
 
     def test_explored_sequences_all_pass(self):
         for name in corpus_names():
@@ -94,6 +114,36 @@ class TestIncrementalAgainstPostHoc:
             pre = enumerate_all(p, cap=12, prefilter=True)
             post = enumerate_all(p, cap=12, prefilter=False)
             assert set(pre) == set(post), name
+
+
+    def test_step_filter_is_first_post_hoc_failure(self):
+        # every child of every coherent prefix, without reduction: the
+        # incremental filter names the first rule and witness the full check
+        # finds, and the live relations give the rebuilt relations' verdict
+        rng = random.Random(12)
+        programs = [corpus_program(n) for n in corpus_names()]
+        programs = [p for p in programs
+                    if _estimate_events(early_write_transform(p)) <= 7]
+        programs.append(parse_program(CORR2))
+        programs += [parse_program(random_program_source(rng)) for _ in range(20)]
+        pruned = set()
+        for p in programs:
+            stack = [initial_state(early_write_transform(p))]
+            while stack:
+                st = stack.pop()
+                for unit in st.enabled_units():
+                    child = st.step(unit)
+                    verdict = check_step(child.rels)
+                    full = check_moca(child.rels)
+                    first = next(iter(full.failures.items()), None)
+                    assert verdict == first, (p.name, child.schedule_so_far())
+                    rebuilt = check_moca(compute_relations(child.sequence()))
+                    assert full.rules == rebuilt.rules, (p.name, child.schedule_so_far())
+                    if verdict is None:
+                        stack.append(child)
+                    else:
+                        pruned.add(verdict[0])
+        assert {"shmo1", "shmo2", "shmo3", "shrmo", "shto"} <= pruned
 
 
 class TestC11Oracle:

@@ -162,6 +162,15 @@ thread T1:
             parse_program(src)
         assert "memory order" in str(exc.value)
 
+    @pytest.mark.parametrize("stmt", [
+        "r = fadd(1, 1, rlx)", "r = fadd(, 1, rlx)", "r = cas(2, 0, 1, rlx)"])
+    def test_rmw_object_must_be_a_name(self, stmt):
+        # the same message load and store give, not a later validation error
+        src = f"program bad\ninit x = 0\nthread T1:\n  {stmt}\n"
+        with pytest.raises(ParseError) as exc:
+            parse_program(src)
+        assert "expected object name" in str(exc.value)
+
     def test_diagnostics_carry_positions(self):
         src = "program bad\ninit x = 0\nthread T1:\n  store(y, 1, rlx)\n"
         with pytest.raises(ParseError) as exc:
