@@ -39,6 +39,7 @@ from .ir import (
     Store,
     eval_expr,
     is_shadow_unit,
+    release_class_objects,
     shadow_unit,
 )
 from .relations import LiveRelations
@@ -94,7 +95,7 @@ class ExecState:
         }
         self.pending: dict[str, deque[Event]] = {}
         self.unit_counts: dict[str, int] = {}
-        self.rels = LiveRelations()
+        self.rels = LiveRelations(release_class_objects(program))
         self._seed_init_events()
         for t in program.threads:
             self._normalize(t.name)

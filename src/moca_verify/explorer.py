@@ -7,10 +7,15 @@ algorithm applies unchanged.  Two events conflict when they are
 
 * two shared-store updates (shadow-writes or atomic rmws) of one object,
 * a shared-store update and a foreign thread's read of the same object,
-* two same-object write issues (their program order decides
-  release-sequence membership), or
+* two same-object write issues of which one is an rmw (the order decides
+  whether the plain write's thread reads its own write or the rmw's),
+* two same-object plain write issues, if a release-class write exists for
+  the object (the order decides release-sequence membership), or
 * two placed sc events of different threads (their relative order feeds
   the sc total order).
+
+Two plain write issues of an object that no release-class write touches
+commute; ``conflicts`` gives the argument.
 
 When an executed event races with an earlier conflicting event not already
 ordered by the causal relation, an alternative starting unit is inserted
@@ -75,37 +80,48 @@ def _is_sc_placement(e: Event) -> bool:
     return e.ord is MO.SC and e.act in (Act.READ, Act.FENCE, Act.RMW, Act.SHADOW)
 
 
-def _parent_thread(e: Event) -> str:
-    """Program thread an event acts for (shadow-writes act for their
-    originating write's thread)."""
-    if e.act is Act.SHADOW:
-        return e.thr[e.thr.index("(") + 1:-1]
-    return e.thr
-
-
-def conflicts(a: Event, b: Event) -> bool:
-    """Order-sensitive event pairs for the reduction.
+def conflicts(a: Event, b: Event, release_objs: frozenset[str]) -> bool:
+    """Order-sensitive event pairs for the reduction; ``release_objs`` is
+    the program's ``ir.release_class_objects``.
 
     A thread's own flush commutes with its own reads of that object: the
     deterministic rf resolution prefers the thread's latest write either way.
-    Same-object write issues conflict because their program order decides
-    release-sequence membership (a foreign release-class store continues the
-    sequence), which feeds dependency-ordered-before and the coherence rules.
+
+    Same-object write issues of different threads conflict when one is an
+    rmw: an rmw is a store update, and a thread reads its own pending write
+    only if it was issued after the latest store update, so the order
+    reaches rf.  Two plain write issues conflict only on an object in
+    ``release_objs``: there their order decides release-sequence membership
+    (a foreign ``na``/``rlx`` store cuts a sequence it follows), which feeds
+    dependency-ordered-before.  On any other object their order reaches
+    nothing the explorer distinguishes:
+
+    * not hb: issue order enters hb only through dob, and an object with no
+      release-class write heads no release sequence, so it has no dob edge;
+    * not the trace id: it hashes events, rf, mo and hb, and mo is the
+      flush order, which the shadow-writes' own conflicts fix;
+    * not rf: a read's own-write preference compares only the reader's own
+      write issues with store updates (shadow-writes and rmws).
+
+    ``LiveRelations.append_write`` drops the matching causal edge, so the
+    two always agree on which write issues are ordered.
     """
     if a.thr == b.thr:
         return False
     if _is_store_update(a) and _is_store_update(b) and (a.objects & b.objects):
         return True
     if (a.is_write_like and b.is_write_like
-            and a.obj_written == b.obj_written):
+            and a.obj_written == b.obj_written
+            and (a.act is Act.RMW or b.act is Act.RMW
+                 or a.obj_written in release_objs)):
         return True
     for upd, other in ((a, b), (b, a)):
         if (_is_store_update(upd) and other.is_read_like
                 and upd.obj_written == other.obj_read
-                and _parent_thread(upd) != _parent_thread(other)):
+                and upd.parent_thr != other.parent_thr):
             return True
     if (_is_sc_placement(a) and _is_sc_placement(b)
-            and _parent_thread(a) != _parent_thread(b)):
+            and a.parent_thr != b.parent_thr):
         return True
     return False
 
@@ -113,10 +129,6 @@ def conflicts(a: Event, b: Event) -> bool:
 # ---------------------------------------------------------------------------
 # Trace identity
 # ---------------------------------------------------------------------------
-
-def _event_name(e: Event) -> str:
-    return f"{e.thr}#{e.idx}:{e.act.value}:{','.join(e.obj)}:{e.ord.value}"
-
 
 def canonical_trace_id(rels: Relations) -> str:
     """Stable id of the equivalence class of the sequence behind ``rels``.
@@ -126,7 +138,7 @@ def canonical_trace_id(rels: Relations) -> str:
     independent events agree on all four, while differing rf, store order,
     or synchronization structure changes the id.
     """
-    name = {e: _event_name(e) for e in rels.events}
+    name = {e: e.name for e in rels.events}
     events = sorted(name.values())
     rf = sorted(f"{name[w]}->{name[r]}" for r, w in rels.rf.items())
     mo = {obj: [name[w] for w in ws] for obj, ws in rels.mo.items()}
@@ -341,7 +353,7 @@ class _Explorer:
         pos_e = rels.pos[executed]
         mask_e = rels.cd_mask[executed]
         for d in rels.events[rels.init_len:pos_e]:
-            if d.thr == executed.thr or not conflicts(d, executed):
+            if d.thr == executed.thr or not conflicts(d, executed, rels.release_objs):
                 continue
             pos_d = rels.pos[d]
             if (mask_e >> pos_d) & 1:
@@ -430,7 +442,7 @@ class _Explorer:
                 schedule=schedule,
                 final_shared=dict(state.shr),
                 final_locals=state.final_locals(),
-                rf=sorted((_event_name(w), _event_name(r)) for r, w in rels.rf.items()
+                rf=sorted((w.name, r.name) for r, w in rels.rf.items()
                           if not r.is_init),
                 racy=bool(races),
             ))
@@ -459,8 +471,10 @@ class _Explorer:
                 child = candidates[unit]
                 executed = child.rels.events[-1]
                 self._find_races(child, executed)
+                release_objs = child.rels.release_objs
                 child_sleep = {q for q in node.sleep if q in candidates
-                               and not conflicts(executed, candidates[q].rels.events[-1])}
+                               and not conflicts(executed, candidates[q].rels.events[-1],
+                                                 release_objs)}
                 self._push(child, child_sleep)
         except ExplorationBudgetExceeded:
             self.report.budget_exhausted = True

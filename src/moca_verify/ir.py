@@ -106,7 +106,8 @@ class Event:
 
     Events are hashed and queried on every relation lookup, so the hash and
     the derived attributes (``key``, ``objects``, ``obj_read``,
-    ``obj_written``, ``is_write_like``, ``is_read_like``, ``is_init``) are
+    ``obj_written``, ``is_write_like``, ``is_read_like``, ``is_init``,
+    ``parent_thr``) and the display strings (``name``, ``pretty()``) are
     fixed once at construction.
     """
 
@@ -138,6 +139,13 @@ class Event:
         attrs["is_write_like"] = act is Act.WRITE or act is Act.RMW
         attrs["is_read_like"] = reads
         attrs["is_init"] = thr == INIT_THREAD or thr.endswith(f"({INIT_THREAD})")
+        # program thread the event acts for: a shadow-write acts for the
+        # thread of the write it flushes
+        attrs["parent_thr"] = thr[thr.index("(") + 1:-1] if act is Act.SHADOW else thr
+        objs, act_s, ord_s = ",".join(obj), act.value, self.ord.value
+        # the identity the trace id hashes
+        attrs["name"] = f"{thr}#{self.idx}:{act_s}:{objs}:{ord_s}"
+        attrs["_pretty"] = f"{thr}#{self.idx}:{act_s}({objs}){ord_s}"
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -150,8 +158,7 @@ class Event:
         return self._hash
 
     def pretty(self) -> str:
-        o = ",".join(self.obj)
-        return f"{self.thr}#{self.idx}:{self.act.value}({o}){self.ord.value}"
+        return self._pretty
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +455,13 @@ class Program:
     @property
     def thread_names(self) -> list[str]:
         return [t.name for t in self.threads]
+
+
+def release_class_objects(program: Program) -> frozenset[str]:
+    """Objects some ``store``/``fadd``/``cas`` of ``program`` writes with an
+    order of ``rel`` or stronger: the only objects with release sequences."""
+    return frozenset(s.obj for t in program.threads for s in flatten(t.body)
+                     if isinstance(s, (Store, Fadd, Cas)) and at_least(s.mo, MO.REL))
 
 
 class ContractViolation(Exception):

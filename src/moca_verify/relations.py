@@ -123,9 +123,19 @@ class LiveRelations:
 
     ``hb_mask[e]`` holds the positions of e's strict happens-before
     predecessors; ``cd_mask[e]`` the predecessors in the causal order used by
-    the exploration algorithm (happens-before plus reads-from, issue-to-flush,
-    per-object flush order, read-before-later-flush, and the sc placement
-    chain).
+    the exploration algorithm: happens-before plus
+
+    * reads-from, and a foreign source's flush before the read;
+    * issue-to-flush, and the per-object flush order;
+    * read-before-later-flush (and before a later rmw) of a foreign read;
+    * write issue order: an rmw after every earlier write issue of its
+      object; a plain write after the previous write issue of its object if
+      the object is in ``release_objs``, else only after the object's last
+      rmw (``last_rmw``), as ``explorer.conflicts`` orders them;
+    * the cross-thread sc placement chain.
+
+    ``release_objs`` is the program's ``ir.release_class_objects``, fixed for
+    the whole exploration and shared by every clone.
     """
 
     __slots__ = (
@@ -133,10 +143,10 @@ class LiveRelations:
         "flush_event", "flush_pos", "origin_of", "mo",
         "obj_issue_order", "obj_reads", "thread_obj_writes", "thread_reads",
         "rel_fences", "hb_mask", "cd_mask", "sw", "dob",
-        "sc_placed", "unit_last",
+        "sc_placed", "unit_last", "release_objs", "last_rmw",
     )
 
-    def __init__(self) -> None:
+    def __init__(self, release_objs: frozenset[str]) -> None:
         self.events: list[Event] = []
         self.pos: dict[Event, int] = {}
         self.init_len = 0
@@ -161,6 +171,9 @@ class LiveRelations:
         self.dob: set[tuple[Event, Event]] = set()
         self.sc_placed: list[tuple[Event, int]] = []  # (logical event, placement pos)
         self.unit_last: dict[str, Event] = {}
+        self.release_objs = release_objs
+        # per object: its last issued rmw, else its init write
+        self.last_rmw: dict[str, Event] = {}
 
     def clone(self) -> "LiveRelations":
         other = object.__new__(LiveRelations)
@@ -186,6 +199,8 @@ class LiveRelations:
         other.dob = set(self.dob)
         other.sc_placed = list(self.sc_placed)
         other.unit_last = dict(self.unit_last)
+        other.release_objs = self.release_objs
+        other.last_rmw = dict(self.last_rmw)
         return other
 
     # -- queries --------------------------------------------------------------
@@ -247,6 +262,7 @@ class LiveRelations:
         self.value_of[w] = value
         obj = w.obj[0]
         self.obj_issue_order[obj] = [w]
+        self.last_rmw[obj] = w
         self.mo[obj] = []
         self.thread_obj_writes.setdefault((w.thr, obj), []).append(w)
 
@@ -312,8 +328,13 @@ class LiveRelations:
 
     def append_write(self, e: Event, value: int) -> None:
         obj = e.obj_written
-        # same-object issue order decides release-sequence membership
-        cd = [self.obj_issue_order[obj][-1]]
+        # issue order decides release-sequence membership, which exists only
+        # on release objects; elsewhere only the order against rmws (rf)
+        # matters (``explorer.conflicts``)
+        if obj in self.release_objs:
+            cd = [self.obj_issue_order[obj][-1]]
+        else:
+            cd = [self.last_rmw[obj]]
         self._register(e, self._po_pred(e), cd)
         self.value_of[e] = value
         self.obj_issue_order[obj].append(e)
@@ -322,7 +343,13 @@ class LiveRelations:
     def append_rmw(self, e: Event, src: Event, old: int, new: int) -> None:
         obj = e.obj_read
         sync = self._sync_preds_for_read(e, src)
-        cd: list[Event] = [src, self.obj_issue_order[obj][-1]]
+        cd: list[Event] = [src]
+        # after every write issue of the object since its last rmw: plain
+        # writes of a non-release object are not chained to each other
+        for w in reversed(self.obj_issue_order[obj]):
+            cd.append(w)
+            if w is self.last_rmw[obj]:
+                break
         if src.thr != e.thr:
             cd.append(self.flush_event[src])
         flushed = self.mo[obj]
@@ -339,6 +366,7 @@ class LiveRelations:
         self.obj_reads.setdefault(obj, []).append(e)
         self.thread_reads.setdefault(e.thr, []).append(e)
         self.obj_issue_order[obj].append(e)
+        self.last_rmw[obj] = e
         self.thread_obj_writes.setdefault((e.thr, obj), []).append(e)
         self.mo[obj].append(e)
         self.flush_event[e] = e

@@ -33,6 +33,19 @@ class TestTraceCounts:
         rep = explore(corpus_program(name))
         assert rep.distinct_traces == expected
 
+    @pytest.mark.parametrize("name,sequences,traces", [
+        # plain write issues of different threads commute on objects no
+        # release-class write touches: one sequence per trace
+        ("counter-3", 36, 36), ("flipper-3", 36, 36),
+        # one of w-rwr's duplicates remains
+        ("w-rwr", 5, 4),
+        # control: no object written by two threads
+        ("fibonacci-2", 20, 20),
+    ])
+    def test_sequences_explored(self, name, sequences, traces):
+        rep = explore(corpus_program(name))
+        assert (rep.sequences_explored, rep.distinct_traces) == (sequences, traces)
+
     def test_single_thread_single_trace(self):
         p = parse_program(
             "program s\ninit x = 0\nthread T1:\n  store(x, 1, rlx)\n  r = load(x, rlx)\n")

@@ -30,6 +30,7 @@ from moca_verify.explorer import (
     enumerate_all,
     explore,
 )
+from moca_verify.ir import Fadd, Store, flatten, release_class_objects, stmt_objs
 from moca_verify.relations import compute_relations
 from moca_verify.transform import early_write_transform
 
@@ -39,7 +40,10 @@ RMW_ORDERS = ["rlx", "acq", "rel", "acq_rel", "sc"]
 FENCE_ORDERS = ["acq", "rel", "acq_rel", "sc"]
 
 
-def random_program_source(rng: random.Random) -> str:
+def random_program_source(rng: random.Random, store_orders=STORE_ORDERS,
+                          rmw_orders=RMW_ORDERS) -> str:
+    """A random program over objects ``a`` and ``b``; stores and fadds draw
+    their orders from ``store_orders`` and ``rmw_orders``."""
     objects = ["a", "b"]
     n_threads = rng.randint(1, 3)
     budget = rng.randint(2, 6)
@@ -56,7 +60,7 @@ def random_program_source(rng: random.Random) -> str:
         kind = rng.choice(["store", "store", "load", "load", "fadd", "fence"])
         if kind == "store":
             per_thread[t].append(f"{indent}store({obj}, {rng.randint(1, 2)}, "
-                                 f"{rng.choice(STORE_ORDERS)})")
+                                 f"{rng.choice(store_orders)})")
         elif kind == "load":
             name = f"r{t}_{counter}"
             counter += 1
@@ -68,7 +72,7 @@ def random_program_source(rng: random.Random) -> str:
             counter += 1
             if top_level:
                 locals_of[t].append(name)
-            per_thread[t].append(f"{indent}{name} = fadd({obj}, 1, {rng.choice(RMW_ORDERS)})")
+            per_thread[t].append(f"{indent}{name} = fadd({obj}, 1, {rng.choice(rmw_orders)})")
         else:
             per_thread[t].append(f"{indent}fence({rng.choice(FENCE_ORDERS)})")
 
@@ -330,3 +334,64 @@ thread T2:
         rng = random.Random(7)
         for s in shapes:
             check_hb_validity(s, rng)
+
+    def test_write_issue_against_foreign_rmw_stays_ordered(self):
+        # ``a`` has no release-class write, so T2's plain store and T1's
+        # fadd may only commute if their order never reaches rf; it does:
+        # T2's load reads its own store only if the fadd came first
+        source = """
+program rmwpitfall
+init a = 0, b = 0
+thread T1:
+  store(b, 2, rel)
+  r1 = fadd(a, 1, rlx)
+thread T2:
+  store(a, 2, rlx)
+  r2 = load(a, rlx)
+  store(b, 2, rlx)
+"""
+        check_hb_validity(source, random.Random(7))
+
+    def test_rmw_follows_every_unchained_plain_write(self):
+        # the plain stores of T1 and T2 to ``a`` are causally unordered, so
+        # T3's fadd must follow each: T1's load reads the fadd only because
+        # T1's store was issued before it
+        target = early_write_transform(parse_program("""
+program rmwafter
+init a = 0
+thread T1:
+  store(a, 1, rlx)
+  r1 = load(a, rlx)
+thread T2:
+  store(a, 2, rlx)
+thread T3:
+  r3 = fadd(a, 1, rlx)
+"""))
+        final = run_sequence(target, ["T1", "T2", "T3", "T1", "sth_a(T1)", "sth_a(T2)"])
+        base_rf = {r.key: w.key for r, w in final.sequence().rf.items()}
+        for schedule in _cd_linearizations(final, random.Random(1), 50):
+            replayed = run_sequence(target, schedule).sequence()
+            assert {r.key: w.key for r, w in replayed.rf.items()} == base_rf, schedule
+
+
+def _written_by_threads(program, obj: str) -> int:
+    return sum(any(isinstance(s, (Store, Fadd)) and obj in stmt_objs(s)
+                   for s in flatten(t.body))
+               for t in program.threads)
+
+
+def test_plain_write_programs_match_enumeration():
+    """Only ``na``/``rlx`` writes, so every object takes the path on which
+    plain write issues commute; the explorer must still find every trace."""
+    rng = random.Random(20261018)
+    shared_plain = 0
+    for _ in range(150):
+        source = random_program_source(rng, store_orders=("na", "rlx"),
+                                       rmw_orders=("rlx",))
+        program = parse_program(source)
+        target = early_write_transform(program)
+        assert release_class_objects(target) == frozenset(), source
+        assert explore(program).trace_ids == set(enumerate_all(program, cap=12)), source
+        if any(_written_by_threads(target, obj) >= 2 for obj in target.objects):
+            shared_plain += 1
+    assert shared_plain >= 10
