@@ -23,6 +23,13 @@ constraint resolves and can fail.  On a maximal sequence nothing is pending,
 so the prefix evaluation coincides with the full quantified check; the
 post-hoc checker is the reference the incremental filter is tested against.
 
+The rules quantify over happens-before predecessors by walking the set bits
+of ``hb_mask``, intersected with a position mask where one applies:
+``shmo1`` walks each target's predecessors outside its own unit and the init
+prefix, ``shmo2``/``shmo3`` those among the read's object's reads/writes.
+Set bits come in position order, so the first witness is the one a scan of
+events in sequence order finds.
+
 Each rule is written once as ``_rule_X(rels, at=None)``.  With ``at=None``
 it checks every instance; that is ``check_moca``, the post-hoc check of a
 maximal sequence.  With an event ``at`` it checks only the instances ``at``
@@ -40,7 +47,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .ir import Act, Event, MO
-from .relations import LiveRelations, Relations, sc_order, sc_pairs
+from .relations import LiveRelations, Relations, sc_order, sc_pairs, set_bits
 
 Witness = tuple[Event, ...]
 
@@ -90,26 +97,36 @@ def _rule_shco(rels: Relations, at: Optional[Event] = None) -> Optional[Witness]
     return None
 
 
-def _shmo1_triggered(rels: Relations, e_w: Event, e: Event, hb_e: int) -> bool:
-    """``hb_e`` is ``rels.hb_mask[e]``; its bit test rules out most pairs
-    before ``mhb`` is asked (an hb predecessor also precedes in sequence)."""
-    if e.thr == e_w.thr:
-        return False
-    pos = rels.pos
-    if hb_e >> pos[e_w] & 1 and rels.mhb(e_w, e):
-        return True
-    return any(hb_e >> pos[r] & 1 and rels.mhb(r, e)
-               for r in rels.readers.get(e_w, ()))
+def _shmo1_triggered(rels: Relations, e: Event) -> int:
+    """Positions of the writes whose flush ``e`` must follow: the write-like
+    mhb-predecessors of ``e`` and the sources of its read-like ones, read
+    off the set bits of ``hb_mask[e]`` (``mhb`` drops the direct ``sw`` and
+    ``dob`` pairs).
+
+    e's own unit and the init prefix are skipped.  An init write flushes in
+    the prefix, so it can never fail the rule.  A write of e's own thread
+    never triggers it; a read of e's own unit triggers only a foreign
+    source, whose flush ``shco`` already placed before that read.
+    """
+    events, rf, pos = rels.events, rels.rf, rels.pos
+    skip = (1 << rels.init_len) - 1 | rels.unit_mask[e.thr]
+    out = 0
+    for p in set_bits(rels.hb_mask[e] & ~skip):
+        x = events[p]
+        if (x, e) in rels.sw or (x, e) in rels.dob:
+            continue
+        if x.is_write_like:
+            out |= 1 << p
+        if x.is_read_like:
+            out |= 1 << pos[rf[x]]
+    return out & ~skip
 
 
 def _rule_shmo1(rels: Relations, at: Optional[Event] = None) -> Optional[Witness]:
     targets = [e for e in rels.events if not e.is_init] if at is None else [at]
-    writes = [e for e in rels.events if e.is_write_like]
     for e in targets:
-        hb_e = rels.hb_mask[e]
-        for e_w in writes:
-            if not _shmo1_triggered(rels, e_w, e, hb_e):
-                continue
+        for p in set_bits(_shmo1_triggered(rels, e)):
+            e_w = rels.events[p]
             if e.is_write_like:
                 if flush_before(rels, e_w, e) is False:
                     return (e_w, e)
@@ -132,13 +149,10 @@ def _reads(rels: Relations, at: Optional[Event]) -> Iterable[Event]:
 def _rule_shmo2(rels: Relations, at: Optional[Event] = None) -> Optional[Witness]:
     for r2 in _reads(rels, at):
         src2 = rels.rf[r2]
-        for r1 in rels.obj_reads[r2.obj_read]:
-            if r1 is r2:
-                break
+        for p in set_bits(rels.hb_mask[r2] & rels.obj_read_mask[r2.obj_read]):
+            r1 = rels.events[p]
             src1 = rels.rf[r1]
-            if src1 == src2 or not rels.hb(r1, r2):
-                continue
-            if flush_before(rels, src1, src2) is False:
+            if src1 != src2 and flush_before(rels, src1, src2) is False:
                 return (r1, r2)
     return None
 
@@ -146,10 +160,9 @@ def _rule_shmo2(rels: Relations, at: Optional[Event] = None) -> Optional[Witness
 def _rule_shmo3(rels: Relations, at: Optional[Event] = None) -> Optional[Witness]:
     for r in _reads(rels, at):
         src = rels.rf[r]
-        for w1 in rels.obj_issue_order.get(r.obj_read, ()):
-            if w1 == src or not rels.hb(w1, r):
-                continue
-            if flush_before(rels, w1, src) is False:
+        for p in set_bits(rels.hb_mask[r] & rels.obj_write_mask.get(r.obj_read, 0)):
+            w1 = rels.events[p]
+            if w1 != src and flush_before(rels, w1, src) is False:
                 return (w1, r)
     return None
 
@@ -167,14 +180,26 @@ def _rule_shrmo(rels: Relations, at: Optional[Event] = None) -> Optional[Witness
 
 
 def _rule_shto(rels: Relations, at: Optional[Event] = None) -> Optional[Witness]:
-    if at is not None and at.ord is not MO.SC:
+    if at is None:
+        _, cycle = sc_order(rels.sc_placed)
+        if cycle is not None:
+            return cycle
+        pairs = sc_pairs(rels.sc_placed)
+    elif at.ord is not MO.SC:
         return None
-    _, cycle = sc_order(rels.sc_placed)
-    if cycle is not None:
-        return cycle
-    for a, b in sc_pairs(rels.sc_placed):
-        if at is not None and at not in (a, b):
-            continue
+    else:
+        # ``at`` is the last placement and the order before it was acyclic:
+        # a cycle must pass through ``at``, which has an outgoing edge only
+        # to a placed event of its own thread with a higher idx
+        earlier = [e for e, _ in rels.sc_placed[:-1]]
+        if any(e.thr == at.thr and e.idx > at.idx for e in earlier):
+            _, cycle = sc_order(rels.sc_placed)
+            if cycle is not None:
+                return cycle
+        # the pairs containing ``at``, oriented and ordered as ``sc_pairs``
+        pairs = ((at, e) if e.thr == at.thr and at.idx < e.idx else (e, at)
+                 for e in earlier)
+    for a, b in pairs:
         if rels.hb(b, a):
             return (a, b)
         if (a.is_write_like and b.is_write_like
@@ -232,34 +257,58 @@ def overdue_write(rels: Relations, rule: str, witness: Witness) -> Optional[Even
 def check_c11_oracle(rels: Relations) -> CoherenceVerdict:
     """Validate (hb, rf, mo, to) against the per-location coherence axioms
     and the sc total-order axiom; violations are verdicts, not exceptions.
-    Each axiom reports its first violating pair, in scan order."""
-    # positions in ``rels.mo`` as it stands, so a query costs O(1)
-    mo_index = {obj: {w: i for i, w in enumerate(ws)} for obj, ws in rels.mo.items()}
+    Each axiom reports its first violating pair, in scan order.
+
+    ``mo1``..``mo4`` are one mask test per event: one running mask per
+    object over ``rels.mo``, as it stands at the call, gives each flushed
+    write the writes and the reads (by source) before it.  Only an object
+    that fails a test is scanned pairwise for the witness.
+    """
+    pos, hb_mask, rf = rels.pos, rels.hb_mask, rels.rf
+    issued, obj_reads = rels.obj_issue_order, rels.obj_reads
+    read_mask, write_mask = rels.obj_read_mask, rels.obj_write_mask
+    reads_of: dict[Event, int] = {}     # reads by source write
+    for rs in obj_reads.values():
+        for r in rs:
+            reads_of[rf[r]] = reads_of.get(rf[r], 0) | 1 << pos[r]
+    writes_before: dict[Event, int] = {}    # writes mo-before each write
+    reads_before: dict[Event, int] = {}     # reads of writes mo-before it
+    for ws in rels.mo.values():
+        w_mask = r_mask = 0
+        for w in ws:
+            writes_before[w], reads_before[w] = w_mask, r_mask
+            w_mask |= 1 << pos[w]
+            r_mask |= reads_of.get(w, 0)
 
     def mo_before(a: Event, b: Event) -> bool:
-        obj = a.obj_written
-        if obj is None or obj != b.obj_written:
-            return False
-        index = mo_index.get(obj, {})
-        return a in index and b in index and index[a] < index[b]
+        return bool(writes_before.get(b, 0) >> pos[a] & 1)
 
-    hb, rf = rels.hb, rels.rf
-    issued = rels.obj_issue_order
+    hb = rels.hb
     verdict = CoherenceVerdict()
     verdict.rules["mo1"] = next(
-        ((w1, w2) for ws in issued.values() for w1 in ws for w2 in ws
+        ((w1, w2) for obj, ws in issued.items()
+         if any(hb_mask[w2] & write_mask[obj] & ~writes_before.get(w2, 0)
+                for w2 in ws)
+         for w1 in ws for w2 in ws
          if w1 != w2 and hb(w1, w2) and not mo_before(w1, w2)), None)
     verdict.rules["mo2"] = next(
-        ((r1, r2) for rs in rels.obj_reads.values() for r1 in rs for r2 in rs
+        ((r1, r2) for obj, rs in obj_reads.items()
+         if any(hb_mask[r2] & read_mask[obj]
+                & ~(reads_before.get(rf[r2], 0) | reads_of[rf[r2]]) for r2 in rs)
+         for r1 in rs for r2 in rs
          if r1 != r2 and hb(r1, r2)
          and rf[r1] != rf[r2] and not mo_before(rf[r1], rf[r2])), None)
     verdict.rules["mo3"] = next(
-        ((r1, w1) for obj, rs in rels.obj_reads.items() for r1 in rs
-         for w1 in issued.get(obj, ())
+        ((r1, w1) for obj, rs in obj_reads.items()
+         if any(hb_mask[w1] & read_mask[obj] & ~reads_before.get(w1, 0)
+                for w1 in issued.get(obj, ()))
+         for r1 in rs for w1 in issued.get(obj, ())
          if hb(r1, w1) and not mo_before(rf[r1], w1)), None)
     verdict.rules["mo4"] = next(
-        ((w1, r1) for obj, rs in rels.obj_reads.items() for r1 in rs
-         for w1 in issued.get(obj, ())
+        ((w1, r1) for obj, rs in obj_reads.items()
+         if any(hb_mask[r1] & write_mask.get(obj, 0)
+                & ~(writes_before.get(rf[r1], 0) | 1 << pos[rf[r1]]) for r1 in rs)
+         for r1 in rs for w1 in issued.get(obj, ())
          if hb(w1, r1) and rf[r1] != w1 and not mo_before(w1, rf[r1])), None)
 
     _, cycle = sc_order(rels.sc_placed)

@@ -243,7 +243,7 @@ class ExecState:
 
     def step(self, unit: str) -> "ExecState":
         """Execute the next event of ``unit``; returns the successor state."""
-        if unit not in self.enabled_units():
+        if not (self.cursors.get(unit) or self.pending.get(unit)):
             raise ReplayError(len(self.rels.events), unit, "not enabled")
         nxt = self.clone()
         nxt._apply(nxt.peek(unit))

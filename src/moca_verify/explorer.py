@@ -20,10 +20,15 @@ commute; ``conflicts`` gives the argument.
 When an executed event races with an earlier conflicting event not already
 ordered by the causal relation, an alternative starting unit is inserted
 into the backtrack set of the state before the earlier event; sleep sets
-suppress re-exploring commuting choices.  The incremental coherence filter
-interacts with both mechanisms: pruned candidates still feed race detection,
-insertions must land on units schedulable at the target node, and a violated
-ordering rule proposes the flush unit it names as a direct repair.
+suppress re-exploring commuting choices.  Race detection visits only the
+earlier events that ``conflict_mask`` selects from per-object, per-unit and
+sc position masks (exactly those ``conflicts`` accepts), and tests a race's
+reversibility on the set bits of the causal mask between the two.
+
+The incremental coherence filter interacts with both mechanisms: pruned
+candidates still feed race detection, insertions must land on units
+schedulable at the target node, and a violated ordering rule proposes the
+flush unit it names as a direct repair.
 
 Every maximal surviving sequence is recorded, keyed by a canonical trace id
 (a stable hash of the executed events, the reads-from edges, the per-object
@@ -52,7 +57,7 @@ from .ir import (
     shadow_unit,
 )
 from .engine import ExecState, initial_state
-from .relations import Relations, compute_relations, hb_pairs
+from .relations import LiveRelations, Relations, compute_relations, hb_pairs, set_bits
 from .coherence import check_moca, check_c11_oracle, check_step, overdue_write
 from .transform import early_write_transform
 
@@ -71,14 +76,6 @@ class EnumerationCapExceeded(Exception):
 # ---------------------------------------------------------------------------
 # Conflicts
 # ---------------------------------------------------------------------------
-
-def _is_store_update(e: Event) -> bool:
-    return e.act in (Act.SHADOW, Act.RMW)
-
-
-def _is_sc_placement(e: Event) -> bool:
-    return e.ord is MO.SC and e.act in (Act.READ, Act.FENCE, Act.RMW, Act.SHADOW)
-
 
 def conflicts(a: Event, b: Event, release_objs: frozenset[str]) -> bool:
     """Order-sensitive event pairs for the reduction; ``release_objs`` is
@@ -108,7 +105,7 @@ def conflicts(a: Event, b: Event, release_objs: frozenset[str]) -> bool:
     """
     if a.thr == b.thr:
         return False
-    if _is_store_update(a) and _is_store_update(b) and (a.objects & b.objects):
+    if a.is_store_update and b.is_store_update and (a.objects & b.objects):
         return True
     if (a.is_write_like and b.is_write_like
             and a.obj_written == b.obj_written
@@ -116,14 +113,38 @@ def conflicts(a: Event, b: Event, release_objs: frozenset[str]) -> bool:
                  or a.obj_written in release_objs)):
         return True
     for upd, other in ((a, b), (b, a)):
-        if (_is_store_update(upd) and other.is_read_like
+        if (upd.is_store_update and other.is_read_like
                 and upd.obj_written == other.obj_read
                 and upd.parent_thr != other.parent_thr):
             return True
-    if (_is_sc_placement(a) and _is_sc_placement(b)
+    if (a.is_sc_placement and b.is_sc_placement
             and a.parent_thr != b.parent_thr):
         return True
     return False
+
+
+def conflict_mask(rels: LiveRelations, e: Event) -> int:
+    """Positions of the events ``d`` before ``e``, outside the init prefix
+    and e's unit, with ``conflicts(d, e, rels.release_objs)``: each clause
+    of ``conflicts`` read off the per-object, per-unit and sc masks of
+    ``rels`` (the engine's rmws read and write one object)."""
+    others = ~rels.parent_mask[e.parent_thr]
+    mask = 0
+    if e.is_store_update:
+        obj = e.obj_written
+        mask |= rels.obj_update_mask[obj] | (rels.obj_read_mask.get(obj, 0) & others)
+    if e.is_write_like:
+        obj = e.obj_written
+        if e.act is Act.RMW or obj in rels.release_objs:
+            mask |= rels.obj_write_mask[obj]
+        else:
+            mask |= rels.obj_rmw_mask.get(obj, 0)
+    if e.is_read_like:
+        mask |= rels.obj_update_mask.get(e.obj_read, 0) & others
+    if e.is_sc_placement:
+        mask |= rels.sc_mask & others
+    earlier = (1 << rels.pos[e]) - 1
+    return mask & earlier & ~rels.init_mask & ~rels.unit_mask[e.thr]
 
 
 # ---------------------------------------------------------------------------
@@ -349,24 +370,17 @@ class _Explorer:
     # -- race detection ----------------------------------------------------------
 
     def _find_races(self, state: ExecState, executed: Event) -> None:
+        """Visit only the earlier events that ``conflict_mask`` selects."""
         rels = state.rels
-        pos_e = rels.pos[executed]
-        mask_e = rels.cd_mask[executed]
-        for d in rels.events[rels.init_len:pos_e]:
-            if d.thr == executed.thr or not conflicts(d, executed, rels.release_objs):
-                continue
-            pos_d = rels.pos[d]
+        events, cd_mask = rels.events, rels.cd_mask
+        mask_e = cd_mask[executed]
+        for pos_d in set_bits(conflict_mask(rels, executed)):
             if (mask_e >> pos_d) & 1:
                 # reversible race: no intermediate event on a causal path
-                immediate = True
-                for x in rels.events[pos_d + 1:pos_e]:
-                    px = rels.pos[x]
-                    if (mask_e >> px) & 1 and (rels.cd_mask[x] >> pos_d) & 1:
-                        immediate = False
-                        break
-                if not immediate:
+                if any(cd_mask[events[px]] >> pos_d & 1
+                       for px in set_bits(mask_e >> (pos_d + 1) << (pos_d + 1))):
                     continue
-            self._insert_backtrack(state, d, executed)
+            self._insert_backtrack(state, events[pos_d], executed)
 
     def _insert_backtrack(self, state: ExecState, d: Event, executed: Event) -> None:
         rels = state.rels

@@ -27,6 +27,15 @@ order, the modification order), ``sw`` and ``dob`` (the synchronizes-with
 and dependency-ordered-before edge sets), ``sc_placed`` (sc events with
 their placement positions, in placement order), and ``hb``/``mhb``.
 
+Both also keep position masks, so the rules intersect ``hb_mask`` with them
+instead of scanning event pairs: ``unit_mask`` (the events of each unit),
+``obj_read_mask`` and ``obj_write_mask`` (the positions of ``obj_reads``
+and ``obj_issue_order``).  ``LiveRelations`` adds the masks race detection
+reads (``explorer.conflict_mask``): ``parent_mask`` (the events acting for
+each program thread, its shadow-writes included), ``obj_update_mask``
+(shadow-writes and rmws of each object), ``obj_rmw_mask`` and ``sc_mask``
+(every sc placement).
+
 Neither stores the sc total order: ``sc_order(rels.sc_placed)`` derives it
 from the placements (program order within a thread, placement order across
 threads) in one walk, and ``sc_pairs`` lists the ordered pairs it implies.
@@ -42,7 +51,7 @@ induced by shadow-write order, and the total order on sc events.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, TYPE_CHECKING
+from typing import Iterable, Iterator, Optional, TYPE_CHECKING
 
 from .ir import Act, ContractViolation, Event, MO, at_least
 
@@ -118,6 +127,10 @@ def sc_pairs(placed: list[tuple[Event, int]]) -> Iterable[tuple[Event, Event]]:
 # Incremental relations
 # ---------------------------------------------------------------------------
 
+def _add_bit(masks: dict[str, int], key: str, bit: int) -> None:
+    masks[key] = masks.get(key, 0) | bit
+
+
 class LiveRelations:
     """Append-only relation state carried by an execution state.
 
@@ -144,6 +157,8 @@ class LiveRelations:
         "obj_issue_order", "obj_reads", "thread_obj_writes", "thread_reads",
         "rel_fences", "hb_mask", "cd_mask", "sw", "dob",
         "sc_placed", "unit_last", "release_objs", "last_rmw",
+        "unit_mask", "parent_mask", "obj_read_mask", "obj_write_mask",
+        "obj_update_mask", "obj_rmw_mask", "sc_mask",
     )
 
     def __init__(self, release_objs: frozenset[str]) -> None:
@@ -174,6 +189,14 @@ class LiveRelations:
         self.release_objs = release_objs
         # per object: its last issued rmw, else its init write
         self.last_rmw: dict[str, Event] = {}
+        # position masks, kept by ``_register`` from the event attributes
+        self.unit_mask: dict[str, int] = {}
+        self.parent_mask: dict[str, int] = {}
+        self.obj_read_mask: dict[str, int] = {}
+        self.obj_write_mask: dict[str, int] = {}
+        self.obj_update_mask: dict[str, int] = {}
+        self.obj_rmw_mask: dict[str, int] = {}
+        self.sc_mask = 0
 
     def clone(self) -> "LiveRelations":
         other = object.__new__(LiveRelations)
@@ -201,6 +224,13 @@ class LiveRelations:
         other.unit_last = dict(self.unit_last)
         other.release_objs = self.release_objs
         other.last_rmw = dict(self.last_rmw)
+        other.unit_mask = dict(self.unit_mask)
+        other.parent_mask = dict(self.parent_mask)
+        other.obj_read_mask = dict(self.obj_read_mask)
+        other.obj_write_mask = dict(self.obj_write_mask)
+        other.obj_update_mask = dict(self.obj_update_mask)
+        other.obj_rmw_mask = dict(self.obj_rmw_mask)
+        other.sc_mask = self.sc_mask
         return other
 
     # -- queries --------------------------------------------------------------
@@ -235,6 +265,19 @@ class LiveRelations:
         self.hb_mask[e] = hb
         self.cd_mask[e] = cd
         self.unit_last[e.thr] = e
+        bit = 1 << p
+        _add_bit(self.unit_mask, e.thr, bit)
+        _add_bit(self.parent_mask, e.parent_thr, bit)
+        if e.is_read_like:
+            _add_bit(self.obj_read_mask, e.obj_read, bit)
+        if e.is_write_like:
+            _add_bit(self.obj_write_mask, e.obj_written, bit)
+        if e.is_store_update:
+            _add_bit(self.obj_update_mask, e.obj_written, bit)
+        if e.act is Act.RMW:
+            _add_bit(self.obj_rmw_mask, e.obj_written, bit)
+        if e.is_sc_placement:
+            self.sc_mask |= bit
         return p
 
     def _po_pred(self, e: Event) -> list[Event]:
@@ -431,6 +474,9 @@ class RelationSet:
     dob: set[tuple[Event, Event]]
     hb_mask: dict[Event, int]               # positions of strict hb predecessors
     init_len: int
+    unit_mask: dict[str, int]               # positions of each unit's events
+    obj_read_mask: dict[str, int]           # positions of obj_reads[obj]
+    obj_write_mask: dict[str, int]          # positions of obj_issue_order[obj]
 
     def hb(self, a: Event, b: Event) -> bool:
         return bool(self.hb_mask[b] >> self.pos[a] & 1)
@@ -443,18 +489,19 @@ class RelationSet:
 Relations = LiveRelations | RelationSet
 
 
+def set_bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def hb_pairs(rels: Relations) -> list[tuple[Event, Event]]:
     """Every happens-before edge ``(a, b)``, read off the set bits of
     ``hb_mask``; ordered by ``b``'s position, then ``a``'s."""
     events = rels.events
-    out: list[tuple[Event, Event]] = []
-    for b in events:
-        mask = rels.hb_mask[b]
-        while mask:
-            low = mask & -mask
-            out.append((events[low.bit_length() - 1], b))
-            mask ^= low
-    return out
+    return [(events[p], b) for b in events for p in set_bits(rels.hb_mask[b])]
 
 
 def release_sequence(seq: "Sequence", head: Event) -> list[Event]:
@@ -477,12 +524,16 @@ def compute_relations(seq: "Sequence") -> RelationSet:
     fences = [e for e in events if e.act is Act.FENCE]
     readers: dict[Event, list[Event]] = {}
     obj_reads: dict[str, list[Event]] = {}
+    obj_read_mask: dict[str, int] = {}
     for r in reads:
         readers.setdefault(rf[r], []).append(r)
         obj_reads.setdefault(r.obj_read, []).append(r)
+        obj_read_mask[r.obj_read] = obj_read_mask.get(r.obj_read, 0) | 1 << pos[r]
     obj_issue_order: dict[str, list[Event]] = {}
+    obj_write_mask: dict[str, int] = {}
     for w in (e for e in events if e.is_write_like):
         obj_issue_order.setdefault(w.obj_written, []).append(w)
+        obj_write_mask[w.obj_written] = obj_write_mask.get(w.obj_written, 0) | 1 << pos[w]
     flush_pos = {w: pos[sh] for w, sh in seq.shadow_of.items()}
 
     # synchronizes-with: release write read by acquire read, plus fences
@@ -555,6 +606,7 @@ def compute_relations(seq: "Sequence") -> RelationSet:
             hb_mask[e] = po | via
         else:
             hb_mask[e] = po | via | init_mask
+    unit_mask = {thr: po_mask[e] | 1 << pos[e] for thr, e in unit_last.items()}
 
     # modification order per object: init write first, then flush order
     mo: dict[str, list[Event]] = {}
@@ -579,5 +631,6 @@ def compute_relations(seq: "Sequence") -> RelationSet:
         events=list(events), pos=dict(pos), rf=dict(rf), readers=readers,
         flush_pos=flush_pos, obj_reads=obj_reads, obj_issue_order=obj_issue_order,
         mo=mo, sc_placed=placed, sw=sw, dob=dob, hb_mask=hb_mask,
-        init_len=seq.init_len,
+        init_len=seq.init_len, unit_mask=unit_mask,
+        obj_read_mask=obj_read_mask, obj_write_mask=obj_write_mask,
     )

@@ -65,6 +65,16 @@ class TestEnabled:
         assert st.enabled_units() == []
         assert st.enabled_events() == set()
 
+    def test_step_of_a_disabled_unit_raises(self, mp):
+        # T1 has finished, its ``x`` queue has drained, ``f`` is still queued
+        st = run_sequence(mp, ["T1", "T1", "sth_x(T1)"])
+        assert st.enabled_units() == ["T2", "sth_f(T1)"]
+        n = len(st.rels.events)
+        for unit in ("T1", "sth_x(T1)", "sth_x(T2)"):
+            with pytest.raises(ReplayError) as exc:
+                st.step(unit)
+            assert str(exc.value) == f"step {n}: cannot schedule {unit!r}: not enabled"
+
     def test_fence_changes_nothing_but_sequence(self):
         p = parse_program(
             "program f\ninit x = 0\nthread T1:\n  fence(sc)\n  store(x, 1, rlx)\n")

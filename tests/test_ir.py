@@ -279,6 +279,9 @@ def property_definitions(e: Event) -> dict:
         "is_write_like": e.act in (Act.WRITE, Act.RMW),
         "is_read_like": e.act in (Act.READ, Act.RMW),
         "is_init": e.thr == INIT_THREAD or e.thr.endswith(f"({INIT_THREAD})"),
+        "is_store_update": e.act in (Act.SHADOW, Act.RMW),
+        "is_sc_placement": e.ord is MO.SC and e.act in (Act.READ, Act.FENCE,
+                                                         Act.RMW, Act.SHADOW),
     }
 
 
@@ -286,16 +289,22 @@ def sample_events() -> list[Event]:
     objs = {Act.WRITE: ("x",), Act.READ: ("x",), Act.RMW: ("x", "y"),
             Act.FENCE: (), Act.SHADOW: ("x",)}
     out = []
-    for act in Act:
-        threads = ["T1", INIT_THREAD] if act is not Act.SHADOW else [
-            shadow_unit("T1", "x"), shadow_unit(INIT_THREAD, "x")]
-        for thr in threads:
-            out.append(Event(thr, act, objs[act], MO.RLX, 3))
+    for order in (MO.RLX, MO.SC):
+        for act in Act:
+            threads = ["T1", INIT_THREAD] if act is not Act.SHADOW else [
+                shadow_unit("T1", "x"), shadow_unit(INIT_THREAD, "x")]
+            for thr in threads:
+                out.append(Event(thr, act, objs[act], order, 3))
     return out
 
 
+def sample_id(e: Event) -> str:
+    suffix = "" if e.ord is MO.RLX else f"-{e.ord.value}"
+    return f"{e.thr}-{e.act.value}{suffix}"
+
+
 class TestEventAttributes:
-    @pytest.mark.parametrize("e", sample_events(), ids=lambda e: f"{e.thr}-{e.act.value}")
+    @pytest.mark.parametrize("e", sample_events(), ids=sample_id)
     def test_attributes_equal_definitions(self, e):
         for name, value in property_definitions(e).items():
             assert getattr(e, name) == value, name

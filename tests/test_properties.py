@@ -11,7 +11,8 @@ For every explored maximal sequence the suite checks:
    the same reads-from, store orders, final state, and trace id;
 5. sequences with equal trace ids reach equal states;
 6. equivalence is preserved under common extension;
-7. an adjacent happens-before edge survives interposing an unrelated event.
+7. an adjacent happens-before edge survives interposing an unrelated event
+   (one not hb-after the edge's source and commuting with its target).
 
 The causal order used for linearization is the exploration relation:
 happens-before plus reads-from, issue-to-flush, per-object flush order,
@@ -27,6 +28,7 @@ from moca_verify.engine import initial_state, run_sequence
 from moca_verify.explorer import (
     EnumerationCapExceeded,
     canonical_trace_id,
+    conflicts,
     enumerate_all,
     explore,
 )
@@ -247,9 +249,17 @@ def check_hb_validity(source: str, rng: random.Random,
         sig = _signature(final)
         assert states_by_id.setdefault(trace.trace_id, sig) == sig, source
 
-    # property 7: adjacent hb edges survive an interposed unrelated event
-    for trace in report.traces[:max_traces]:
+    check_interposition(source, report.traces[:max_traces])
+
+
+def check_interposition(source: str, traces) -> None:
+    """Property 7: an adjacent hb edge ``e1 -> e2`` of each trace survives
+    interposing an event ``e3`` unrelated to both: not hb-after ``e1`` and
+    commuting with ``e2`` (``conflicts``), as the reduction assumes."""
+    target = early_write_transform(parse_program(source))
+    for trace in traces:
         state = initial_state(target)
+        release_objs = state.rels.release_objs
         for i, unit in enumerate(trace.schedule[:-1]):
             s1 = state.step(unit)
             e1 = s1.rels.events[-1]
@@ -262,7 +272,7 @@ def check_hb_validity(source: str, rng: random.Random,
                         continue
                     s13 = s1.step(u3)
                     e3 = s13.rels.events[-1]
-                    if s13.rels.hb(e1, e3):
+                    if s13.rels.hb(e1, e3) or conflicts(e3, e2, release_objs):
                         continue
                     if u2 not in s13.enabled_units():
                         continue
@@ -351,6 +361,41 @@ thread T2:
   store(b, 2, rlx)
 """
         check_hb_validity(source, random.Random(7))
+
+    def test_interposed_event_commutes_with_edge_target(self):
+        # sth_b(T1) is not hb-after T2's sc fadd, but interposing it before
+        # T3's sc load changes the load's source from the fadd to T1's
+        # relaxed store, and with it the sw edge; it conflicts with the load
+        source = """
+program interpose
+init a = 0, b = 0
+thread T1:
+  store(b, 2, rlx)
+  store(a, 1, rel)
+thread T2:
+  r1 = fadd(b, 1, sc)
+thread T3:
+  r2 = load(b, sc)
+  r3 = load(b, rlx)
+"""
+        check_hb_validity(source, random.Random(0), max_traces=1000)
+
+    def test_interposition_keeps_adjacent_sw_edge(self):
+        # T1's release fadd and T2's acquire load of it are adjacent in a
+        # trace; interposing T3's unrelated store must keep their sw edge
+        source = """
+program adjacentsw
+init a = 0, b = 0
+thread T1:
+  r1 = fadd(a, 1, rel)
+thread T2:
+  r2 = load(a, acq)
+thread T3:
+  store(b, 1, rlx)
+"""
+        traces = explore(parse_program(source)).traces
+        assert ["T1", "T2", "T3", "sth_b(T3)"] in [t.schedule for t in traces]
+        check_interposition(source, traces)
 
     def test_rmw_follows_every_unchained_plain_write(self):
         # the plain stores of T1 and T2 to ``a`` are causally unordered, so

@@ -280,7 +280,8 @@ class TestLiveMatchesReference:
                     rels = compute_relations(seq)
                     # the fields the coherence rules read, in iteration order
                     for field in ("rf", "readers", "flush_pos", "obj_reads",
-                                  "obj_issue_order", "mo"):
+                                  "obj_issue_order", "mo", "unit_mask",
+                                  "obj_read_mask", "obj_write_mask"):
                         live_items = list(getattr(st.rels, field).items())
                         assert live_items == list(getattr(rels, field).items()), \
                             (name, field)
