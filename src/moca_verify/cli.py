@@ -15,7 +15,7 @@ from pathlib import Path
 import click
 
 from .ir import ParseError, parse_program, pretty_print
-from .engine import ReplayError, run_sequence, walk_trace
+from .engine import ReplayError, initial_state, replay, run_sequence, walk_trace
 from .relations import compute_relations, hb_pairs, sc_order
 from .coherence import check_c11_oracle, check_moca
 from .explorer import (
@@ -167,8 +167,7 @@ def verify(path, as_json, max_seqs, max_depth, no_early_write, no_enforce_expect
         for t in report.traces:
             click.echo(f"trace {t.trace_id}:")
             for ev, snapshot in walk_trace(target, t.schedule):
-                shr = " ".join(f"{o}={v}" for o, v in sorted(snapshot.items()))
-                click.echo(f"  {ev.pretty():40s} | {shr}")
+                click.echo(_trace_line(ev, snapshot))
 
     mismatch = None
     if program.expect_traces is not None and not no_enforce_expect:
@@ -190,6 +189,11 @@ def verify(path, as_json, max_seqs, max_depth, no_early_write, no_enforce_expect
     sys.exit(EXIT_OK)
 
 
+def _trace_line(ev, shr: dict[str, int]) -> str:
+    """One ``--dump-trace`` line: the event and the shared store after it."""
+    return f"  {ev.pretty():40s} | " + " ".join(f"{o}={v}" for o, v in sorted(shr.items()))
+
+
 def _replay(program, replay_file: str, use_early_write: bool, dump_trace: bool) -> None:
     try:
         schedule = json.loads(Path(replay_file).read_text())
@@ -197,18 +201,20 @@ def _replay(program, replay_file: str, use_early_write: bool, dump_trace: bool) 
         click.echo(f"error: cannot read schedule {replay_file}: {e}", err=True)
         sys.exit(EXIT_USAGE)
     target = early_write_transform(program) if use_early_write else program
+    state = initial_state(target)
+    lines = []
     try:
-        state = run_sequence(target, schedule)
+        for state in replay(state, schedule):
+            if dump_trace:
+                lines.append(_trace_line(state.rels.events[-1], state.shr))
     except ReplayError as e:
         click.echo(f"replay error: {e}", err=True)
         sys.exit(EXIT_USAGE)
     rels = compute_relations(state.sequence())
     races = detect_na_races(rels)
     outcome = check_asserts(target, state)
-    if dump_trace:
-        for ev, snapshot in walk_trace(target, schedule):
-            shr = " ".join(f"{o}={v}" for o, v in sorted(snapshot.items()))
-            click.echo(f"  {ev.pretty():40s} | {shr}")
+    for line in lines:
+        click.echo(line)
     click.echo(f"trace_id: {canonical_trace_id(rels)}")
     click.echo("final shared: " + " ".join(f"{o}={v}" for o, v in sorted(state.shr.items())))
     verdict = check_moca(rels)

@@ -39,6 +39,12 @@ write issue decides nothing).  It is called only on a prefix whose every
 proper prefix passed, and happens-before, reads-from and earlier flush
 positions are stable under extension, so every failing instance involves
 ``at``, and the first one is the one a full scan would report.
+
+A flush step cannot check only ``shto``: in ``T1: store(b,1,rel);
+r0 = load(b,acq) / T2: store(b,2,rel)`` after ``T2 T1 T1``, T1's read takes
+its own pending write and T2's write is dob-before it, and ``shco`` places
+only foreign sources' flushes, so only the flush ``sth_b(T1)`` decides (and
+fails) that ``shmo3`` instance.  Hence both relation classes keep ``readers``.
 """
 
 from __future__ import annotations

@@ -67,13 +67,14 @@ class Pending:
 
 @dataclass
 class Sequence:
-    """An executed event sequence with its deterministic rf assignment."""
+    """The raw facts of an executed sequence, all ``compute_relations``
+    reads: events, positions, the deterministic rf, each flushed write's
+    store-update position, each shadow-write's write, the init length."""
 
     events: list[Event]
     rf: dict[Event, Event]
-    value_of: dict[Event, int]
     pos: dict[Event, int]
-    shadow_of: dict[Event, Event]   # write/rmw -> shadow event (rmw maps to itself)
+    flush_pos: dict[Event, int]     # write/rmw -> position of its store update
     origin_of: dict[Event, Event]   # shadow event -> originating write
     init_len: int
 
@@ -94,7 +95,6 @@ class ExecState:
             t.name: [(t.body, 0)] for t in program.threads
         }
         self.pending: dict[str, deque[Event]] = {}
-        self.unit_counts: dict[str, int] = {}
         self.rels = LiveRelations(release_class_objects(program))
         self._seed_init_events()
         for t in program.threads:
@@ -107,8 +107,7 @@ class ExecState:
             w = Event(thr=INIT_THREAD, act=Act.WRITE, obj=(obj,), ord=MO.NA, idx=i)
             sh = Event(thr=shadow_unit(INIT_THREAD, obj), act=Act.SHADOW,
                        obj=(obj,), ord=MO.NA, idx=0)
-            self.rels.append_init_write(w, val)
-            self.rels.append_init_flush(sh, w)
+            self.rels.append_init(w, sh, val)
         self.rels.seal_init()
 
     def clone(self) -> "ExecState":
@@ -118,7 +117,6 @@ class ExecState:
         other.lcl = {t: dict(env) for t, env in self.lcl.items()}
         other.cursors = {t: list(frames) for t, frames in self.cursors.items()}
         other.pending = {u: deque(q) for u, q in self.pending.items()}
-        other.unit_counts = dict(self.unit_counts)
         other.rels = self.rels.clone()
         return other
 
@@ -187,21 +185,20 @@ class ExecState:
     # -- peeking -------------------------------------------------------------
 
     def peek(self, unit: str) -> Pending:
+        """The next event of ``unit``, effects resolved.  The one enabledness
+        check: a ``ReplayError`` at the schedule index of the next step."""
+        if not (self.cursors.get(unit) or self.pending.get(unit)):
+            raise ReplayError(len(self.rels.events) - self.rels.init_len, unit,
+                              "not enabled")
+        # a unit's next idx is the number of events it has executed
+        idx = self.rels.unit_mask.get(unit, 0).bit_count()
         if is_shadow_unit(unit):
-            q = self.pending.get(unit)
-            if not q:
-                raise ReplayError(len(self.rels.events), unit, "empty shadow queue")
-            w = q[0]
+            w = self.pending[unit][0]
             ev = Event(thr=unit, act=Act.SHADOW, obj=(w.obj_written,), ord=w.ord,
-                       idx=self.unit_counts.get(unit, 0), stmt=w.stmt)
+                       idx=idx, stmt=w.stmt)
             return Pending(unit=unit, event=ev, write_value=self.rels.value_of[w])
-        if unit not in self.lcl:
-            raise ReplayError(len(self.rels.events), unit, "unknown unit")
         stmt = self._current_stmt(unit)
-        if stmt is None:
-            raise ReplayError(len(self.rels.events), unit, "thread finished")
         env = self.lcl[unit]
-        idx = self.unit_counts.get(unit, 0)
         if isinstance(stmt, Load):
             src = self.resolve_rf(unit, stmt.obj)
             val = self.rels.value_of[src]
@@ -237,27 +234,25 @@ class ExecState:
         if isinstance(stmt, Fence):
             ev = Event(thr=unit, act=Act.FENCE, obj=(), ord=stmt.mo, idx=idx, stmt=stmt)
             return Pending(unit=unit, event=ev, stmt=stmt)
-        raise ReplayError(len(self.rels.events), unit, f"unexpected statement {stmt!r}")
+        raise AssertionError(f"unexpected statement {stmt!r}")
 
     # -- stepping ------------------------------------------------------------
 
     def step(self, unit: str) -> "ExecState":
         """Execute the next event of ``unit``; returns the successor state."""
-        if not (self.cursors.get(unit) or self.pending.get(unit)):
-            raise ReplayError(len(self.rels.events), unit, "not enabled")
+        p = self.peek(unit)
         nxt = self.clone()
-        nxt._apply(nxt.peek(unit))
+        nxt._apply(p)
         return nxt
 
     def _apply(self, p: Pending) -> None:
         ev = p.event
-        self.unit_counts[ev.thr] = ev.idx + 1
         if ev.act is Act.SHADOW:
             w = self.pending[ev.thr].popleft()
             self.shr[ev.obj[0]] = self.rels.value_of[w]
             self.rels.append_flush(ev, w)
         elif ev.act is Act.READ:
-            self.rels.append_read(ev, p.rf_source, p.read_value)
+            self.rels.append_read(ev, p.rf_source)
             self.lcl[ev.thr][p.stmt.local] = p.read_value
             self._advance(ev.thr)
         elif ev.act is Act.WRITE:
@@ -266,7 +261,7 @@ class ExecState:
             self.pending.setdefault(unit, deque()).append(ev)
             self._advance(ev.thr)
         elif ev.act is Act.RMW:
-            self.rels.append_rmw(ev, p.rf_source, p.read_value, p.write_value)
+            self.rels.append_rmw(ev, p.rf_source, p.write_value)
             self.shr[ev.obj_written] = p.write_value
             self.lcl[ev.thr][p.stmt.local] = p.read_value
             self._advance(ev.thr)
@@ -296,9 +291,8 @@ class ExecState:
         return Sequence(
             events=list(r.events),
             rf=dict(r.rf),
-            value_of=dict(r.value_of),
             pos=dict(r.pos),
-            shadow_of=dict(r.flush_event),
+            flush_pos=dict(r.flush_pos),
             origin_of=dict(r.origin_of),
             init_len=r.init_len,
         )
@@ -318,21 +312,23 @@ def initial_state(program: Program) -> ExecState:
     return ExecState(program)
 
 
+def replay(state: ExecState, schedule: list[str]) -> Iterator[ExecState]:
+    """Step ``state`` through ``schedule``, yielding each successor state.
+    A unit that is not enabled raises ``ReplayError`` naming its step."""
+    for unit in schedule:
+        state = state.step(unit)
+        yield state
+
+
 def run_sequence(program: Program, schedule: list[str]) -> ExecState:
     """Deterministic replay: identical schedules yield identical states."""
     state = initial_state(program)
-    for i, unit in enumerate(schedule):
-        if unit not in state.enabled_units():
-            raise ReplayError(i, unit, "not enabled at this point")
-        state = state.step(unit)
+    for state in replay(state, schedule):
+        pass
     return state
 
 
 def walk_trace(program: Program, schedule: list[str]) -> Iterator[tuple[Event, dict[str, int]]]:
     """Yield (event, shared-store snapshot) after each replayed step."""
-    state = initial_state(program)
-    for i, unit in enumerate(schedule):
-        if unit not in state.enabled_units():
-            raise ReplayError(i, unit, "not enabled at this point")
-        state = state.step(unit)
+    for state in replay(initial_state(program), schedule):
         yield state.rels.events[-1], dict(state.shr)

@@ -143,8 +143,8 @@ def conflict_mask(rels: LiveRelations, e: Event) -> int:
         mask |= rels.obj_update_mask.get(e.obj_read, 0) & others
     if e.is_sc_placement:
         mask |= rels.sc_mask & others
-    earlier = (1 << rels.pos[e]) - 1
-    return mask & earlier & ~rels.init_mask & ~rels.unit_mask[e.thr]
+    after_init = (1 << rels.pos[e]) - (1 << rels.init_len)
+    return mask & after_init & ~rels.unit_mask[e.thr]
 
 
 # ---------------------------------------------------------------------------

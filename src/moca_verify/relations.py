@@ -8,6 +8,8 @@ Two implementations are kept deliberately separate:
 
 * ``compute_relations`` rebuilds everything from scratch from a finished
   ``Sequence`` and is the reference the incremental path is tested against.
+  It reads only the sequence's raw facts (events, positions, rf, flush
+  positions, ``origin_of``), never a live mask.
   It derives sw and dob from the sequence's own rf and release sequences,
   then happens-before in one forward pass over the events: each event's
   predecessors are final when it is reached because every po, sw and dob
@@ -34,7 +36,14 @@ and ``obj_issue_order``).  ``LiveRelations`` adds the masks race detection
 reads (``explorer.conflict_mask``): ``parent_mask`` (the events acting for
 each program thread, its shadow-writes included), ``obj_update_mask``
 (shadow-writes and rmws of each object), ``obj_rmw_mask`` and ``sc_mask``
-(every sc placement).
+(every sc placement); and ``rel_fence_mask`` (release-class fences).
+
+``LiveRelations`` stores each fact once: beyond the shared fields and
+masks, only ``cd_mask``, ``origin_of`` and ``value_of`` per event.  The
+engine's other lookups are read off the masks: ``last_of_unit``,
+``last_obj_write_of_thread``, ``last_rmw``, ``sw_sources``, a write's
+store update ``events[flush_pos[w]]`` and a unit's next ``idx``
+(``unit_mask[unit].bit_count()``).
 
 Neither stores the sc total order: ``sc_order(rels.sc_placed)`` derives it
 from the placements (program order within a thread, placement order across
@@ -134,6 +143,9 @@ def _add_bit(masks: dict[str, int], key: str, bit: int) -> None:
 class LiveRelations:
     """Append-only relation state carried by an execution state.
 
+    Each fact is stored once; the lookups below read the position masks
+    instead of keeping an index (an acquire fence walks ``unit_mask``).
+
     ``hb_mask[e]`` holds the positions of e's strict happens-before
     predecessors; ``cd_mask[e]`` the predecessors in the causal order used by
     the exploration algorithm: happens-before plus
@@ -152,24 +164,20 @@ class LiveRelations:
     """
 
     __slots__ = (
-        "events", "pos", "init_len", "init_mask", "value_of", "rf", "readers",
-        "flush_event", "flush_pos", "origin_of", "mo",
-        "obj_issue_order", "obj_reads", "thread_obj_writes", "thread_reads",
-        "rel_fences", "hb_mask", "cd_mask", "sw", "dob",
-        "sc_placed", "unit_last", "release_objs", "last_rmw",
+        "events", "pos", "init_len", "value_of", "rf", "readers",
+        "flush_pos", "origin_of", "mo", "obj_issue_order", "obj_reads",
+        "hb_mask", "cd_mask", "sw", "dob", "sc_placed", "release_objs",
         "unit_mask", "parent_mask", "obj_read_mask", "obj_write_mask",
-        "obj_update_mask", "obj_rmw_mask", "sc_mask",
+        "obj_update_mask", "obj_rmw_mask", "sc_mask", "rel_fence_mask",
     )
 
     def __init__(self, release_objs: frozenset[str]) -> None:
         self.events: list[Event] = []
         self.pos: dict[Event, int] = {}
         self.init_len = 0
-        self.init_mask = 0
         self.value_of: dict[Event, int] = {}
         self.rf: dict[Event, Event] = {}
         self.readers: dict[Event, list[Event]] = {}
-        self.flush_event: dict[Event, Event] = {}
         self.flush_pos: dict[Event, int] = {}
         self.origin_of: dict[Event, Event] = {}
         self.mo: dict[str, list[Event]] = {}
@@ -177,18 +185,12 @@ class LiveRelations:
         # keyed in first-read order, as compute_relations keys it, so the
         # rules visit objects in one order on both implementations
         self.obj_reads: dict[str, list[Event]] = {}
-        self.thread_obj_writes: dict[tuple[str, str], list[Event]] = {}
-        self.thread_reads: dict[str, list[Event]] = {}
-        self.rel_fences: dict[str, list[Event]] = {}
         self.hb_mask: dict[Event, int] = {}
         self.cd_mask: dict[Event, int] = {}
         self.sw: set[tuple[Event, Event]] = set()
         self.dob: set[tuple[Event, Event]] = set()
         self.sc_placed: list[tuple[Event, int]] = []  # (logical event, placement pos)
-        self.unit_last: dict[str, Event] = {}
         self.release_objs = release_objs
-        # per object: its last issued rmw, else its init write
-        self.last_rmw: dict[str, Event] = {}
         # position masks, kept by ``_register`` from the event attributes
         self.unit_mask: dict[str, int] = {}
         self.parent_mask: dict[str, int] = {}
@@ -197,33 +199,27 @@ class LiveRelations:
         self.obj_update_mask: dict[str, int] = {}
         self.obj_rmw_mask: dict[str, int] = {}
         self.sc_mask = 0
+        self.rel_fence_mask = 0
 
     def clone(self) -> "LiveRelations":
         other = object.__new__(LiveRelations)
         other.events = list(self.events)
         other.pos = dict(self.pos)
         other.init_len = self.init_len
-        other.init_mask = self.init_mask
         other.value_of = dict(self.value_of)
         other.rf = dict(self.rf)
         other.readers = {k: list(v) for k, v in self.readers.items()}
-        other.flush_event = dict(self.flush_event)
         other.flush_pos = dict(self.flush_pos)
         other.origin_of = dict(self.origin_of)
         other.mo = {k: list(v) for k, v in self.mo.items()}
         other.obj_issue_order = {k: list(v) for k, v in self.obj_issue_order.items()}
         other.obj_reads = {k: list(v) for k, v in self.obj_reads.items()}
-        other.thread_obj_writes = {k: list(v) for k, v in self.thread_obj_writes.items()}
-        other.thread_reads = {k: list(v) for k, v in self.thread_reads.items()}
-        other.rel_fences = {k: list(v) for k, v in self.rel_fences.items()}
         other.hb_mask = dict(self.hb_mask)
         other.cd_mask = dict(self.cd_mask)
         other.sw = set(self.sw)
         other.dob = set(self.dob)
         other.sc_placed = list(self.sc_placed)
-        other.unit_last = dict(self.unit_last)
         other.release_objs = self.release_objs
-        other.last_rmw = dict(self.last_rmw)
         other.unit_mask = dict(self.unit_mask)
         other.parent_mask = dict(self.parent_mask)
         other.obj_read_mask = dict(self.obj_read_mask)
@@ -231,6 +227,7 @@ class LiveRelations:
         other.obj_update_mask = dict(self.obj_update_mask)
         other.obj_rmw_mask = dict(self.obj_rmw_mask)
         other.sc_mask = self.sc_mask
+        other.rel_fence_mask = self.rel_fence_mask
         return other
 
     # -- queries --------------------------------------------------------------
@@ -244,9 +241,32 @@ class LiveRelations:
     def cd(self, a: Event, b: Event) -> bool:
         return bool(self.cd_mask[b] >> self.pos[a] & 1)
 
+    def _last(self, mask: int) -> Optional[Event]:
+        """The event at the top set bit of ``mask``, None for 0."""
+        return self.events[mask.bit_length() - 1] if mask else None
+
+    def last_of_unit(self, unit: str) -> Optional[Event]:
+        return self._last(self.unit_mask.get(unit, 0))
+
     def last_obj_write_of_thread(self, thread: str, obj: str) -> Optional[Event]:
-        ws = self.thread_obj_writes.get((thread, obj))
-        return ws[-1] if ws else None
+        return self._last(self.unit_mask.get(thread, 0)
+                          & self.obj_write_mask.get(obj, 0))
+
+    def last_rmw(self, obj: str) -> Event:
+        """The object's last issued rmw, else its init write."""
+        rmws = self.obj_rmw_mask.get(obj, 0)
+        return self._last(rmws) if rmws else self.obj_issue_order[obj][0]
+
+    def sw_sources(self, w: Event) -> list[Event]:
+        """What an acquire read of ``w``, or an acquire fence after one,
+        synchronizes with: the release-class fences of w's thread before
+        ``w``, then ``w`` itself if it is release-class."""
+        below = (1 << self.pos[w]) - 1
+        fences = self.unit_mask.get(w.thr, 0) & self.rel_fence_mask & below
+        out = [self.events[p] for p in set_bits(fences)]
+        if w.is_write_like and at_least(w.ord, MO.REL):
+            out.append(w)
+        return out
 
     # -- low-level append -------------------------------------------------------
 
@@ -257,14 +277,13 @@ class LiveRelations:
         hb = 0
         for d in hb_direct:
             hb |= self.hb_mask[d] | (1 << self.pos[d])
-        if self.init_len and not e.is_init:
-            hb |= self.init_mask
+        if not e.is_init:
+            hb |= (1 << self.init_len) - 1
         cd = hb
         for d in cd_direct:
             cd |= self.cd_mask[d] | (1 << self.pos[d])
         self.hb_mask[e] = hb
         self.cd_mask[e] = cd
-        self.unit_last[e.thr] = e
         bit = 1 << p
         _add_bit(self.unit_mask, e.thr, bit)
         _add_bit(self.parent_mask, e.parent_thr, bit)
@@ -278,10 +297,12 @@ class LiveRelations:
             _add_bit(self.obj_rmw_mask, e.obj_written, bit)
         if e.is_sc_placement:
             self.sc_mask |= bit
+        if e.act is Act.FENCE and at_least(e.ord, MO.REL):
+            self.rel_fence_mask |= bit
         return p
 
     def _po_pred(self, e: Event) -> list[Event]:
-        last = self.unit_last.get(e.thr)
+        last = self.last_of_unit(e.thr)
         return [last] if last is not None else []
 
     def _place_sc(self, logical: Event, placement_pos: int) -> list[Event]:
@@ -300,44 +321,28 @@ class LiveRelations:
 
     # -- init prefix -----------------------------------------------------------
 
-    def append_init_write(self, w: Event, value: int) -> None:
+    def append_init(self, w: Event, sh: Event, value: int) -> None:
+        """An init write of ``value`` and its shadow-write ``sh``."""
         self._register(w, self._po_pred(w), [])
-        self.value_of[w] = value
-        obj = w.obj[0]
-        self.obj_issue_order[obj] = [w]
-        self.last_rmw[obj] = w
-        self.mo[obj] = []
-        self.thread_obj_writes.setdefault((w.thr, obj), []).append(w)
-
-    def append_init_flush(self, sh: Event, w: Event) -> None:
         self._register(sh, self._po_pred(sh), [w])
-        obj = w.obj[0]
-        self.value_of[sh] = self.value_of[w]
+        self.value_of[w] = value
+        self.obj_issue_order[w.obj[0]] = [w]
+        self.mo[w.obj[0]] = [w]
         self.origin_of[sh] = w
-        self.flush_event[w] = sh
         self.flush_pos[w] = self.pos[sh]
-        self.mo[obj].append(w)
 
     def seal_init(self) -> None:
         self.init_len = len(self.events)
-        self.init_mask = (1 << self.init_len) - 1
 
     # -- program events ---------------------------------------------------------
 
     def _sync_preds_for_read(self, e: Event, src: Event) -> list[Event]:
         """sw and dob sources attaching to an acquire-class read (or the
         read half of an rmw)."""
-        preds: list[Event] = []
         if not at_least(e.ord, MO.ACQ):
-            return preds
-        if src.is_write_like and at_least(src.ord, MO.REL):
-            self.sw.add((src, e))
-            preds.append(src)
-        # release fence sequenced before the source write
-        for f in self.rel_fences.get(src.thr, ()):
-            if self.pos[f] < self.pos[src]:
-                self.sw.add((f, e))
-                preds.append(f)
+            return []
+        preds = self.sw_sources(src)
+        self.sw.update((s, e) for s in preds)
         # release-sequence heads whose sequence contains the source
         obj = e.obj_read
         for head in self.obj_issue_order.get(obj, ()):
@@ -352,22 +357,20 @@ class LiveRelations:
                 preds.append(head)
         return preds
 
-    def append_read(self, e: Event, src: Event, value: int) -> None:
+    def append_read(self, e: Event, src: Event) -> None:
         obj = e.obj_read
         sync = self._sync_preds_for_read(e, src)
         cd: list[Event] = [src]
         # a foreign source binds the read to that source's flush; a read of
         # the thread's own write commutes with the write's flush
         if src.thr != e.thr:
-            cd.append(self.flush_event[src])
+            cd.append(self.events[self.flush_pos[src]])
         if e.ord is MO.SC:
             cd.extend(self._place_sc(e, len(self.events)))
         self._register(e, self._po_pred(e) + sync, cd)
-        self.value_of[e] = value
         self.rf[e] = src
         self.readers.setdefault(src, []).append(e)
         self.obj_reads.setdefault(obj, []).append(e)
-        self.thread_reads.setdefault(e.thr, []).append(e)
 
     def append_write(self, e: Event, value: int) -> None:
         obj = e.obj_written
@@ -377,27 +380,27 @@ class LiveRelations:
         if obj in self.release_objs:
             cd = [self.obj_issue_order[obj][-1]]
         else:
-            cd = [self.last_rmw[obj]]
+            cd = [self.last_rmw(obj)]
         self._register(e, self._po_pred(e), cd)
         self.value_of[e] = value
         self.obj_issue_order[obj].append(e)
-        self.thread_obj_writes.setdefault((e.thr, obj), []).append(e)
 
-    def append_rmw(self, e: Event, src: Event, old: int, new: int) -> None:
+    def append_rmw(self, e: Event, src: Event, new: int) -> None:
         obj = e.obj_read
         sync = self._sync_preds_for_read(e, src)
         cd: list[Event] = [src]
         # after every write issue of the object since its last rmw: plain
         # writes of a non-release object are not chained to each other
+        last_rmw = self.last_rmw(obj)
         for w in reversed(self.obj_issue_order[obj]):
             cd.append(w)
-            if w is self.last_rmw[obj]:
+            if w is last_rmw:
                 break
         if src.thr != e.thr:
-            cd.append(self.flush_event[src])
+            cd.append(self.events[self.flush_pos[src]])
         flushed = self.mo[obj]
         if flushed:
-            cd.append(self.flush_event[flushed[-1]])
+            cd.append(self.events[self.flush_pos[flushed[-1]]])
         # the atomic update orders after earlier reads of other threads
         cd.extend(r for r in self.obj_reads.get(obj, ()) if r.thr != e.thr)
         if e.ord is MO.SC:
@@ -407,48 +410,36 @@ class LiveRelations:
         self.rf[e] = src
         self.readers.setdefault(src, []).append(e)
         self.obj_reads.setdefault(obj, []).append(e)
-        self.thread_reads.setdefault(e.thr, []).append(e)
         self.obj_issue_order[obj].append(e)
-        self.last_rmw[obj] = e
-        self.thread_obj_writes.setdefault((e.thr, obj), []).append(e)
         self.mo[obj].append(e)
-        self.flush_event[e] = e
         self.flush_pos[e] = self.pos[e]
 
     def append_fence(self, e: Event) -> None:
         sync: list[Event] = []
         if at_least(e.ord, MO.ACQ):
-            for r in self.thread_reads.get(e.thr, ()):
-                src = self.rf[r]
-                if src.is_write_like and at_least(src.ord, MO.REL):
-                    self.sw.add((src, e))
-                    sync.append(src)
-                for f in self.rel_fences.get(src.thr, ()):
-                    if self.pos[f] < self.pos[src]:
-                        self.sw.add((f, e))
-                        sync.append(f)
+            for p in set_bits(self.unit_mask.get(e.thr, 0)):
+                r = self.events[p]
+                if r.is_read_like:
+                    sync += self.sw_sources(self.rf[r])
+            self.sw.update((s, e) for s in sync)
         cd: list[Event] = []
         if e.ord is MO.SC:
             cd.extend(self._place_sc(e, len(self.events)))
         self._register(e, self._po_pred(e) + sync, cd)
-        if at_least(e.ord, MO.REL):
-            self.rel_fences.setdefault(e.thr, []).append(e)
 
     def append_flush(self, e: Event, w: Event) -> None:
         obj = e.obj[0]
         cd: list[Event] = [w]
         flushed = self.mo[obj]
         if flushed:
-            cd.append(self.flush_event[flushed[-1]])
+            cd.append(self.events[self.flush_pos[flushed[-1]]])
         # a foreign read never moves after a later flush of its object; the
         # flushing thread's own reads commute with it
         cd.extend(r for r in self.obj_reads.get(obj, ()) if r.thr != w.thr)
         if w.ord is MO.SC:
             cd.extend(self._place_sc(w, len(self.events)))
         self._register(e, self._po_pred(e), cd)
-        self.value_of[e] = self.value_of[w]
         self.origin_of[e] = w
-        self.flush_event[w] = e
         self.flush_pos[w] = self.pos[e]
         self.mo[obj].append(w)
 
@@ -534,7 +525,7 @@ def compute_relations(seq: "Sequence") -> RelationSet:
     for w in (e for e in events if e.is_write_like):
         obj_issue_order.setdefault(w.obj_written, []).append(w)
         obj_write_mask[w.obj_written] = obj_write_mask.get(w.obj_written, 0) | 1 << pos[w]
-    flush_pos = {w: pos[sh] for w, sh in seq.shadow_of.items()}
+    flush_pos = dict(seq.flush_pos)
 
     # synchronizes-with: release write read by acquire read, plus fences
     sw: set[tuple[Event, Event]] = set()
@@ -623,8 +614,8 @@ def compute_relations(seq: "Sequence") -> RelationSet:
             continue
         if e.act in (Act.READ, Act.FENCE, Act.RMW):
             placed.append((e, pos[e]))
-        elif e.act is Act.WRITE and e in seq.shadow_of:
-            placed.append((e, pos[seq.shadow_of[e]]))
+        elif e.act is Act.WRITE and e in flush_pos:
+            placed.append((e, flush_pos[e]))
     placed.sort(key=lambda t: t[1])
 
     return RelationSet(

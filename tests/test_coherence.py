@@ -24,6 +24,20 @@ thread T2:
   store(x, 2, rlx)
 """
 
+# T1's read takes its own pending write, and T2's write is dob-before that
+# read (T1's release write continues T2's release sequence), so whether T2's
+# write reached the store before the read's source is decided only when T1's
+# write flushes
+OWN_SOURCE_FLUSH = """
+program own-source-flush
+init b = 0
+thread T1:
+  store(b, 1, rel)
+  r0 = load(b, acq)
+thread T2:
+  store(b, 2, rel)
+"""
+
 
 def run(program, schedule):
     st = run_sequence(program, schedule)
@@ -115,6 +129,23 @@ class TestIncrementalAgainstPostHoc:
             post = enumerate_all(p, cap=12, prefilter=False)
             assert set(pre) == set(post), name
 
+
+    def test_flush_step_decides_shmo3(self):
+        # a shadow-write step must run the read rules on the flushed write's
+        # readers, not only ``shto``: skipping them admits a fifth,
+        # incoherent trace here
+        p = parse_program(OWN_SOURCE_FLUSH)
+        st = initial_state(early_write_transform(p))
+        for unit in ["T2", "T1", "T1"]:
+            st = st.step(unit)
+            assert check_step(st.rels) is None
+        rule, witness = check_step(st.step("sth_b(T1)").rels)
+        assert rule == "shmo3"
+        assert [e.pretty() for e in witness] == ["T2#0:write(b)rel", "T1#1:read(b)acq"]
+        rep = explore(p)
+        assert {t.trace_id for t in rep.traces} == set(enumerate_all(p, cap=12))
+        assert rep.distinct_traces == 4
+        assert rep.non_mca_sequences == 0
 
     def test_step_filter_is_first_post_hoc_failure(self):
         # every child of every coherent prefix, without reduction: the

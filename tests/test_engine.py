@@ -1,10 +1,14 @@
 from __future__ import annotations
 
-import pytest
+from collections import deque
 
-from moca_verify import parse_program, run_sequence
+import pytest
+from conftest import corpus_names, corpus_program
+
+from moca_verify import early_write_transform, explore, parse_program, run_sequence
 from moca_verify.engine import ReplayError, initial_state, walk_trace
 from moca_verify.ir import Act
+from moca_verify.relations import LiveRelations
 
 W_RWR_SCHEDULE = ["T1", "sth_x(T1)", "T2", "T2", "T2", "sth_x(T2)"]
 
@@ -69,7 +73,7 @@ class TestEnabled:
         # T1 has finished, its ``x`` queue has drained, ``f`` is still queued
         st = run_sequence(mp, ["T1", "T1", "sth_x(T1)"])
         assert st.enabled_units() == ["T2", "sth_f(T1)"]
-        n = len(st.rels.events)
+        n = 3   # the schedule index of the refused step
         for unit in ("T1", "sth_x(T1)", "sth_x(T2)"):
             with pytest.raises(ReplayError) as exc:
                 st.step(unit)
@@ -153,3 +157,49 @@ thread T1:
 """)
         st = run_sequence(p, ["T1", "T1", "sth_y(T1)"])
         assert st.shr["y"] == 10
+
+
+def mutable_ids(value) -> set[int]:
+    """ids of the mutable containers in ``value``, nested ones included;
+    tuples, frozensets and events are immutable and are not entered."""
+    ids, stack = set(), [value]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, (list, dict, set, deque)):
+            ids.add(id(v))
+            stack.extend(v.values() if isinstance(v, dict) else v)
+    return ids
+
+
+class TestClone:
+    """A field that ``clone`` forgets, or a container it shares, would let
+    one exploration branch see another's events."""
+
+    def assert_separate(self, original, clone, fields):
+        for name in fields:
+            assert hasattr(clone, name), name
+            a, b = getattr(original, name), getattr(clone, name)
+            assert a == b, name
+            assert not mutable_ids(a) & mutable_ids(b), name
+
+    def test_clones_along_explored_paths_share_nothing_mutable(self):
+        states = 0
+        for name in corpus_names():
+            p = corpus_program(name)
+            target = early_write_transform(p)
+            for t in explore(p).traces:
+                st = initial_state(target)
+                for unit in [None] + t.schedule:
+                    if unit is not None:
+                        st = st.step(unit)
+                    clone = st.clone()
+                    states += 1
+                    assert vars(clone).keys() == vars(st).keys()
+                    assert clone.program is st.program
+                    assert clone.rels is not st.rels
+                    self.assert_separate(
+                        st, clone, [k for k in vars(st) if k not in ("program", "rels")])
+                    # the program's release-class objects are shared, and frozen
+                    assert clone.rels.release_objs is st.rels.release_objs
+                    self.assert_separate(st.rels, clone.rels, LiveRelations.__slots__)
+        assert states > 1000

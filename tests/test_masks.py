@@ -4,7 +4,9 @@
 ``check_c11_oracle`` tests ``mo1``..``mo4`` with one mask per event, and
 race detection visits only the events ``conflict_mask`` selects.  The
 pairwise scans they replaced are kept here as references and compared,
-witnesses included, on every prefix of an unreduced walk.
+witnesses included, on every prefix of an unreduced walk.  So are the
+lookups ``LiveRelations`` reads off its position masks instead of storing
+them (last events, last rmw, sw sources, flush events, next idx).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from moca_verify.coherence import (
 )
 from moca_verify.engine import initial_state
 from moca_verify.explorer import _estimate_events, conflict_mask, conflicts
-from moca_verify.ir import Act
+from moca_verify.ir import Act, MO, at_least
 from moca_verify.relations import compute_relations, sc_order, sc_pairs
 from moca_verify.transform import early_write_transform
 
@@ -200,3 +202,53 @@ def test_masks_match_pairwise_references():
             failed.update(axiom for axiom, w in rules.items() if w is not None)
     assert children > 10_000
     assert {"mo1", "mo2", "mo3", "mo4", "to"} <= failed
+
+
+def reference_lookups(st):
+    """Each mask-derived lookup of ``st.rels``, named, next to a scan of its
+    events: ``(name, derived, scanned)``."""
+    rels = st.rels
+    events = rels.events
+    out = []
+    for unit in {e.thr for e in events}:
+        own = [e for e in events if e.thr == unit]
+        out.append(("last_of_unit", rels.last_of_unit(unit), own[-1]))
+        for obj in rels.obj_issue_order:
+            writes = [e for e in own if e.is_write_like and e.obj_written == obj]
+            out.append(("last_write", rels.last_obj_write_of_thread(unit, obj),
+                        writes[-1] if writes else None))
+    for obj in rels.obj_issue_order:
+        rmws = [e for e in events if e.act is Act.RMW and e.obj_written == obj]
+        init = next(e for e in events
+                    if e.is_init and e.act is Act.WRITE and e.obj_written == obj)
+        out.append(("last_rmw", rels.last_rmw(obj), rmws[-1] if rmws else init))
+    for w in (e for e in events if e.is_write_like):
+        fences = [f for f in events[:rels.pos[w]]
+                  if f.thr == w.thr and f.act is Act.FENCE and at_least(f.ord, MO.REL)]
+        release = [w] if at_least(w.ord, MO.REL) else []
+        out.append(("sw_sources", rels.sw_sources(w), fences + release))
+        out.append(("release_fences", rels.sw_sources(w)[:len(fences)], fences))
+    for w, p in rels.flush_pos.items():
+        flush = w if w.act is Act.RMW else next(
+            e for e in events if rels.origin_of.get(e) == w)
+        out.append(("flush_event", events[p], flush))
+    for unit in st.enabled_units():
+        out.append(("next_idx", st.peek(unit).event.idx,
+                    sum(1 for e in events if e.thr == unit)))
+    return out
+
+
+def test_derived_lookups_match_event_scans():
+    children = 0
+    shown = set()   # lookups seen to return more than their empty default
+    for program in walk_programs():
+        for child in unreduced_children(program):
+            children += 1
+            where = (program.name, child.schedule_so_far())
+            for name, derived, scanned in reference_lookups(child):
+                assert derived == scanned, (name,) + where
+                if scanned and not getattr(scanned, "is_init", False):
+                    shown.add(name)
+    assert children > 10_000
+    assert shown == {"last_of_unit", "last_write", "last_rmw", "sw_sources",
+                     "release_fences", "flush_event", "next_idx"}
