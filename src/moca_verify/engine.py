@@ -15,6 +15,10 @@ between that update and the read, in which case it reads that pending write.
 Initialization is a virtual ``init`` thread whose non-atomic writes and
 shadow-writes occupy a fixed prefix of every sequence (in object order) and
 are minimal elements of every relation.
+
+``step`` is ``clone().advance``: ``replay`` and the oracles stay functional,
+while the explorer advances a node's state in place for its last candidate,
+once it has cloned the state for every other one.
 """
 
 from __future__ import annotations
@@ -53,16 +57,20 @@ class ReplayError(Exception):
         super().__init__(f"step {step_index}: cannot schedule {unit!r}: {reason}")
 
 
-@dataclass(frozen=True)
 class Pending:
-    """A peeked next event for one schedulable unit, with effects resolved."""
+    """A peeked next event for one schedulable unit, with effects resolved:
+    the source and value of a read-like event, the value a write-like event
+    (or a shadow-write) stores."""
 
-    unit: str
-    event: Event
-    rf_source: Optional[Event] = None    # for read-like events
-    read_value: Optional[int] = None
-    write_value: Optional[int] = None    # for write-like events
-    stmt: Optional[Stmt] = None
+    __slots__ = ("event", "rf_source", "read_value", "write_value")
+
+    def __init__(self, event: Event, rf_source: Optional[Event] = None,
+                 read_value: Optional[int] = None,
+                 write_value: Optional[int] = None) -> None:
+        self.event = event
+        self.rf_source = rf_source
+        self.read_value = read_value
+        self.write_value = write_value
 
 
 @dataclass
@@ -82,12 +90,15 @@ class Sequence:
 class ExecState:
     """Shared store, per-thread locals and cursors, and pending-write queues.
 
-    States are cloneable snapshots; ``step`` is functional (clone + apply) so
-    independent exploration branches never share mutable state.
+    ``advance`` steps the state in place; ``step`` steps a clone and leaves
+    the state as it was.  ``table`` maps ``(unit, idx, id(stmt), act)`` to
+    the event that program point executes as, built on first use; every
+    clone shares it (a shadow-write is keyed by its write's ``stmt``).
     """
 
     def __init__(self, program: Program):
         self.program = program
+        self.table: dict[tuple, Event] = {}
         self.shr: dict[str, int] = dict(program.objects)
         self.lcl: dict[str, dict[str, int]] = {t.name: {} for t in program.threads}
         # cursor per thread: stack of (statement list, next index)
@@ -113,6 +124,7 @@ class ExecState:
     def clone(self) -> "ExecState":
         other = object.__new__(ExecState)
         other.program = self.program
+        other.table = self.table
         other.shr = dict(self.shr)
         other.lcl = {t: dict(env) for t, env in self.lcl.items()}
         other.cursors = {t: list(frames) for t, frames in self.cursors.items()}
@@ -163,9 +175,6 @@ class ExecState:
     def enabled_events(self) -> set[Event]:
         return {self.peek(u).event for u in self.enabled_units()}
 
-    def is_terminal(self) -> bool:
-        return not self.enabled_units()
-
     # -- reads-from resolution ---------------------------------------------------
 
     def latest_visible_write(self, obj: str) -> Event:
@@ -184,6 +193,16 @@ class ExecState:
 
     # -- peeking -------------------------------------------------------------
 
+    def _event(self, unit: str, idx: int, stmt: Stmt, act: Act,
+               obj: tuple[str, ...], ord: MO) -> Event:
+        """The event ``unit`` executes as its ``idx``-th, built once."""
+        key = (unit, idx, id(stmt), act)
+        ev = self.table.get(key)
+        if ev is None:
+            ev = self.table[key] = Event(thr=unit, act=act, obj=obj, ord=ord,
+                                         idx=idx, stmt=stmt)
+        return ev
+
     def peek(self, unit: str) -> Pending:
         """The next event of ``unit``, effects resolved.  The one enabledness
         check: a ``ReplayError`` at the schedule index of the next step."""
@@ -194,56 +213,46 @@ class ExecState:
         idx = self.rels.unit_mask.get(unit, 0).bit_count()
         if is_shadow_unit(unit):
             w = self.pending[unit][0]
-            ev = Event(thr=unit, act=Act.SHADOW, obj=(w.obj_written,), ord=w.ord,
-                       idx=idx, stmt=w.stmt)
-            return Pending(unit=unit, event=ev, write_value=self.rels.value_of[w])
+            ev = self._event(unit, idx, w.stmt, Act.SHADOW, (w.obj_written,), w.ord)
+            return Pending(ev, write_value=self.rels.value_of[w])
         stmt = self._current_stmt(unit)
         env = self.lcl[unit]
         if isinstance(stmt, Load):
             src = self.resolve_rf(unit, stmt.obj)
-            val = self.rels.value_of[src]
-            ev = Event(thr=unit, act=Act.READ, obj=(stmt.obj,), ord=stmt.mo,
-                       idx=idx, stmt=stmt)
-            return Pending(unit=unit, event=ev, rf_source=src, read_value=val,
-                           stmt=stmt)
+            ev = self._event(unit, idx, stmt, Act.READ, (stmt.obj,), stmt.mo)
+            return Pending(ev, src, self.rels.value_of[src])
         if isinstance(stmt, Store):
-            val = eval_expr(stmt.value, env)
-            ev = Event(thr=unit, act=Act.WRITE, obj=(stmt.obj,), ord=stmt.mo,
-                       idx=idx, stmt=stmt)
-            return Pending(unit=unit, event=ev, write_value=val, stmt=stmt)
+            ev = self._event(unit, idx, stmt, Act.WRITE, (stmt.obj,), stmt.mo)
+            return Pending(ev, write_value=eval_expr(stmt.value, env))
         if isinstance(stmt, Fadd):
             src = self.resolve_rf(unit, stmt.obj)
             old = self.rels.value_of[src]
-            new = old + eval_expr(stmt.delta, env)
-            ev = Event(thr=unit, act=Act.RMW, obj=(stmt.obj, stmt.obj), ord=stmt.mo,
-                       idx=idx, stmt=stmt)
-            return Pending(unit=unit, event=ev, rf_source=src, read_value=old,
-                           write_value=new, stmt=stmt)
+            ev = self._event(unit, idx, stmt, Act.RMW, (stmt.obj, stmt.obj), stmt.mo)
+            return Pending(ev, src, old, old + eval_expr(stmt.delta, env))
         if isinstance(stmt, Cas):
             src = self.resolve_rf(unit, stmt.obj)
             old = self.rels.value_of[src]
             if old == eval_expr(stmt.expect, env):
-                ev = Event(thr=unit, act=Act.RMW, obj=(stmt.obj, stmt.obj),
-                           ord=stmt.mo, idx=idx, stmt=stmt)
-                return Pending(unit=unit, event=ev, rf_source=src, read_value=old,
-                               write_value=eval_expr(stmt.desired, env), stmt=stmt)
-            ev = Event(thr=unit, act=Act.READ, obj=(stmt.obj,), ord=stmt.mo,
-                       idx=idx, stmt=stmt)
-            return Pending(unit=unit, event=ev, rf_source=src, read_value=old,
-                           stmt=stmt)
+                ev = self._event(unit, idx, stmt, Act.RMW, (stmt.obj, stmt.obj),
+                                 stmt.mo)
+                return Pending(ev, src, old, eval_expr(stmt.desired, env))
+            ev = self._event(unit, idx, stmt, Act.READ, (stmt.obj,), stmt.mo)
+            return Pending(ev, src, old)
         if isinstance(stmt, Fence):
-            ev = Event(thr=unit, act=Act.FENCE, obj=(), ord=stmt.mo, idx=idx, stmt=stmt)
-            return Pending(unit=unit, event=ev, stmt=stmt)
+            return Pending(self._event(unit, idx, stmt, Act.FENCE, (), stmt.mo))
         raise AssertionError(f"unexpected statement {stmt!r}")
 
     # -- stepping ------------------------------------------------------------
 
     def step(self, unit: str) -> "ExecState":
-        """Execute the next event of ``unit``; returns the successor state."""
-        p = self.peek(unit)
-        nxt = self.clone()
-        nxt._apply(p)
-        return nxt
+        """The successor state after the next event of ``unit``; ``self``
+        is left unchanged."""
+        return self.clone().advance(unit)
+
+    def advance(self, unit: str) -> "ExecState":
+        """Execute the next event of ``unit`` in place; returns ``self``."""
+        self._apply(self.peek(unit))
+        return self
 
     def _apply(self, p: Pending) -> None:
         ev = p.event
@@ -253,7 +262,7 @@ class ExecState:
             self.rels.append_flush(ev, w)
         elif ev.act is Act.READ:
             self.rels.append_read(ev, p.rf_source)
-            self.lcl[ev.thr][p.stmt.local] = p.read_value
+            self.lcl[ev.thr][ev.stmt.local] = p.read_value
             self._advance(ev.thr)
         elif ev.act is Act.WRITE:
             self.rels.append_write(ev, p.write_value)
@@ -263,7 +272,7 @@ class ExecState:
         elif ev.act is Act.RMW:
             self.rels.append_rmw(ev, p.rf_source, p.write_value)
             self.shr[ev.obj_written] = p.write_value
-            self.lcl[ev.thr][p.stmt.local] = p.read_value
+            self.lcl[ev.thr][ev.stmt.local] = p.read_value
             self._advance(ev.thr)
         elif ev.act is Act.FENCE:
             self.rels.append_fence(ev)

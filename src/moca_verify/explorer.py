@@ -25,6 +25,12 @@ earlier events that ``conflict_mask`` selects from per-object, per-unit and
 sc position masks (exactly those ``conflicts`` accepts), and tests a race's
 reversibility on the set bits of the causal mask between the two.
 
+A node's state is dead once its candidates are built, so every enabled
+unit but the last steps a clone of it and the last advances it in place.
+A candidate state is advanced in turn once its own subtree starts; the
+sleep-set test therefore reads the event each candidate executed from
+``_Node.events``, never from the candidate's state.
+
 The incremental coherence filter interacts with both mechanisms: pruned
 candidates still feed race detection, insertions must land on units
 schedulable at the target node, and a violated ordering rule proposes the
@@ -47,17 +53,20 @@ from typing import Optional
 
 from .ir import (
     Act,
+    BinOp,
     Event,
+    LocalRef,
     MO,
     Program,
     QualifiedRef,
     SharedRef,
     UndefinedName,
+    UnOp,
     eval_expr,
     shadow_unit,
 )
 from .engine import ExecState, initial_state
-from .relations import LiveRelations, Relations, compute_relations, hb_pairs, set_bits
+from .relations import LiveRelations, Relations, compute_relations, set_bits
 from .coherence import check_moca, check_c11_oracle, check_step, overdue_write
 from .transform import early_write_transform
 
@@ -159,12 +168,22 @@ def canonical_trace_id(rels: Relations) -> str:
     independent events agree on all four, while differing rf, store order,
     or synchronization structure changes the id.
     """
-    name = {e: e.name for e in rels.events}
-    events = sorted(name.values())
-    rf = sorted(f"{name[w]}->{name[r]}" for r, w in rels.rf.items())
-    mo = {obj: [name[w] for w in ws] for obj, ws in rels.mo.items()}
-    hb = sorted(f"{name[a]}->{name[b]}" for a, b in hb_pairs(rels))
-    payload = json.dumps({"events": events, "rf": rf, "mo": mo, "hb": hb},
+    names = [e.name for e in rels.events]
+    rf = sorted(f"{w.name}->{r.name}" for r, w in rels.rf.items())
+    mo = {obj: [w.name for w in ws] for obj, ws in rels.mo.items()}
+    # an hb edge a->b per set bit of hb_mask[b]; set_bits is inlined, as
+    # this loop runs once per hb edge of every recorded sequence
+    hb: list[str] = []
+    hb_mask = rels.hb_mask
+    for b, name_b in zip(rels.events, names):
+        to_b = "->" + name_b
+        mask = hb_mask[b]
+        while mask:
+            low = mask & -mask
+            hb.append(names[low.bit_length() - 1] + to_b)
+            mask ^= low
+    hb.sort()
+    payload = json.dumps({"events": sorted(names), "rf": rf, "mo": mo, "hb": hb},
                          sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
@@ -230,7 +249,6 @@ def _eval_assert(expr, final: ExecState, locals_by_thread) -> int:
 
     # bare names: shared object if declared, else a unique thread local
     env: dict[str, int] = {}
-    from .ir import LocalRef, BinOp, UnOp
 
     def rewrite(e):
         if isinstance(e, LocalRef):
@@ -313,15 +331,19 @@ class ExplorationReport:
 
 class _Node:
     """One state on the search path: its coherent successor states keyed by
-    unit (``candidates``) and the unit whose subtree is being explored."""
+    unit (``candidates``), the event each of them executed (``events``), and
+    the unit whose subtree is being explored.  A candidate state is advanced
+    in place once its subtree starts, so only ``events`` says what it ran."""
 
-    __slots__ = ("backtrack", "done", "sleep", "candidates", "unit")
+    __slots__ = ("backtrack", "done", "sleep", "candidates", "events", "unit")
 
-    def __init__(self, sleep: set[str], candidates: dict[str, ExecState]):
+    def __init__(self, sleep: set[str], candidates: dict[str, ExecState],
+                 events: dict[str, Event]):
         self.backtrack: set[str] = set()
         self.done: set[str] = set()
         self.sleep = sleep
         self.candidates = candidates
+        self.events = events
         self.unit: Optional[str] = None
 
 
@@ -342,9 +364,13 @@ class _Explorer:
 
     # -- candidate filtering ---------------------------------------------------
 
-    def _candidates(self, state: ExecState) -> tuple[dict[str, ExecState], set[str]]:
-        """Enabled units surviving the incremental coherence filter, mapped to
-        their successor states, plus recovery units for pruned ones.
+    def _candidates(self, state: ExecState, units: list[str]
+                    ) -> tuple[dict[str, ExecState], dict[str, Event], set[str]]:
+        """The ``units`` enabled at ``state`` that survive the incremental
+        coherence filter, mapped to their successor states and to the events
+        they executed, plus recovery units for pruned ones.  ``state`` is
+        dead afterwards: the last unit advances it in place instead of
+        stepping a clone.
 
         Pruned candidates still feed race detection: a pruned event's
         reversible races are the schedule changes that can realize its
@@ -354,18 +380,22 @@ class _Explorer:
         backtrack alternative.
         """
         out: dict[str, ExecState] = {}
+        events: dict[str, Event] = {}
         recoveries: set[str] = set()
-        for unit in state.enabled_units():
-            child = state.step(unit)
+        last = units[-1]
+        for unit in units:
+            child = state.advance(unit) if unit == last else state.step(unit)
+            executed = child.rels.events[-1]
             verdict = check_step(child.rels)
             if verdict is None:
                 out[unit] = child
+                events[unit] = executed
                 continue
-            self._find_races(child, child.rels.events[-1])
+            self._find_races(child, executed)
             overdue = overdue_write(child.rels, *verdict)
             if overdue is not None:
                 recoveries.add(shadow_unit(overdue.thr, overdue.obj_written))
-        return out, recoveries
+        return out, events, recoveries
 
     # -- race detection ----------------------------------------------------------
 
@@ -481,14 +511,13 @@ class _Explorer:
                     self.nodes.pop()
                     continue
                 node.unit = unit
-                candidates = node.candidates
-                child = candidates[unit]
-                executed = child.rels.events[-1]
+                child = node.candidates[unit]
+                events = node.events
+                executed = events[unit]
                 self._find_races(child, executed)
                 release_objs = child.rels.release_objs
-                child_sleep = {q for q in node.sleep if q in candidates
-                               and not conflicts(executed, candidates[q].rels.events[-1],
-                                                 release_objs)}
+                child_sleep = {q for q in node.sleep if q in events
+                               and not conflicts(executed, events[q], release_objs)}
                 self._push(child, child_sleep)
         except ExplorationBudgetExceeded:
             self.report.budget_exhausted = True
@@ -502,14 +531,15 @@ class _Explorer:
         if len(self.nodes) > self.max_depth:
             self.report.budget_exhausted = True
             return
-        if state.is_terminal():
+        units = state.enabled_units()
+        if not units:
             self._record_maximal(state)
             return
-        candidates, recoveries = self._candidates(state)
+        candidates, events, recoveries = self._candidates(state, units)
         available = [u for u in candidates if u not in sleep]
         if not available:
             return  # sleep-set blocked or fully pruned: redundant or incoherent
-        node = _Node(sleep, candidates)
+        node = _Node(sleep, candidates, events)
         node.backtrack.add(min(available, key=self.unit_key))
         node.backtrack.update(u for u in recoveries if u in candidates)
         self.nodes.append(node)

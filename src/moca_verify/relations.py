@@ -68,11 +68,14 @@ if TYPE_CHECKING:
     from .engine import Sequence
 
 
+def _is_weak(w: Event) -> bool:
+    """A non-rmw write strictly weaker than release."""
+    return w.act is not Act.RMW and w.ord in (MO.NA, MO.RLX)
+
+
 def _is_cutting(w: Event, head: Event) -> bool:
-    """A release sequence is cut by a foreign-thread non-rmw write strictly
-    weaker than release."""
-    return (w.thr != head.thr and w.act is not Act.RMW
-            and w.ord in (MO.NA, MO.RLX))
+    """A release sequence is cut by a foreign-thread weak write."""
+    return w.thr != head.thr and _is_weak(w)
 
 
 def release_sequence_members(issue_order: Iterable[Event], head: Event) -> list[Event]:
@@ -92,6 +95,29 @@ def release_sequence_members(issue_order: Iterable[Event], head: Event) -> list[
             break
         members.append(w)
     return members
+
+
+def release_heads(src: Event, earlier: Iterable[Event]) -> list[Event]:
+    """The release-class writes other than ``src`` whose release sequence
+    contains ``src``, given ``earlier``: the writes of src's object issued
+    before it, latest first.
+
+    One walk back from the source: a head qualifies while every weak write
+    after it, ``src`` included, is of the head's own thread, so the walk
+    ends at the second thread with a weak write.  ``release_sequence_members``
+    is the per-head reference.
+    """
+    heads: list[Event] = []
+    owner = src.thr if _is_weak(src) else None   # the thread of the weak writes
+    for w in earlier:
+        if (owner is None or owner == w.thr) and at_least(w.ord, MO.REL):
+            heads.append(w)
+        if _is_weak(w):
+            if owner is None:
+                owner = w.thr
+            elif owner != w.thr:
+                break
+    return heads
 
 
 # ---------------------------------------------------------------------------
@@ -345,17 +371,10 @@ class LiveRelations:
         self.sw.update((s, e) for s in preds)
         # release-sequence heads whose sequence contains the source
         obj = e.obj_read
-        for head in self.obj_issue_order.get(obj, ()):
-            if head == src:
-                continue
-            if not (head.is_write_like and at_least(head.ord, MO.REL)):
-                continue
-            if self.pos[head] > self.pos[src]:
-                continue
-            if src in release_sequence_members(self.obj_issue_order[obj], head):
-                self.dob.add((head, e))
-                preds.append(head)
-        return preds
+        before = (self.obj_write_mask[obj] & ((1 << self.pos[src]) - 1)).bit_count()
+        heads = release_heads(src, reversed(self.obj_issue_order[obj][:before]))
+        self.dob.update((head, e) for head in heads)
+        return preds + heads
 
     def append_read(self, e: Event, src: Event) -> None:
         obj = e.obj_read
@@ -555,13 +574,9 @@ def compute_relations(seq: "Sequence") -> RelationSet:
             continue
         src = rf[r]
         obj = r.obj_read
-        for head in obj_issue_order.get(obj, ()):
-            if head == src or pos[head] > pos[src]:
-                continue
-            if not at_least(head.ord, MO.REL):
-                continue
-            if src in release_sequence_members(obj_issue_order[obj], head):
-                dob.add((head, r))
+        before = (obj_write_mask[obj] & ((1 << pos[src]) - 1)).bit_count()
+        dob.update((head, r) for head in
+                   release_heads(src, reversed(obj_issue_order[obj][:before])))
 
     # happens-before in one forward pass: po plus the inter-thread closure,
     # i.e. reachability over unit-successor + sync edges counting paths with

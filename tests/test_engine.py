@@ -7,7 +7,7 @@ from conftest import corpus_names, corpus_program
 
 from moca_verify import early_write_transform, explore, parse_program, run_sequence
 from moca_verify.engine import ReplayError, initial_state, walk_trace
-from moca_verify.ir import Act
+from moca_verify.ir import Act, Event
 from moca_verify.relations import LiveRelations
 
 W_RWR_SCHEDULE = ["T1", "sth_x(T1)", "T2", "T2", "T2", "sth_x(T2)"]
@@ -196,9 +196,13 @@ class TestClone:
                     states += 1
                     assert vars(clone).keys() == vars(st).keys()
                     assert clone.program is st.program
+                    # the event table is shared, and holds only events
+                    assert clone.table is st.table
+                    assert all(type(ev) is Event for ev in st.table.values())
                     assert clone.rels is not st.rels
                     self.assert_separate(
-                        st, clone, [k for k in vars(st) if k not in ("program", "rels")])
+                        st, clone,
+                        [k for k in vars(st) if k not in ("program", "table", "rels")])
                     # the program's release-class objects are shared, and frozen
                     assert clone.rels.release_objs is st.rels.release_objs
                     self.assert_separate(st.rels, clone.rels, LiveRelations.__slots__)

@@ -1,19 +1,25 @@
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
 from conftest import corpus_names, corpus_program
 
 from moca_verify import parse_program, run_sequence
 from moca_verify.coherence import check_moca
+from moca_verify.engine import ExecState
 from moca_verify.explorer import (
     EnumerationCapExceeded,
+    _Explorer,
     canonical_trace_id,
     detect_na_races,
     enumerate_all,
     explore,
 )
-from moca_verify.relations import compute_relations
+from moca_verify.ir import Act, Event
+from moca_verify.relations import compute_relations, hb_pairs
 from moca_verify.transform import early_write_transform
 
 
@@ -224,3 +230,155 @@ class TestBudget:
                 continue
             rep = explore(p)
             assert rep.trace_ids == set(oracle), name
+
+
+# ---------------------------------------------------------------------------
+# The trace id against its earlier formula
+# ---------------------------------------------------------------------------
+
+def reference_trace_id(rels):
+    """``canonical_trace_id`` as first written: an Event-keyed name map and
+    one formatted string per ``hb_pairs`` tuple.  ``bench/trace_ids.json``
+    pins ids made this way, so the payload must stay byte-identical."""
+    name = {e: e.name for e in rels.events}
+    events = sorted(name.values())
+    rf = sorted(f"{name[w]}->{name[r]}" for r, w in rels.rf.items())
+    mo = {obj: [name[w] for w in ws] for obj, ws in rels.mo.items()}
+    hb = sorted(f"{name[a]}->{name[b]}" for a, b in hb_pairs(rels))
+    payload = json.dumps({"events": events, "rf": rf, "mo": mo, "hb": hb},
+                         sort_keys=True)
+    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+
+def maximal_states(program, monkeypatch):
+    """Explore ``program``; return its report and every recorded state."""
+    states = []
+    record = _Explorer._record_maximal
+
+    def keep(self, state):
+        states.append(state)
+        record(self, state)
+
+    with monkeypatch.context() as m:
+        m.setattr(_Explorer, "_record_maximal", keep)
+        report = explore(program)
+    return report, states
+
+
+def test_trace_id_matches_reference_formula(monkeypatch):
+    sequences = 0
+    for name in corpus_names():
+        for st in maximal_states(corpus_program(name), monkeypatch)[1]:
+            sequences += 1
+            for rels in (st.rels, compute_relations(st.sequence())):
+                assert canonical_trace_id(rels) == reference_trace_id(rels), \
+                    (name, st.schedule_so_far())
+    assert sequences > 200
+
+
+# ---------------------------------------------------------------------------
+# Stepping: a node's state goes to its last candidate, events are built once
+# ---------------------------------------------------------------------------
+
+def pushed_states(program, monkeypatch, check):
+    """Explore ``program`` calling ``check(state, schedule)`` on every state
+    the search pushes, before it is expanded; ``schedule`` is the units the
+    nodes on the search path explore, i.e. what the state should have run.
+    Returns the report."""
+    push = _Explorer._push
+
+    def checked(self, state, sleep):
+        check(state, [node.unit for node in self.nodes])
+        push(self, state, sleep)
+
+    with monkeypatch.context() as m:
+        m.setattr(_Explorer, "_push", checked)
+        return explore(program)
+
+
+def test_donated_states_match_a_fresh_replay(monkeypatch):
+    """When a node explores unit ``u``, the child state equals a fresh replay
+    of the node's schedule plus ``u``, although all but the first pushed
+    state are clones or in-place advances of a parent."""
+    seen: dict[int, object] = {}
+    donated = 0
+
+    for name in corpus_names():
+        target = early_write_transform(corpus_program(name))
+
+        def check(state, schedule):
+            nonlocal donated
+            donated += id(state) in seen
+            seen[id(state)] = state    # kept alive, so ids stay unique
+            fresh = run_sequence(target, schedule)
+            a, b = state.rels, fresh.rels
+            where = (name, schedule)
+            assert state.schedule_so_far() == schedule, where
+            assert a.events == b.events, where
+            assert a.hb_mask == b.hb_mask, where
+            assert a.cd_mask == b.cd_mask, where
+            assert a.rf == b.rf, where
+            assert a.flush_pos == b.flush_pos, where
+            assert state.shr == fresh.shr, where
+            assert state.lcl == fresh.lcl, where
+
+        pushed_states(corpus_program(name), monkeypatch, check)
+    assert donated > 100
+
+
+def test_events_are_built_once_per_program_point(monkeypatch):
+    """Within one exploration an event is one object per program point, and
+    the table holds what ``Event(...)`` builds from its key."""
+    for name in corpus_names():
+        tables = []
+        by_point: dict[tuple, Event] = {}
+
+        def check(state, schedule):
+            tables.append(state.table)
+            for ev in state.rels.events[state.rels.init_len:]:
+                assert by_point.setdefault((ev, id(ev.stmt)), ev) is ev, name
+
+        pushed_states(corpus_program(name), monkeypatch, check)
+        table = tables[0]
+        assert all(t is table for t in tables), name
+        assert set(map(id, by_point.values())) <= set(map(id, table.values())), name
+        for (unit, idx, stmt_id, act), ev in table.items():
+            stmt = ev.stmt
+            assert id(stmt) == stmt_id, name
+            obj = (() if act is Act.FENCE else
+                   (stmt.obj, stmt.obj) if act is Act.RMW else (stmt.obj,))
+            fresh = Event(thr=unit, act=act, obj=obj, ord=stmt.mo, idx=idx, stmt=stmt)
+            assert fresh == ev and hash(fresh) == hash(ev), (name, ev)
+            assert fresh.name == ev.name and fresh.pretty() == ev.pretty(), name
+            assert fresh.stmt is ev.stmt, name
+
+
+@pytest.mark.parametrize("name", ["counter-3", "flipper-3"])
+def test_stepping_counts(name, monkeypatch):
+    """Every distinct event is constructed once, and every candidate step
+    clones except the last one of each expanded node."""
+    built: list[tuple] = []
+    counts = {"clone": 0, "advance": 0, "_candidates": 0}
+    post_init = Event.__post_init__
+
+    def counting_post_init(self):
+        built.append((self.thr, self.act, self.obj, self.ord, self.idx, id(self.stmt)))
+        post_init(self)
+
+    def counted(cls, attr):
+        original = getattr(cls, attr)
+
+        def wrapper(*args, **kwargs):
+            counts[attr] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(cls, attr, wrapper)
+
+    monkeypatch.setattr(Event, "__post_init__", counting_post_init)
+    counted(ExecState, "clone")
+    counted(ExecState, "advance")
+    counted(_Explorer, "_candidates")
+    report = explore(corpus_program(name))
+    assert report.sequences_explored == 36
+    assert len(built) == len(set(built))
+    assert counts["_candidates"] > 0
+    assert counts["clone"] == counts["advance"] - counts["_candidates"]

@@ -5,14 +5,16 @@ import random
 import pytest
 
 from conftest import corpus_names, corpus_program
+from test_properties import random_program_source
 
-from moca_verify import parse_program, run_sequence
+from moca_verify import explore, parse_program, run_sequence
 from moca_verify.engine import initial_state
-from moca_verify.explorer import canonical_trace_id
-from moca_verify.ir import Act, ContractViolation, Event, MO
+from moca_verify.explorer import _Explorer, canonical_trace_id
+from moca_verify.ir import Act, ContractViolation, Event, MO, at_least
 from moca_verify.relations import (
     compute_relations,
     release_sequence,
+    release_sequence_members,
     sc_order,
     sc_pairs,
 )
@@ -357,3 +359,80 @@ class TestHappensBeforeMask:
         seq.pos[w_f], seq.pos[r_f] = j, i
         with pytest.raises(ContractViolation):
             compute_relations(seq)
+
+
+# ---------------------------------------------------------------------------
+# dob by one backward walk per read, against one walk per release head
+# ---------------------------------------------------------------------------
+
+def reference_dob(rels):
+    """dob by one ``release_sequence_members`` call per release head before
+    each acquire read's source."""
+    dob = set()
+    for r in rels.events:
+        if not (r.is_read_like and at_least(r.ord, MO.ACQ)):
+            continue
+        src = rels.rf[r]
+        order = rels.obj_issue_order[r.obj_read]
+        for head in order:
+            if head == src or rels.pos[head] > rels.pos[src]:
+                continue
+            if at_least(head.ord, MO.REL) and src in release_sequence_members(order, head):
+                dob.add((head, r))
+    return dob
+
+
+def assert_dob_matches_reference(program, monkeypatch):
+    """Live dob, rebuilt dob and the reference agree on every maximal
+    sequence ``explore`` records; returns the number of dob edges seen."""
+    edges = 0
+    record = _Explorer._record_maximal
+
+    def check(self, state):
+        live = state.rels
+        reference = reference_dob(live)
+        assert live.dob == reference, (program.name, state.schedule_so_far())
+        assert compute_relations(state.sequence()).dob == reference
+        nonlocal edges
+        edges += len(reference)
+        record(self, state)
+
+    with monkeypatch.context() as m:
+        m.setattr(_Explorer, "_record_maximal", check)
+        explore(program)
+    return edges
+
+
+def release_program_source(rng: random.Random) -> str:
+    """Two threads of one or two writes of ``x`` (weak and release stores,
+    rmws) and maybe an acquire load, and a third thread's acquire load: the
+    release sequences that foreign weak stores cut or rmws continue."""
+    lines = ["program rs", "init x = 0"]
+    for t in (1, 2):
+        lines.append(f"thread T{t}:")
+        for i in range(rng.randint(1, 2)):
+            if rng.random() < 0.25:
+                lines.append(f"  f{t}_{i} = fadd(x, 1, {rng.choice(['rlx', 'rel'])})")
+            else:
+                lines.append(f"  store(x, {t}, {rng.choice(['na', 'rlx', 'rel'])})")
+        if rng.random() < 0.5:
+            lines.append(f"  r{t} = load(x, acq)")
+    lines += ["thread T3:", "  r0 = load(x, acq)"]
+    return "\n".join(lines) + "\n"
+
+
+def test_dob_matches_release_sequence_reference(monkeypatch):
+    rng = random.Random(20261018)
+    programs = [corpus_program(n) for n in corpus_names()]
+    programs += [parse_program(random_program_source(rng)) for _ in range(40)]
+    programs += [parse_program(release_program_source(rng)) for _ in range(30)]
+    assert sum(assert_dob_matches_reference(p, monkeypatch) for p in programs) > 500
+
+
+def test_dob_on_a_long_release_sequence(monkeypatch):
+    """300 release stores then an acquire load: the load is dob-after every
+    earlier store of the thread's release sequence."""
+    body = "".join(f"  store(x, {i}, rel)\n" for i in range(300))
+    program = parse_program(
+        f"program long\ninit x = 0\nthread T1:\n{body}  r = load(x, acq)\n")
+    assert assert_dob_matches_reference(program, monkeypatch) == 299
