@@ -16,7 +16,7 @@ import click
 
 from .ir import ParseError, parse_program, pretty_print
 from .engine import ReplayError, initial_state, replay, run_sequence, walk_trace
-from .relations import compute_relations, hb_pairs, sc_order
+from .relations import compute_relations, hb_pairs, mask_edges, rf_pairs, sc_order
 from .coherence import check_c11_oracle, check_moca
 from .explorer import (
     EnumerationCapExceeded,
@@ -76,18 +76,22 @@ def _text_report(report: ExplorationReport) -> str:
 
 def _relation_dump(program, schedule: list[str]) -> dict:
     rels = compute_relations(run_sequence(program, schedule).sequence())
-    hb_edges = sorted(f"{a.pretty()} -> {b.pretty()}" for a, b in hb_pairs(rels))
-    to, _ = sc_order(rels.sc_placed)
+    events = rels.events
+
+    def edges(pairs) -> list[str]:
+        return sorted(f"{a.pretty()} -> {b.pretty()}" for a, b in pairs)
+
+    to, _ = sc_order(events, rels.sc_placed)
     return {
         "schema": "moca-verify-relations/1",
         "schedule": schedule,
-        "events": [e.pretty() for e in rels.events],
-        "rf": sorted(f"{w.pretty()} -> {r.pretty()}" for r, w in rels.rf.items()),
-        "sw": sorted(f"{a.pretty()} -> {b.pretty()}" for a, b in rels.sw),
-        "dob": sorted(f"{a.pretty()} -> {b.pretty()}" for a, b in rels.dob),
-        "hb": hb_edges,
-        "mo": {obj: [w.pretty() for w in ws] for obj, ws in rels.mo.items()},
-        "to": None if to is None else [e.pretty() for e in to],
+        "events": [e.pretty() for e in events],
+        "rf": edges((w, r) for r, w in rf_pairs(rels)),
+        "sw": edges(mask_edges(events, rels.sw)),
+        "dob": edges(mask_edges(events, rels.dob)),
+        "hb": edges(hb_pairs(rels)),
+        "mo": {obj: [events[w].pretty() for w in ws] for obj, ws in rels.mo.items()},
+        "to": None if to is None else [events[p].pretty() for p in to],
         "coherent": check_moca(rels).ok,
         "c11_coherent": check_c11_oracle(rels).ok,
     }
@@ -136,7 +140,8 @@ def main() -> None:
 @click.option("--no-enforce-expect", is_flag=True,
               help="ignore 'expect traces = N' annotations")
 @click.option("--emit-transformed", is_flag=True,
-              help="also print the transformed program source")
+              help="also print the transformed program source (with --json, "
+                   "under the report's \"transformed\" key)")
 @click.option("--dump-relations", is_flag=True,
               help="include per-trace relation edge lists in the JSON report")
 @click.option("--dump-trace", is_flag=True,
@@ -152,8 +157,9 @@ def verify(path, as_json, max_seqs, max_depth, no_early_write, no_enforce_expect
         _replay(program, replay_file, not no_early_write, dump_trace)
         return
 
-    if emit_transformed:
-        click.echo(pretty_print(early_write_transform(program)), nl=False)
+    transformed = pretty_print(early_write_transform(program)) if emit_transformed else None
+    if transformed is not None and not as_json:
+        click.echo(transformed, nl=False)
 
     report = explore(program, max_seqs=max_seqs, max_depth=max_depth,
                      use_early_write=not no_early_write)
@@ -176,6 +182,8 @@ def verify(path, as_json, max_seqs, max_depth, no_early_write, no_enforce_expect
     if as_json:
         payload["expect_traces"] = program.expect_traces
         payload["expect_mismatch"] = bool(mismatch)
+        if transformed is not None:
+            payload["transformed"] = transformed
         click.echo(json.dumps(payload, indent=2, sort_keys=True))
     else:
         click.echo(_text_report(report))

@@ -59,12 +59,12 @@ class ReplayError(Exception):
 
 class Pending:
     """A peeked next event for one schedulable unit, with effects resolved:
-    the source and value of a read-like event, the value a write-like event
-    (or a shadow-write) stores."""
+    the source position and value of a read-like event, the value a
+    write-like event (or a shadow-write) stores."""
 
     __slots__ = ("event", "rf_source", "read_value", "write_value")
 
-    def __init__(self, event: Event, rf_source: Optional[Event] = None,
+    def __init__(self, event: Event, rf_source: int = -1,
                  read_value: Optional[int] = None,
                  write_value: Optional[int] = None) -> None:
         self.event = event
@@ -76,14 +76,16 @@ class Pending:
 @dataclass
 class Sequence:
     """The raw facts of an executed sequence, all ``compute_relations``
-    reads: events, positions, the deterministic rf, each flushed write's
-    store-update position, each shadow-write's write, the init length."""
+    reads: events, the deterministic rf, each flushed write's store-update
+    position, each shadow-write's write, the init length.  Per-event
+    facts are lists indexed by position, as on ``LiveRelations``; ``pos``
+    maps an event to its position."""
 
     events: list[Event]
-    rf: dict[Event, Event]
+    rf: list[int]           # read -> source position, else -1
     pos: dict[Event, int]
-    flush_pos: dict[Event, int]     # write/rmw -> position of its store update
-    origin_of: dict[Event, Event]   # shadow event -> originating write
+    flush_pos: list[int]    # write/rmw -> position of its store update, else -1
+    origin_of: list[int]    # shadow-write -> position of its write, else -1
     init_len: int
 
 
@@ -91,7 +93,8 @@ class ExecState:
     """Shared store, per-thread locals and cursors, and pending-write queues.
 
     ``advance`` steps the state in place; ``step`` steps a clone and leaves
-    the state as it was.  ``table`` maps ``(unit, idx, id(stmt), act)`` to
+    the state as it was.  ``pending`` queues each shadow-thread's writes as
+    positions.  ``table`` maps ``(unit, idx, id(stmt), act)`` to
     the event that program point executes as, built on first use; every
     clone shares it (a shadow-write is keyed by its write's ``stmt``).
     """
@@ -105,7 +108,7 @@ class ExecState:
         self.cursors: dict[str, list[tuple[list[Stmt], int]]] = {
             t.name: [(t.body, 0)] for t in program.threads
         }
-        self.pending: dict[str, deque[Event]] = {}
+        self.pending: dict[str, deque[int]] = {}
         self.rels = LiveRelations(release_class_objects(program))
         self._seed_init_events()
         for t in program.threads:
@@ -177,19 +180,19 @@ class ExecState:
 
     # -- reads-from resolution ---------------------------------------------------
 
-    def latest_visible_write(self, obj: str) -> Event:
-        """The write whose shadow-write most recently updated ``obj``."""
+    def latest_visible_write(self, obj: str) -> int:
+        """Position of the write whose shadow-write most recently updated
+        ``obj``."""
         return self.rels.mo[obj][-1]
 
-    def resolve_rf(self, thread: str, obj: str) -> Event:
-        """Deterministic source write for a read of ``obj`` by ``thread``:
-        the thread's own latest write of ``obj`` if it was issued after the
-        latest visible write's flush, else the latest visible write."""
+    def resolve_rf(self, thread: str, obj: str) -> int:
+        """Deterministic source write (a position) for a read of ``obj`` by
+        ``thread``: the thread's own latest write of ``obj`` if it was issued
+        after the latest visible write's flush, else the latest visible
+        write."""
         lw = self.latest_visible_write(obj)
         own = self.rels.last_obj_write_of_thread(thread, obj)
-        if own is not None and self.rels.pos[own] > self.rels.flush_pos[lw]:
-            return own
-        return lw
+        return own if own > self.rels.flush_pos[lw] else lw
 
     # -- peeking -------------------------------------------------------------
 
@@ -213,7 +216,8 @@ class ExecState:
         idx = self.rels.unit_mask.get(unit, 0).bit_count()
         if is_shadow_unit(unit):
             w = self.pending[unit][0]
-            ev = self._event(unit, idx, w.stmt, Act.SHADOW, (w.obj_written,), w.ord)
+            ew = self.rels.events[w]
+            ev = self._event(unit, idx, ew.stmt, Act.SHADOW, (ew.obj_written,), ew.ord)
             return Pending(ev, write_value=self.rels.value_of[w])
         stmt = self._current_stmt(unit)
         env = self.lcl[unit]
@@ -258,16 +262,16 @@ class ExecState:
         ev = p.event
         if ev.act is Act.SHADOW:
             w = self.pending[ev.thr].popleft()
-            self.shr[ev.obj[0]] = self.rels.value_of[w]
+            self.shr[ev.obj[0]] = p.write_value
             self.rels.append_flush(ev, w)
         elif ev.act is Act.READ:
             self.rels.append_read(ev, p.rf_source)
             self.lcl[ev.thr][ev.stmt.local] = p.read_value
             self._advance(ev.thr)
         elif ev.act is Act.WRITE:
-            self.rels.append_write(ev, p.write_value)
+            w = self.rels.append_write(ev, p.write_value)
             unit = shadow_unit(ev.thr, ev.obj[0])
-            self.pending.setdefault(unit, deque()).append(ev)
+            self.pending.setdefault(unit, deque()).append(w)
             self._advance(ev.thr)
         elif ev.act is Act.RMW:
             self.rels.append_rmw(ev, p.rf_source, p.write_value)
@@ -299,10 +303,10 @@ class ExecState:
         r = self.rels
         return Sequence(
             events=list(r.events),
-            rf=dict(r.rf),
+            rf=list(r.rf),
             pos=dict(r.pos),
-            flush_pos=dict(r.flush_pos),
-            origin_of=dict(r.origin_of),
+            flush_pos=list(r.flush_pos),
+            origin_of=list(r.origin_of),
             init_len=r.init_len,
         )
 

@@ -66,7 +66,14 @@ from .ir import (
     shadow_unit,
 )
 from .engine import ExecState, initial_state
-from .relations import LiveRelations, Relations, compute_relations, set_bits
+from .relations import (
+    LiveRelations,
+    Relations,
+    compute_relations,
+    mhb_pos,
+    rf_pairs,
+    set_bits,
+)
 from .coherence import check_moca, check_c11_oracle, check_step, overdue_write
 from .transform import early_write_transform
 
@@ -132,11 +139,13 @@ def conflicts(a: Event, b: Event, release_objs: frozenset[str]) -> bool:
     return False
 
 
-def conflict_mask(rels: LiveRelations, e: Event) -> int:
-    """Positions of the events ``d`` before ``e``, outside the init prefix
-    and e's unit, with ``conflicts(d, e, rels.release_objs)``: each clause
-    of ``conflicts`` read off the per-object, per-unit and sc masks of
-    ``rels`` (the engine's rmws read and write one object)."""
+def conflict_mask(rels: LiveRelations, p: int) -> int:
+    """Positions of the events ``d`` before the event ``e`` at ``p``,
+    outside the init prefix and e's unit, with ``conflicts(d, e,
+    rels.release_objs)``: each clause of ``conflicts`` read off the
+    per-object, per-unit and sc masks of ``rels`` (the engine's rmws read
+    and write one object)."""
+    e = rels.events[p]
     others = ~rels.parent_mask[e.parent_thr]
     mask = 0
     if e.is_store_update:
@@ -152,8 +161,21 @@ def conflict_mask(rels: LiveRelations, e: Event) -> int:
         mask |= rels.obj_update_mask.get(e.obj_read, 0) & others
     if e.is_sc_placement:
         mask |= rels.sc_mask & others
-    after_init = (1 << rels.pos[e]) - (1 << rels.init_len)
+    after_init = (1 << p) - (1 << rels.init_len)
     return mask & after_init & ~rels.unit_mask[e.thr]
+
+
+def _on_causal_path(cd_mask: list[int], d: int, mask_e: int) -> bool:
+    """Is some causal predecessor of an event after ``d`` (a set bit of
+    the event's causal mask ``mask_e`` above ``d``) itself causally after
+    ``d``?  Then the event's race with ``d`` is not reversible."""
+    between = mask_e >> (d + 1) << (d + 1)
+    while between:
+        low = between & -between
+        if cd_mask[low.bit_length() - 1] >> d & 1:
+            return True
+        between ^= low
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -169,15 +191,13 @@ def canonical_trace_id(rels: Relations) -> str:
     or synchronization structure changes the id.
     """
     names = [e.name for e in rels.events]
-    rf = sorted(f"{w.name}->{r.name}" for r, w in rels.rf.items())
-    mo = {obj: [w.name for w in ws] for obj, ws in rels.mo.items()}
+    rf = sorted(f"{names[w]}->{names[r]}" for r, w in enumerate(rels.rf) if w >= 0)
+    mo = {obj: [names[w] for w in ws] for obj, ws in rels.mo.items()}
     # an hb edge a->b per set bit of hb_mask[b]; set_bits is inlined, as
     # this loop runs once per hb edge of every recorded sequence
     hb: list[str] = []
-    hb_mask = rels.hb_mask
-    for b, name_b in zip(rels.events, names):
+    for mask, name_b in zip(rels.hb_mask, names):
         to_b = "->" + name_b
-        mask = hb_mask[b]
         while mask:
             low = mask & -mask
             hb.append(names[low.bit_length() - 1] + to_b)
@@ -195,19 +215,22 @@ def canonical_trace_id(rels: Relations) -> str:
 def detect_na_races(rels: Relations) -> list[tuple[Event, Event]]:
     """Pairs of non-atomic same-object accesses from different program
     threads, at least one a write, unordered by non-racing happens-before."""
-    accesses = [e for e in rels.events
+    events = rels.events
+    accesses = [p for p, e in enumerate(events)
                 if e.ord is MO.NA and not e.is_init
                 and e.act in (Act.READ, Act.WRITE, Act.RMW)]
     races: list[tuple[Event, Event]] = []
-    for i, a in enumerate(accesses):
-        for b in accesses[i + 1:]:
+    for i, pa in enumerate(accesses):
+        a = events[pa]
+        for pb in accesses[i + 1:]:
+            b = events[pb]
             if a.thr == b.thr:
                 continue
             if not (a.objects & b.objects):
                 continue
             if not (a.is_write_like or b.is_write_like):
                 continue
-            if rels.mhb(a, b) or rels.mhb(b, a):
+            if mhb_pos(rels, pa, pb) or mhb_pos(rels, pb, pa):
                 continue
             races.append((a, b) if a.key < b.key else (b, a))
     races.sort(key=lambda p: (p[0].key, p[1].key))
@@ -385,13 +408,12 @@ class _Explorer:
         last = units[-1]
         for unit in units:
             child = state.advance(unit) if unit == last else state.step(unit)
-            executed = child.rels.events[-1]
             verdict = check_step(child.rels)
             if verdict is None:
                 out[unit] = child
-                events[unit] = executed
+                events[unit] = child.rels.events[-1]
                 continue
-            self._find_races(child, executed)
+            self._find_races(child)
             overdue = overdue_write(child.rels, *verdict)
             if overdue is not None:
                 recoveries.add(shadow_unit(overdue.thr, overdue.obj_written))
@@ -399,42 +421,40 @@ class _Explorer:
 
     # -- race detection ----------------------------------------------------------
 
-    def _find_races(self, state: ExecState, executed: Event) -> None:
-        """Visit only the earlier events that ``conflict_mask`` selects."""
+    def _find_races(self, state: ExecState) -> None:
+        """Races of the state's last event: visit only the earlier events
+        that ``conflict_mask`` selects."""
         rels = state.rels
-        events, cd_mask = rels.events, rels.cd_mask
+        cd_mask = rels.cd_mask
+        executed = len(rels.events) - 1
         mask_e = cd_mask[executed]
         for pos_d in set_bits(conflict_mask(rels, executed)):
-            if (mask_e >> pos_d) & 1:
-                # reversible race: no intermediate event on a causal path
-                if any(cd_mask[events[px]] >> pos_d & 1
-                       for px in set_bits(mask_e >> (pos_d + 1) << (pos_d + 1))):
-                    continue
-            self._insert_backtrack(state, events[pos_d], executed)
+            if (mask_e >> pos_d) & 1 and _on_causal_path(cd_mask, pos_d, mask_e):
+                continue
+            self._insert_backtrack(rels, pos_d, executed)
 
-    def _insert_backtrack(self, state: ExecState, d: Event, executed: Event) -> None:
-        rels = state.rels
-        pos_d = rels.pos[d]
+    def _insert_backtrack(self, rels: LiveRelations, pos_d: int, executed: int) -> None:
         node_index = pos_d - rels.init_len
         if node_index < 0 or node_index >= len(self.nodes):
             return
         node = self.nodes[node_index]
         # v = the events after d that are not causally after d, then the
         # executed event itself
-        v = [x for x in rels.events[pos_d + 1:rels.pos[executed]]
-             if not (rels.cd_mask[x] >> pos_d) & 1]
+        cd_mask = rels.cd_mask
+        v = [x for x in range(pos_d + 1, executed) if not (cd_mask[x] >> pos_d) & 1]
         v.append(executed)
         v_bits = 0
         for x in v:
-            v_bits |= 1 << rels.pos[x]
+            v_bits |= 1 << x
         initials: set[str] = set()
         claimed: set[str] = set()
         for x in v:
-            if x.thr in claimed:
+            thr = rels.events[x].thr
+            if thr in claimed:
                 continue
-            claimed.add(x.thr)
-            if not (rels.cd_mask[x] & v_bits):
-                initials.add(x.thr)
+            claimed.add(thr)
+            if not (cd_mask[x] & v_bits):
+                initials.add(thr)
         if not initials:
             return
         # only entries that can actually run from the node satisfy the
@@ -486,7 +506,7 @@ class _Explorer:
                 schedule=schedule,
                 final_shared=dict(state.shr),
                 final_locals=state.final_locals(),
-                rf=sorted((w.name, r.name) for r, w in rels.rf.items()
+                rf=sorted((w.name, r.name) for r, w in rf_pairs(rels)
                           if not r.is_init),
                 racy=bool(races),
             ))
@@ -514,7 +534,7 @@ class _Explorer:
                 child = node.candidates[unit]
                 events = node.events
                 executed = events[unit]
-                self._find_races(child, executed)
+                self._find_races(child)
                 release_objs = child.rels.release_objs
                 child_sleep = {q for q in node.sleep if q in events
                                and not conflicts(executed, events[q], release_objs)}

@@ -8,26 +8,39 @@ Two implementations are kept deliberately separate:
 
 * ``compute_relations`` rebuilds everything from scratch from a finished
   ``Sequence`` and is the reference the incremental path is tested against.
-  It reads only the sequence's raw facts (events, positions, rf, flush
-  positions, ``origin_of``), never a live mask.
+  It reads only the sequence's raw facts (events, rf, flush positions,
+  ``origin_of``), never a live mask.
   It derives sw and dob from the sequence's own rf and release sequences,
   then happens-before in one forward pass over the events: each event's
   predecessors are final when it is reached because every po, sw and dob
   edge points forward in the sequence (a backward sync edge is a
   ``ContractViolation``).
 
-Both store happens-before as position bitmasks, ``hb_mask[e]`` holding the
-positions of e's strict predecessors (one int per event), so ``hb`` and
-``mhb`` are O(1) bit tests and ``hb_pairs`` lists the edges of either.
+Within one sequence an event's position is its id: every per-event table is
+a list indexed by position, and every reference to another event is a
+position (``-1`` for none) or a bitmask of positions.  ``pos`` maps an
+``Event`` to its position; it is read only where an event enters from
+outside (``hb(a, b)``, ``mhb(a, b)``, tests).  The rules, the oracles, the
+trace id and race detection work on positions and turn them back into
+events only for witnesses and reports.
 
-Both expose the data the coherence rules quantify over under the same names,
-so every consumer reads either one directly: ``events``, ``pos``, ``rf``,
-``readers`` (reads of each write, in sequence order), ``flush_pos`` (position
-of each write's shared-store update), ``obj_reads`` and ``obj_issue_order``
-(per-object reads and writes in sequence order), ``mo`` (per-object flush
-order, the modification order), ``sw`` and ``dob`` (the synchronizes-with
-and dependency-ordered-before edge sets), ``sc_placed`` (sc events with
-their placement positions, in placement order), and ``hb``/``mhb``.
+Both implementations expose the data the coherence rules quantify over
+under the same names and shapes, so every consumer reads either one:
+
+* ``events`` (by position) and ``pos`` (event to position);
+* ``hb_mask[p]``, the positions of p's strict happens-before predecessors,
+  so ``hb`` is one bit test and ``hb_pairs`` lists the edges;
+* ``rf[p]``, the source position of a read-like event, else -1;
+* ``readers[w]``, the mask of the reads of write ``w``;
+* ``flush_pos[w]``, the position of write w's shared-store update, else -1;
+* ``sw[p]`` and ``dob[p]``, the masks of the synchronizes-with and
+  dependency-ordered-before sources of ``p`` (``mhb`` drops both from
+  ``hb_mask[p]``);
+* ``obj_reads`` and ``obj_issue_order`` (per-object reads and writes, as
+  ascending positions) and ``mo`` (per-object flush order, the modification
+  order, as write positions);
+* ``sc_placed``, the sc events as ``(position, placement position)`` in
+  placement order.
 
 Both also keep position masks, so the rules intersect ``hb_mask`` with them
 instead of scanning event pairs: ``unit_mask`` (the events of each unit),
@@ -39,15 +52,17 @@ each program thread, its shadow-writes included), ``obj_update_mask``
 (every sc placement); and ``rel_fence_mask`` (release-class fences).
 
 ``LiveRelations`` stores each fact once: beyond the shared fields and
-masks, only ``cd_mask``, ``origin_of`` and ``value_of`` per event.  The
+masks, only ``cd_mask``, ``origin_of`` (a shadow-write's write) and
+``value_of`` (a write-like event's value, else None) per position.  The
 engine's other lookups are read off the masks: ``last_of_unit``,
 ``last_obj_write_of_thread``, ``last_rmw``, ``sw_sources``, a write's
-store update ``events[flush_pos[w]]`` and a unit's next ``idx``
+store update ``flush_pos[w]`` and a unit's next ``idx``
 (``unit_mask[unit].bit_count()``).
 
-Neither stores the sc total order: ``sc_order(rels.sc_placed)`` derives it
-from the placements (program order within a thread, placement order across
-threads) in one walk, and ``sc_pairs`` lists the ordered pairs it implies.
+Neither stores the sc total order: ``sc_order(events, rels.sc_placed)``
+derives it from the placements (program order within a thread, placement
+order across threads) in one walk, and ``sc_pairs`` lists the ordered pairs
+it implies.
 
 Relations computed: per-unit program order (program threads, shadow-threads,
 and the init prefix), synchronizes-with (release write read by an acquire
@@ -97,21 +112,23 @@ def release_sequence_members(issue_order: Iterable[Event], head: Event) -> list[
     return members
 
 
-def release_heads(src: Event, earlier: Iterable[Event]) -> list[Event]:
-    """The release-class writes other than ``src`` whose release sequence
-    contains ``src``, given ``earlier``: the writes of src's object issued
-    before it, latest first.
+def release_heads(events: list[Event], src: int, earlier: Iterable[int]) -> int:
+    """The mask of the release-class writes other than ``src`` whose release
+    sequence contains ``src``, given ``earlier``: the positions of the
+    writes of src's object issued before it, latest first.
 
     One walk back from the source: a head qualifies while every weak write
     after it, ``src`` included, is of the head's own thread, so the walk
     ends at the second thread with a weak write.  ``release_sequence_members``
     is the per-head reference.
     """
-    heads: list[Event] = []
-    owner = src.thr if _is_weak(src) else None   # the thread of the weak writes
-    for w in earlier:
+    heads = 0
+    s = events[src]
+    owner = s.thr if _is_weak(s) else None   # the thread of the weak writes
+    for p in earlier:
+        w = events[p]
         if (owner is None or owner == w.thr) and at_least(w.ord, MO.REL):
-            heads.append(w)
+            heads |= 1 << p
         if _is_weak(w):
             if owner is None:
                 owner = w.thr
@@ -124,9 +141,10 @@ def release_heads(src: Event, earlier: Iterable[Event]) -> list[Event]:
 # sc total order
 # ---------------------------------------------------------------------------
 
-def sc_order(placed: list[tuple[Event, int]]
-             ) -> tuple[Optional[list[Event]], Optional[tuple[Event, Event]]]:
-    """Total order of the placed sc events, or the witness of a cycle.
+def sc_order(events: list[Event], placed: list[tuple[int, int]]
+             ) -> tuple[Optional[list[int]], Optional[tuple[int, int]]]:
+    """Total order of the placed sc events, or the witness of a cycle, as
+    positions into ``events``.
 
     The order is the tournament that ``sc_pairs`` orients: same-thread pairs
     follow program order, cross-thread pairs follow placement order (writes
@@ -137,25 +155,29 @@ def sc_order(placed: list[tuple[Event, int]]
     ``(order, None)``, or ``(None, (a, b))`` with the first two remaining
     events by placement when no minimum exists.
     """
-    remaining = [e for e, _ in placed]
-    order: list[Event] = []
+    remaining = [p for p, _ in placed]
+    order: list[int] = []
     while remaining:
-        thr = remaining[0].thr
-        first = min((i for i, e in enumerate(remaining) if e.thr == thr),
-                    key=lambda i: remaining[i].idx)
-        if any(e.thr != thr for e in remaining[:first]):
+        thr = events[remaining[0]].thr
+        first = min((i for i, p in enumerate(remaining) if events[p].thr == thr),
+                    key=lambda i: events[remaining[i]].idx)
+        if any(events[p].thr != thr for p in remaining[:first]):
             return None, (remaining[0], remaining[1])
         order.append(remaining.pop(first))
     return order, None
 
 
-def sc_pairs(placed: list[tuple[Event, int]]) -> Iterable[tuple[Event, Event]]:
-    """Every pair of placed sc events, ordered: by program order within a
-    thread, by placement across threads; pairs come in placement order."""
-    events = [e for e, _ in placed]
-    for i, a in enumerate(events):
-        for b in events[i + 1:]:
-            yield (b, a) if a.thr == b.thr and b.idx < a.idx else (a, b)
+def sc_pairs(events: list[Event], placed: list[tuple[int, int]]
+             ) -> Iterable[tuple[int, int]]:
+    """Every pair of placed sc events, as positions, ordered: by program
+    order within a thread, by placement across threads; pairs come in
+    placement order."""
+    logical = [p for p, _ in placed]
+    for i, a in enumerate(logical):
+        ea = events[a]
+        for b in logical[i + 1:]:
+            eb = events[b]
+            yield (b, a) if ea.thr == eb.thr and eb.idx < ea.idx else (a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +194,8 @@ class LiveRelations:
     Each fact is stored once; the lookups below read the position masks
     instead of keeping an index (an acquire fence walks ``unit_mask``).
 
-    ``hb_mask[e]`` holds the positions of e's strict happens-before
-    predecessors; ``cd_mask[e]`` the predecessors in the causal order used by
+    ``hb_mask[p]`` holds the positions of p's strict happens-before
+    predecessors; ``cd_mask[p]`` the predecessors in the causal order used by
     the exploration algorithm: happens-before plus
 
     * reads-from, and a foreign source's flush before the read;
@@ -201,21 +223,23 @@ class LiveRelations:
         self.events: list[Event] = []
         self.pos: dict[Event, int] = {}
         self.init_len = 0
-        self.value_of: dict[Event, int] = {}
-        self.rf: dict[Event, Event] = {}
-        self.readers: dict[Event, list[Event]] = {}
-        self.flush_pos: dict[Event, int] = {}
-        self.origin_of: dict[Event, Event] = {}
-        self.mo: dict[str, list[Event]] = {}
-        self.obj_issue_order: dict[str, list[Event]] = {}
+        # per position
+        self.value_of: list[Optional[int]] = []
+        self.rf: list[int] = []
+        self.readers: list[int] = []
+        self.flush_pos: list[int] = []
+        self.origin_of: list[int] = []
+        self.hb_mask: list[int] = []
+        self.cd_mask: list[int] = []
+        self.sw: list[int] = []
+        self.dob: list[int] = []
+        # per object, as positions
+        self.mo: dict[str, list[int]] = {}
+        self.obj_issue_order: dict[str, list[int]] = {}
         # keyed in first-read order, as compute_relations keys it, so the
         # rules visit objects in one order on both implementations
-        self.obj_reads: dict[str, list[Event]] = {}
-        self.hb_mask: dict[Event, int] = {}
-        self.cd_mask: dict[Event, int] = {}
-        self.sw: set[tuple[Event, Event]] = set()
-        self.dob: set[tuple[Event, Event]] = set()
-        self.sc_placed: list[tuple[Event, int]] = []  # (logical event, placement pos)
+        self.obj_reads: dict[str, list[int]] = {}
+        self.sc_placed: list[tuple[int, int]] = []  # (logical pos, placement pos)
         self.release_objs = release_objs
         # position masks, kept by ``_register`` from the event attributes
         self.unit_mask: dict[str, int] = {}
@@ -232,18 +256,18 @@ class LiveRelations:
         other.events = list(self.events)
         other.pos = dict(self.pos)
         other.init_len = self.init_len
-        other.value_of = dict(self.value_of)
-        other.rf = dict(self.rf)
-        other.readers = {k: list(v) for k, v in self.readers.items()}
-        other.flush_pos = dict(self.flush_pos)
-        other.origin_of = dict(self.origin_of)
+        other.value_of = list(self.value_of)
+        other.rf = list(self.rf)
+        other.readers = list(self.readers)
+        other.flush_pos = list(self.flush_pos)
+        other.origin_of = list(self.origin_of)
+        other.hb_mask = list(self.hb_mask)
+        other.cd_mask = list(self.cd_mask)
+        other.sw = list(self.sw)
+        other.dob = list(self.dob)
         other.mo = {k: list(v) for k, v in self.mo.items()}
         other.obj_issue_order = {k: list(v) for k, v in self.obj_issue_order.items()}
         other.obj_reads = {k: list(v) for k, v in self.obj_reads.items()}
-        other.hb_mask = dict(self.hb_mask)
-        other.cd_mask = dict(self.cd_mask)
-        other.sw = set(self.sw)
-        other.dob = set(self.dob)
         other.sc_placed = list(self.sc_placed)
         other.release_objs = self.release_objs
         other.unit_mask = dict(self.unit_mask)
@@ -259,57 +283,70 @@ class LiveRelations:
     # -- queries --------------------------------------------------------------
 
     def hb(self, a: Event, b: Event) -> bool:
-        return bool(self.hb_mask[b] >> self.pos[a] & 1)
+        return bool(self.hb_mask[self.pos[b]] >> self.pos[a] & 1)
 
     def mhb(self, a: Event, b: Event) -> bool:
-        return self.hb(a, b) and (a, b) not in self.sw and (a, b) not in self.dob
+        return mhb_pos(self, self.pos[a], self.pos[b])
 
     def cd(self, a: Event, b: Event) -> bool:
-        return bool(self.cd_mask[b] >> self.pos[a] & 1)
+        return bool(self.cd_mask[self.pos[b]] >> self.pos[a] & 1)
 
-    def _last(self, mask: int) -> Optional[Event]:
-        """The event at the top set bit of ``mask``, None for 0."""
-        return self.events[mask.bit_length() - 1] if mask else None
+    def last_of_unit(self, unit: str) -> int:
+        """Position of the unit's last event, -1 for none."""
+        return self.unit_mask.get(unit, 0).bit_length() - 1
 
-    def last_of_unit(self, unit: str) -> Optional[Event]:
-        return self._last(self.unit_mask.get(unit, 0))
+    def last_obj_write_of_thread(self, thread: str, obj: str) -> int:
+        return (self.unit_mask.get(thread, 0)
+                & self.obj_write_mask.get(obj, 0)).bit_length() - 1
 
-    def last_obj_write_of_thread(self, thread: str, obj: str) -> Optional[Event]:
-        return self._last(self.unit_mask.get(thread, 0)
-                          & self.obj_write_mask.get(obj, 0))
-
-    def last_rmw(self, obj: str) -> Event:
-        """The object's last issued rmw, else its init write."""
+    def last_rmw(self, obj: str) -> int:
+        """Position of the object's last issued rmw, else of its init write."""
         rmws = self.obj_rmw_mask.get(obj, 0)
-        return self._last(rmws) if rmws else self.obj_issue_order[obj][0]
+        return rmws.bit_length() - 1 if rmws else self.obj_issue_order[obj][0]
 
-    def sw_sources(self, w: Event) -> list[Event]:
-        """What an acquire read of ``w``, or an acquire fence after one,
-        synchronizes with: the release-class fences of w's thread before
-        ``w``, then ``w`` itself if it is release-class."""
-        below = (1 << self.pos[w]) - 1
-        fences = self.unit_mask.get(w.thr, 0) & self.rel_fence_mask & below
-        out = [self.events[p] for p in set_bits(fences)]
-        if w.is_write_like and at_least(w.ord, MO.REL):
-            out.append(w)
+    def sw_sources(self, w: int) -> int:
+        """The mask of what an acquire read of ``w``, or an acquire fence
+        after one, synchronizes with: the release-class fences of w's thread
+        before ``w``, and ``w`` itself if it is release-class."""
+        ew = self.events[w]
+        out = self.unit_mask.get(ew.thr, 0) & self.rel_fence_mask & ((1 << w) - 1)
+        if ew.is_write_like and at_least(ew.ord, MO.REL):
+            out |= 1 << w
         return out
 
     # -- low-level append -------------------------------------------------------
 
-    def _register(self, e: Event, hb_direct: list[Event], cd_direct: list[Event]) -> int:
+    def _register(self, e: Event, cd_direct: int, sw: int = 0, dob: int = 0) -> int:
+        """Append ``e`` after its unit's last event and the sync sources in
+        ``sw``/``dob``, with the extra causal predecessors ``cd_direct``
+        (a mask); every other per-position entry starts empty."""
         p = len(self.events)
-        self.events.append(e)
-        self.pos[e] = p
-        hb = 0
-        for d in hb_direct:
-            hb |= self.hb_mask[d] | (1 << self.pos[d])
+        hb_mask, cd_mask = self.hb_mask, self.cd_mask
+        last = self.last_of_unit(e.thr)
+        hb = hb_mask[last] | 1 << last if last >= 0 else 0
+        direct = sw | dob
+        while direct:
+            low = direct & -direct
+            hb |= hb_mask[low.bit_length() - 1] | low
+            direct ^= low
         if not e.is_init:
             hb |= (1 << self.init_len) - 1
         cd = hb
-        for d in cd_direct:
-            cd |= self.cd_mask[d] | (1 << self.pos[d])
-        self.hb_mask[e] = hb
-        self.cd_mask[e] = cd
+        while cd_direct:
+            low = cd_direct & -cd_direct
+            cd |= cd_mask[low.bit_length() - 1] | low
+            cd_direct ^= low
+        self.events.append(e)
+        self.pos[e] = p
+        hb_mask.append(hb)
+        cd_mask.append(cd)
+        self.sw.append(sw)
+        self.dob.append(dob)
+        self.rf.append(-1)
+        self.readers.append(0)
+        self.flush_pos.append(-1)
+        self.origin_of.append(-1)
+        self.value_of.append(None)
         bit = 1 << p
         _add_bit(self.unit_mask, e.thr, bit)
         _add_bit(self.parent_mask, e.parent_thr, bit)
@@ -327,140 +364,126 @@ class LiveRelations:
             self.rel_fence_mask |= bit
         return p
 
-    def _po_pred(self, e: Event) -> list[Event]:
-        last = self.last_of_unit(e.thr)
-        return [last] if last is not None else []
-
-    def _place_sc(self, logical: Event, placement_pos: int) -> list[Event]:
-        """Record an sc placement (reads/fences/rmws at their own position,
-        writes at their flush) and return the causal predecessors it induces.
+    def _place_sc(self, thr: str, logical: int) -> int:
+        """Record an sc placement at the next position (reads/fences/rmws
+        at their own position, writes at their flush) and return the mask
+        of causal predecessors it induces: the earlier placements of other
+        threads.
 
         Cross-thread placement order feeds the sc total order, so placements
         of different threads are order-sensitive and must be causally
         ordered; same-thread pairs follow program order regardless of
         placement order and stay independent.
         """
-        preds = [self.events[pos] for prev, pos in self.sc_placed
-                 if prev.thr != logical.thr]
-        self.sc_placed.append((logical, placement_pos))
-        return preds
+        self.sc_placed.append((logical, len(self.events)))
+        return self.sc_mask & ~self.parent_mask.get(thr, 0)
 
     # -- init prefix -----------------------------------------------------------
 
     def append_init(self, w: Event, sh: Event, value: int) -> None:
         """An init write of ``value`` and its shadow-write ``sh``."""
-        self._register(w, self._po_pred(w), [])
-        self._register(sh, self._po_pred(sh), [w])
-        self.value_of[w] = value
-        self.obj_issue_order[w.obj[0]] = [w]
-        self.mo[w.obj[0]] = [w]
-        self.origin_of[sh] = w
-        self.flush_pos[w] = self.pos[sh]
+        pw = self._register(w, 0)
+        psh = self._register(sh, 1 << pw)
+        self.value_of[pw] = value
+        self.obj_issue_order[w.obj[0]] = [pw]
+        self.mo[w.obj[0]] = [pw]
+        self.origin_of[psh] = pw
+        self.flush_pos[pw] = psh
 
     def seal_init(self) -> None:
         self.init_len = len(self.events)
 
     # -- program events ---------------------------------------------------------
 
-    def _sync_preds_for_read(self, e: Event, src: Event) -> list[Event]:
-        """sw and dob sources attaching to an acquire-class read (or the
-        read half of an rmw)."""
+    def _sync_for_read(self, e: Event, src: int) -> tuple[int, int]:
+        """The sw and dob source masks of an acquire-class read (or the read
+        half of an rmw) of ``src``."""
         if not at_least(e.ord, MO.ACQ):
-            return []
-        preds = self.sw_sources(src)
-        self.sw.update((s, e) for s in preds)
+            return 0, 0
         # release-sequence heads whose sequence contains the source
         obj = e.obj_read
-        before = (self.obj_write_mask[obj] & ((1 << self.pos[src]) - 1)).bit_count()
-        heads = release_heads(src, reversed(self.obj_issue_order[obj][:before]))
-        self.dob.update((head, e) for head in heads)
-        return preds + heads
+        before = (self.obj_write_mask[obj] & ((1 << src) - 1)).bit_count()
+        heads = release_heads(self.events, src,
+                              reversed(self.obj_issue_order[obj][:before]))
+        return self.sw_sources(src), heads
 
-    def append_read(self, e: Event, src: Event) -> None:
-        obj = e.obj_read
-        sync = self._sync_preds_for_read(e, src)
-        cd: list[Event] = [src]
+    def append_read(self, e: Event, src: int) -> int:
+        sw, dob = self._sync_for_read(e, src)
+        cd = 1 << src
         # a foreign source binds the read to that source's flush; a read of
         # the thread's own write commutes with the write's flush
-        if src.thr != e.thr:
-            cd.append(self.events[self.flush_pos[src]])
+        if self.events[src].thr != e.thr:
+            cd |= 1 << self.flush_pos[src]
         if e.ord is MO.SC:
-            cd.extend(self._place_sc(e, len(self.events)))
-        self._register(e, self._po_pred(e) + sync, cd)
-        self.rf[e] = src
-        self.readers.setdefault(src, []).append(e)
-        self.obj_reads.setdefault(obj, []).append(e)
+            cd |= self._place_sc(e.thr, len(self.events))
+        p = self._register(e, cd, sw, dob)
+        self.rf[p] = src
+        self.readers[src] |= 1 << p
+        self.obj_reads.setdefault(e.obj_read, []).append(p)
+        return p
 
-    def append_write(self, e: Event, value: int) -> None:
+    def append_write(self, e: Event, value: int) -> int:
         obj = e.obj_written
         # issue order decides release-sequence membership, which exists only
         # on release objects; elsewhere only the order against rmws (rf)
         # matters (``explorer.conflicts``)
         if obj in self.release_objs:
-            cd = [self.obj_issue_order[obj][-1]]
+            prev = self.obj_issue_order[obj][-1]
         else:
-            cd = [self.last_rmw(obj)]
-        self._register(e, self._po_pred(e), cd)
-        self.value_of[e] = value
-        self.obj_issue_order[obj].append(e)
+            prev = self.last_rmw(obj)
+        p = self._register(e, 1 << prev)
+        self.value_of[p] = value
+        self.obj_issue_order[obj].append(p)
+        return p
 
-    def append_rmw(self, e: Event, src: Event, new: int) -> None:
+    def append_rmw(self, e: Event, src: int, new: int) -> int:
         obj = e.obj_read
-        sync = self._sync_preds_for_read(e, src)
-        cd: list[Event] = [src]
+        sw, dob = self._sync_for_read(e, src)
         # after every write issue of the object since its last rmw: plain
         # writes of a non-release object are not chained to each other
         last_rmw = self.last_rmw(obj)
-        for w in reversed(self.obj_issue_order[obj]):
-            cd.append(w)
-            if w is last_rmw:
-                break
-        if src.thr != e.thr:
-            cd.append(self.events[self.flush_pos[src]])
-        flushed = self.mo[obj]
-        if flushed:
-            cd.append(self.events[self.flush_pos[flushed[-1]]])
+        cd = 1 << src | self.obj_write_mask[obj] >> last_rmw << last_rmw
+        if self.events[src].thr != e.thr:
+            cd |= 1 << self.flush_pos[src]
+        cd |= 1 << self.flush_pos[self.mo[obj][-1]]
         # the atomic update orders after earlier reads of other threads
-        cd.extend(r for r in self.obj_reads.get(obj, ()) if r.thr != e.thr)
+        cd |= self.obj_read_mask.get(obj, 0) & ~self.unit_mask.get(e.thr, 0)
         if e.ord is MO.SC:
-            cd.extend(self._place_sc(e, len(self.events)))
-        self._register(e, self._po_pred(e) + sync, cd)
-        self.value_of[e] = new
-        self.rf[e] = src
-        self.readers.setdefault(src, []).append(e)
-        self.obj_reads.setdefault(obj, []).append(e)
-        self.obj_issue_order[obj].append(e)
-        self.mo[obj].append(e)
-        self.flush_pos[e] = self.pos[e]
+            cd |= self._place_sc(e.thr, len(self.events))
+        p = self._register(e, cd, sw, dob)
+        self.value_of[p] = new
+        self.rf[p] = src
+        self.readers[src] |= 1 << p
+        self.obj_reads.setdefault(obj, []).append(p)
+        self.obj_issue_order[obj].append(p)
+        self.mo[obj].append(p)
+        self.flush_pos[p] = p
+        return p
 
-    def append_fence(self, e: Event) -> None:
-        sync: list[Event] = []
+    def append_fence(self, e: Event) -> int:
+        sw = 0
         if at_least(e.ord, MO.ACQ):
+            rf = self.rf
             for p in set_bits(self.unit_mask.get(e.thr, 0)):
-                r = self.events[p]
-                if r.is_read_like:
-                    sync += self.sw_sources(self.rf[r])
-            self.sw.update((s, e) for s in sync)
-        cd: list[Event] = []
-        if e.ord is MO.SC:
-            cd.extend(self._place_sc(e, len(self.events)))
-        self._register(e, self._po_pred(e) + sync, cd)
+                if rf[p] >= 0:   # a read-like event of the thread
+                    sw |= self.sw_sources(rf[p])
+        cd = self._place_sc(e.thr, len(self.events)) if e.ord is MO.SC else 0
+        return self._register(e, cd, sw)
 
-    def append_flush(self, e: Event, w: Event) -> None:
+    def append_flush(self, e: Event, w: int) -> int:
         obj = e.obj[0]
-        cd: list[Event] = [w]
-        flushed = self.mo[obj]
-        if flushed:
-            cd.append(self.events[self.flush_pos[flushed[-1]]])
+        ew = self.events[w]
+        cd = 1 << w | 1 << self.flush_pos[self.mo[obj][-1]]
         # a foreign read never moves after a later flush of its object; the
         # flushing thread's own reads commute with it
-        cd.extend(r for r in self.obj_reads.get(obj, ()) if r.thr != w.thr)
-        if w.ord is MO.SC:
-            cd.extend(self._place_sc(w, len(self.events)))
-        self._register(e, self._po_pred(e), cd)
-        self.origin_of[e] = w
-        self.flush_pos[w] = self.pos[e]
+        cd |= self.obj_read_mask.get(obj, 0) & ~self.unit_mask.get(ew.thr, 0)
+        if ew.ord is MO.SC:
+            cd |= self._place_sc(ew.thr, w)
+        p = self._register(e, cd)
+        self.origin_of[p] = w
+        self.flush_pos[w] = p
         self.mo[obj].append(w)
+        return p
 
 
 # ---------------------------------------------------------------------------
@@ -469,34 +492,41 @@ class LiveRelations:
 
 @dataclass
 class RelationSet:
-    """Relations of one finished sequence, rebuilt from scratch."""
+    """Relations of one finished sequence, rebuilt from scratch; per-event
+    fields are lists indexed by position, as on ``LiveRelations``."""
 
     events: list[Event]
     pos: dict[Event, int]
-    rf: dict[Event, Event]
-    readers: dict[Event, list[Event]]
-    flush_pos: dict[Event, int]
-    obj_reads: dict[str, list[Event]]
-    obj_issue_order: dict[str, list[Event]]
-    mo: dict[str, list[Event]]
-    sc_placed: list[tuple[Event, int]]
-    sw: set[tuple[Event, Event]]
-    dob: set[tuple[Event, Event]]
-    hb_mask: dict[Event, int]               # positions of strict hb predecessors
+    rf: list[int]                           # source position, or -1
+    readers: list[int]                      # mask of each write's reads
+    flush_pos: list[int]                    # store-update position, or -1
+    obj_reads: dict[str, list[int]]
+    obj_issue_order: dict[str, list[int]]
+    mo: dict[str, list[int]]
+    sc_placed: list[tuple[int, int]]
+    sw: list[int]                           # mask of each event's sw sources
+    dob: list[int]                          # mask of each event's dob sources
+    hb_mask: list[int]                      # positions of strict hb predecessors
     init_len: int
     unit_mask: dict[str, int]               # positions of each unit's events
     obj_read_mask: dict[str, int]           # positions of obj_reads[obj]
     obj_write_mask: dict[str, int]          # positions of obj_issue_order[obj]
 
     def hb(self, a: Event, b: Event) -> bool:
-        return bool(self.hb_mask[b] >> self.pos[a] & 1)
+        return bool(self.hb_mask[self.pos[b]] >> self.pos[a] & 1)
 
     def mhb(self, a: Event, b: Event) -> bool:
-        return self.hb(a, b) and (a, b) not in self.sw and (a, b) not in self.dob
+        return mhb_pos(self, self.pos[a], self.pos[b])
 
 
 # either implementation: both expose the fields the coherence rules read
 Relations = LiveRelations | RelationSet
+
+
+def mhb_pos(rels: Relations, a: int, b: int) -> bool:
+    """Non-racing happens-before on positions: hb without the direct sw and
+    dob edges."""
+    return bool((rels.hb_mask[b] & ~(rels.sw[b] | rels.dob[b])) >> a & 1)
 
 
 def set_bits(mask: int) -> Iterator[int]:
@@ -507,11 +537,23 @@ def set_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def mask_edges(events: list[Event], masks: list[int]) -> list[tuple[Event, Event]]:
+    """Every edge ``(a, b)`` of a relation stored as per-position source
+    masks (``hb_mask``, ``sw``, ``dob``); ordered by ``b``'s position, then
+    ``a``'s."""
+    return [(events[a], b) for b, mask in zip(events, masks) for a in set_bits(mask)]
+
+
 def hb_pairs(rels: Relations) -> list[tuple[Event, Event]]:
-    """Every happens-before edge ``(a, b)``, read off the set bits of
-    ``hb_mask``; ordered by ``b``'s position, then ``a``'s."""
+    """Every happens-before edge ``(a, b)``."""
+    return mask_edges(rels.events, rels.hb_mask)
+
+
+def rf_pairs(rels: Relations | "Sequence") -> list[tuple[Event, Event]]:
+    """Every reads-from edge ``(read, source)``, in the read's position
+    order."""
     events = rels.events
-    return [(events[p], b) for b in events for p in set_bits(rels.hb_mask[b])]
+    return [(events[r], events[w]) for r, w in enumerate(rels.rf) if w >= 0]
 
 
 def release_sequence(seq: "Sequence", head: Event) -> list[Event]:
@@ -524,117 +566,115 @@ def release_sequence(seq: "Sequence", head: Event) -> list[Event]:
 
 def compute_relations(seq: "Sequence") -> RelationSet:
     events = seq.events
-    pos = seq.pos
-    rf = seq.rf
-    for r in (e for e in events if e.is_read_like):
-        if r not in rf:
-            raise ContractViolation(f"unresolved read in sequence: {r}")
+    n = len(events)
+    rf = list(seq.rf)
+    flush_pos = list(seq.flush_pos)
+    origin_of = seq.origin_of
 
-    reads = [e for e in events if e.is_read_like]
-    fences = [e for e in events if e.act is Act.FENCE]
-    readers: dict[Event, list[Event]] = {}
-    obj_reads: dict[str, list[Event]] = {}
+    # one pass files every event under the tables it belongs to
+    reads: list[int] = []
+    fences: list[int] = []
+    readers = [0] * n
+    obj_reads: dict[str, list[int]] = {}
     obj_read_mask: dict[str, int] = {}
-    for r in reads:
-        readers.setdefault(rf[r], []).append(r)
-        obj_reads.setdefault(r.obj_read, []).append(r)
-        obj_read_mask[r.obj_read] = obj_read_mask.get(r.obj_read, 0) | 1 << pos[r]
-    obj_issue_order: dict[str, list[Event]] = {}
+    obj_issue_order: dict[str, list[int]] = {}
     obj_write_mask: dict[str, int] = {}
-    for w in (e for e in events if e.is_write_like):
-        obj_issue_order.setdefault(w.obj_written, []).append(w)
-        obj_write_mask[w.obj_written] = obj_write_mask.get(w.obj_written, 0) | 1 << pos[w]
-    flush_pos = dict(seq.flush_pos)
+    # modification order per object: init write first, then flush order
+    mo: dict[str, list[int]] = {}
+    # sc program events at their placement positions
+    placed: list[tuple[int, int]] = []
+    for p, e in enumerate(events):
+        bit = 1 << p
+        act = e.act
+        if e.is_read_like:
+            if rf[p] < 0:
+                raise ContractViolation(f"unresolved read in sequence: {e}")
+            reads.append(p)
+            readers[rf[p]] |= bit
+            obj = e.obj_read
+            obj_reads.setdefault(obj, []).append(p)
+            obj_read_mask[obj] = obj_read_mask.get(obj, 0) | bit
+        if e.is_write_like:
+            obj = e.obj_written
+            obj_issue_order.setdefault(obj, []).append(p)
+            obj_write_mask[obj] = obj_write_mask.get(obj, 0) | bit
+        if act is Act.SHADOW:
+            mo.setdefault(e.obj[0], []).append(origin_of[p])
+        elif act is Act.RMW:
+            mo.setdefault(e.obj_written, []).append(p)
+        elif act is Act.FENCE:
+            fences.append(p)
+        if e.ord is MO.SC:
+            if act is Act.WRITE:
+                if flush_pos[p] >= 0:
+                    placed.append((p, flush_pos[p]))
+            elif act is not Act.SHADOW:
+                placed.append((p, p))
+    placed.sort(key=lambda t: t[1])
 
-    # synchronizes-with: release write read by acquire read, plus fences
-    sw: set[tuple[Event, Event]] = set()
+    # synchronizes-with (a release write, or a release fence before the
+    # write, read by an acquire read or followed by an acquire fence) and
+    # dependency-ordered-before (via release sequences)
+    sw = [0] * n
+    dob = [0] * n
     for r in reads:
         w = rf[r]
-        rel_fences_before_w = [f for f in fences
-                               if f.thr == w.thr and f.idx < w.idx
-                               and at_least(f.ord, MO.REL)]
-        acq_fences_after_r = [f for f in fences
-                              if f.thr == r.thr and f.idx > r.idx
-                              and at_least(f.ord, MO.ACQ)]
-        if at_least(r.ord, MO.ACQ):
-            if w.is_write_like and at_least(w.ord, MO.REL):
-                sw.add((w, r))
-            for f in rel_fences_before_w:
-                sw.add((f, r))
+        er, ew = events[r], events[w]
+        sources = 1 << w if ew.is_write_like and at_least(ew.ord, MO.REL) else 0
+        acq_fences_after_r = []
+        for f in fences:
+            ef = events[f]
+            if ef.thr == ew.thr and ef.idx < ew.idx and at_least(ef.ord, MO.REL):
+                sources |= 1 << f
+            if ef.thr == er.thr and ef.idx > er.idx and at_least(ef.ord, MO.ACQ):
+                acq_fences_after_r.append(f)
         for fa in acq_fences_after_r:
-            if w.is_write_like and at_least(w.ord, MO.REL):
-                sw.add((w, fa))
-            for fr in rel_fences_before_w:
-                sw.add((fr, fa))
-
-    # dependency-ordered-before via release sequences
-    dob: set[tuple[Event, Event]] = set()
-    for r in reads:
-        if not at_least(r.ord, MO.ACQ):
-            continue
-        src = rf[r]
-        obj = r.obj_read
-        before = (obj_write_mask[obj] & ((1 << pos[src]) - 1)).bit_count()
-        dob.update((head, r) for head in
-                   release_heads(src, reversed(obj_issue_order[obj][:before])))
+            sw[fa] |= sources
+        if at_least(er.ord, MO.ACQ):
+            sw[r] |= sources
+            obj = er.obj_read
+            before = (obj_write_mask[obj] & ((1 << w) - 1)).bit_count()
+            dob[r] = release_heads(events, w, reversed(obj_issue_order[obj][:before]))
 
     # happens-before in one forward pass: po plus the inter-thread closure,
     # i.e. reachability over unit-successor + sync edges counting paths with
     # at least one sync edge; every edge points forward in the sequence, so
     # an event's predecessors are final by the time it is reached
-    sync_preds: dict[Event, list[Event]] = {}
-    for a, b in sw | dob:
-        if pos[a] >= pos[b]:
-            raise ContractViolation(f"synchronization edge points backward: {a} -> {b}")
-        sync_preds.setdefault(b, []).append(a)
-    unit_last: dict[str, Event] = {}
-    po_mask: dict[Event, int] = {}      # earlier events of e's unit
-    reach: dict[Event, int] = {}        # sources of a path into e
-    via_sync: dict[Event, int] = {}     # sources of a path with a sync edge
+    unit_last: dict[str, int] = {}
+    po_mask = [0] * n       # earlier events of e's unit
+    reach = [0] * n         # sources of a path into e
+    via_sync = [0] * n      # sources of a path with a sync edge
+    hb_mask = [0] * n
     init_mask = 0
-    hb_mask: dict[Event, int] = {}
-    for e in events:
+    for b, e in enumerate(events):
         po = reach_e = via = 0
         last = unit_last.get(e.thr)
         if last is not None:
-            bit = 1 << pos[last]
+            bit = 1 << last
             po = po_mask[last] | bit
             reach_e = reach[last] | bit
             via = via_sync[last]
-        for s in sync_preds.get(e, ()):
-            into_s = reach[s] | 1 << pos[s]
-            reach_e |= into_s
-            via |= into_s
-        unit_last[e.thr] = e
-        po_mask[e], reach[e], via_sync[e] = po, reach_e, via
+        sync = sw[b] | dob[b]
+        if sync:
+            if sync >> b:
+                a = events[b + (sync >> b).bit_length() - 1]
+                raise ContractViolation(
+                    f"synchronization edge points backward: {a} -> {e}")
+            for s in set_bits(sync):
+                into_s = reach[s] | 1 << s
+                reach_e |= into_s
+                via |= into_s
+        unit_last[e.thr] = b
+        po_mask[b], reach[b], via_sync[b] = po, reach_e, via
         if e.is_init:   # the init events form the sequence's prefix
-            init_mask |= 1 << pos[e]
-            hb_mask[e] = po | via
+            init_mask |= 1 << b
+            hb_mask[b] = po | via
         else:
-            hb_mask[e] = po | via | init_mask
-    unit_mask = {thr: po_mask[e] | 1 << pos[e] for thr, e in unit_last.items()}
-
-    # modification order per object: init write first, then flush order
-    mo: dict[str, list[Event]] = {}
-    for e in events:
-        if e.act is Act.SHADOW:
-            mo.setdefault(e.obj[0], []).append(seq.origin_of[e])
-        elif e.act is Act.RMW:
-            mo.setdefault(e.obj_written, []).append(e)
-
-    # sc program events at their placement positions, in placement order
-    placed: list[tuple[Event, int]] = []
-    for e in events:
-        if e.ord is not MO.SC:
-            continue
-        if e.act in (Act.READ, Act.FENCE, Act.RMW):
-            placed.append((e, pos[e]))
-        elif e.act is Act.WRITE and e in flush_pos:
-            placed.append((e, flush_pos[e]))
-    placed.sort(key=lambda t: t[1])
+            hb_mask[b] = po | via | init_mask
+    unit_mask = {thr: po_mask[p] | 1 << p for thr, p in unit_last.items()}
 
     return RelationSet(
-        events=list(events), pos=dict(pos), rf=dict(rf), readers=readers,
+        events=list(events), pos=dict(seq.pos), rf=rf, readers=readers,
         flush_pos=flush_pos, obj_reads=obj_reads, obj_issue_order=obj_issue_order,
         mo=mo, sc_placed=placed, sw=sw, dob=dob, hb_mask=hb_mask,
         init_len=seq.init_len, unit_mask=unit_mask,

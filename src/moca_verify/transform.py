@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from copy import deepcopy
-from dataclasses import dataclass, field
+from copy import copy
+from dataclasses import dataclass, field, replace
 
 from .ir import (
     BinOp,
@@ -39,6 +39,7 @@ from .ir import (
     Program,
     Stmt,
     Store,
+    ThreadBody,
     UnOp,
     at_least,
     eval_expr,
@@ -86,8 +87,12 @@ def _may_hoist_above(prev: Stmt, w: Stmt) -> bool:
 
 
 def _transform_block(body: list[Stmt]) -> list[Stmt]:
+    """The hoisted block, of shallow copies of ``body``'s statements: the
+    copies get their own bodies and ``influences``, while the frozen
+    expression trees are shared."""
     out: list[Stmt] = []
     for s in body:
+        s = copy(s)
         if isinstance(s, IfBlock):
             s.then_body = _transform_block(s.then_body)
             s.else_body = _transform_block(s.else_body)
@@ -107,11 +112,13 @@ def early_write_transform(program: Program) -> Program:
     """Hoist each store/rmw to its earliest admissible position.
 
     Total on valid programs and idempotent; the statement multiset of every
-    thread is unchanged.
+    thread is unchanged.  ``program`` is left as it was: the result holds
+    copies of its statements, threads and containers.
     """
-    clone = deepcopy(program)
-    for t in clone.threads:
-        t.body = _transform_block(t.body)
+    clone = replace(program, objects=dict(program.objects),
+                    threads=[ThreadBody(t.name, _transform_block(t.body))
+                             for t in program.threads],
+                    asserts=[copy(a) for a in program.asserts])
     validate(clone)
     return clone
 

@@ -25,6 +25,12 @@ def corpus(name: str) -> str:
     return str(CORPUS / f"{name}.lit")
 
 
+def transform_output(runner, name: str) -> str:
+    result = runner.invoke(main, ["transform", corpus(name)])
+    assert result.exit_code == 0, result.output
+    return result.output
+
+
 class TestVerify:
     def test_clean_program_exits_zero(self, runner):
         result = runner.invoke(main, ["verify", corpus("iriw-addrs"), "--json"])
@@ -102,6 +108,19 @@ class TestVerify:
         payload = json.loads(result.output)
         assert payload["violations"] == []
         assert payload["distinct_traces"] == 3
+
+    def test_emit_transformed_keeps_json_parseable(self, runner):
+        plain = runner.invoke(main, ["verify", corpus("s-popl"), "--json"])
+        result = runner.invoke(
+            main, ["verify", corpus("s-popl"), "--json", "--emit-transformed"])
+        assert result.exit_code == plain.exit_code, result.output
+        payload = json.loads(result.output)
+        source = payload.pop("transformed")
+        assert payload == json.loads(plain.output)
+        assert source == transform_output(runner, "s-popl")
+        # text mode still prints the source ahead of the report
+        text = runner.invoke(main, ["verify", corpus("s-popl"), "--emit-transformed"])
+        assert text.output.startswith(source)
 
     def test_dump_trace_prints_store_snapshots(self, runner):
         result = runner.invoke(main, ["verify", corpus("mp"), "--dump-trace"])

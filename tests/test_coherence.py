@@ -81,7 +81,7 @@ thread T1:
         st, seq, rels = run(p, ["T1", "T1", "sth_x(T1)"])
         r = next(e for e in seq.events if e.key == ("T1", 0))
         w = next(e for e in seq.events if e.key == ("T1", 1))
-        rels.rf[r] = w  # deliberately corrupted: source is po-after the read
+        rels.rf[rels.pos[r]] = rels.pos[w]  # deliberately corrupted: source is po-after the read
         assert check_moca(rels).failures == {"shco": (r, w)}
 
     def test_explored_sequences_all_pass(self):
@@ -200,7 +200,7 @@ thread T1:
         st, seq, rels = run(p, ["T1", "T1", "sth_x(T1)"])
         r = next(e for e in seq.events if e.key == ("T1", 0))
         w = next(e for e in seq.events if e.key == ("T1", 1))
-        rels.rf[r] = w  # deliberately corrupted: source is po-after the read
+        rels.rf[rels.pos[r]] = rels.pos[w]  # deliberately corrupted: source is po-after the read
         verdict = check_c11_oracle(rels)
         assert verdict.rules["co"] == (r, w)
 

@@ -8,7 +8,7 @@ from conftest import corpus_names, corpus_program
 from moca_verify import early_write_transform, explore, parse_program, run_sequence
 from moca_verify.engine import ReplayError, initial_state, walk_trace
 from moca_verify.ir import Act, Event
-from moca_verify.relations import LiveRelations
+from moca_verify.relations import LiveRelations, rf_pairs
 
 W_RWR_SCHEDULE = ["T1", "sth_x(T1)", "T2", "T2", "T2", "sth_x(T2)"]
 
@@ -28,25 +28,26 @@ class TestWorkedExample:
 
     def test_latest_visible_write(self, w_rwr):
         st = initial_state(w_rwr).step("T1").step("sth_x(T1)")
-        assert st.latest_visible_write("x").key == ("T1", 0)
+        assert st.rels.events[st.latest_visible_write("x")].key == ("T1", 0)
         st = st.step("T2").step("T2")  # read, then overwrite issued
-        assert st.latest_visible_write("x").key == ("T1", 0)  # overwrite not flushed yet
+        # overwrite not flushed yet
+        assert st.rels.events[st.latest_visible_write("x")].key == ("T1", 0)
 
     def test_read_own_unflushed_write(self, w_rwr):
         st = run_sequence(w_rwr, ["T1", "sth_x(T1)", "T2", "T2"])
-        src = st.resolve_rf("T2", "x")
+        src = st.rels.events[st.resolve_rf("T2", "x")]
         assert src.key == ("T2", 1)  # later same-thread write overrides
 
     def test_rf_assignment(self, w_rwr):
         st = run_sequence(w_rwr, W_RWR_SCHEDULE)
-        rf = {r.key: w.key for r, w in st.sequence().rf.items() if not r.is_init}
+        rf = {r.key: w.key for r, w in rf_pairs(st.sequence()) if not r.is_init}
         assert rf == {("T2", 0): ("T1", 0), ("T2", 2): ("T2", 1)}
         assert st.shr["x"] == 2
 
     def test_read_from_init(self, w_rwr):
         st = initial_state(w_rwr)
-        assert st.latest_visible_write("x").thr == "init"
-        src = st.resolve_rf("T2", "x")
+        assert st.rels.events[st.latest_visible_write("x")].thr == "init"
+        src = st.rels.events[st.resolve_rf("T2", "x")]
         assert src.thr == "init"
         st = st.step("T2")
         assert st.lcl["T2"]["b"] == 0

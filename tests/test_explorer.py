@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
 
 import pytest
 
-from conftest import corpus_names, corpus_program
+from conftest import CORPUS, corpus_names, corpus_program
 
 from moca_verify import parse_program, run_sequence
 from moca_verify.coherence import check_moca
@@ -19,7 +20,7 @@ from moca_verify.explorer import (
     explore,
 )
 from moca_verify.ir import Act, Event
-from moca_verify.relations import compute_relations, hb_pairs
+from moca_verify.relations import LiveRelations, compute_relations, hb_pairs, rf_pairs
 from moca_verify.transform import early_write_transform
 
 
@@ -242,8 +243,8 @@ def reference_trace_id(rels):
     pins ids made this way, so the payload must stay byte-identical."""
     name = {e: e.name for e in rels.events}
     events = sorted(name.values())
-    rf = sorted(f"{name[w]}->{name[r]}" for r, w in rels.rf.items())
-    mo = {obj: [name[w] for w in ws] for obj, ws in rels.mo.items()}
+    rf = sorted(f"{name[w]}->{name[r]}" for r, w in rf_pairs(rels))
+    mo = {obj: [name[rels.events[w]] for w in ws] for obj, ws in rels.mo.items()}
     hb = sorted(f"{name[a]}->{name[b]}" for a, b in hb_pairs(rels))
     payload = json.dumps({"events": events, "rf": rf, "mo": mo, "hb": hb},
                          sort_keys=True)
@@ -382,3 +383,45 @@ def test_stepping_counts(name, monkeypatch):
     assert len(built) == len(set(built))
     assert counts["_candidates"] > 0
     assert counts["clone"] == counts["advance"] - counts["_candidates"]
+
+
+def test_event_hashing_stays_off_the_hot_path(monkeypatch):
+    """Every relation table is indexed by sequence position; the one
+    ``Event``-keyed table, ``pos``, hashes each event once, when it is
+    appended.  While the tables were keyed by ``Event``, one exploration of
+    counter-3 (report included) hashed events 13 927 times; now 191 times,
+    one per appended event."""
+    calls = {"hash": 0, "register": 0}
+    event_hash, register = Event.__hash__, LiveRelations._register
+
+    def counted_hash(self):
+        calls["hash"] += 1
+        return event_hash(self)
+
+    def counted_register(self, *args, **kwargs):
+        calls["register"] += 1
+        return register(self, *args, **kwargs)
+
+    monkeypatch.setattr(Event, "__hash__", counted_hash)
+    monkeypatch.setattr(LiveRelations, "_register", counted_register)
+    report = explore(corpus_program("counter-3"))
+    report.to_json()
+    assert report.sequences_explored == 36
+    assert calls["hash"] <= calls["register"]
+    assert calls["hash"] <= 200
+
+
+def test_every_name_the_benchmark_spans_wrap_is_importable():
+    """``bench/spans.py`` times each layer by wrapping names it looks up on
+    ``moca_verify.explorer``; a name that moved would read as a zero span."""
+    import moca_verify.explorer as explorer_module
+
+    path = CORPUS.parent / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for attr in spans.WRAPPED.values():
+        owner = explorer_module
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        assert callable(owner), attr

@@ -30,7 +30,7 @@ from moca_verify.coherence import (
 from moca_verify.engine import initial_state
 from moca_verify.explorer import _estimate_events, conflict_mask, conflicts
 from moca_verify.ir import Act, MO, at_least
-from moca_verify.relations import compute_relations, sc_order, sc_pairs
+from moca_verify.relations import compute_relations, rf_pairs, sc_order, sc_pairs
 from moca_verify.transform import early_write_transform
 
 
@@ -41,49 +41,54 @@ from moca_verify.transform import early_write_transform
 def reference_shmo1(rels, at=None):
     """Every write against every target: the write is triggered if it is
     mhb-before the target, or one of its readers is, from another thread."""
+    events, pos = rels.events, rels.pos
+
     def triggered(e_w, e):
         if e.thr == e_w.thr:
             return False
-        return rels.mhb(e_w, e) or any(rels.mhb(r, e) for r in rels.readers.get(e_w, ()))
+        readers = [events[r] for r in positions(rels.readers[pos[e_w]])]
+        return rels.mhb(e_w, e) or any(rels.mhb(r, e) for r in readers)
 
-    targets = [e for e in rels.events if not e.is_init] if at is None else [at]
-    writes = [e for e in rels.events if e.is_write_like]
+    targets = [e for e in events if not e.is_init] if at is None else [events[at]]
+    writes = [e for e in events if e.is_write_like]
     for e in targets:
         for e_w in writes:
             if not triggered(e_w, e):
                 continue
             if e.is_write_like:
-                if flush_before(rels, e_w, e) is False:
+                if flush_before(rels, pos[e_w], pos[e]) is False:
                     return (e_w, e)
             else:
-                f = rels.flush_pos.get(e_w)
-                if f is None or f >= rels.pos[e]:
+                f = rels.flush_pos[pos[e_w]]
+                if f < 0 or f >= pos[e]:
                     return (e_w, e)
     return None
 
 
 def reference_shmo2(rels, at=None):
+    events = rels.events
     for r2 in _reads(rels, at):
         src2 = rels.rf[r2]
-        for r1 in rels.obj_reads[r2.obj_read]:
-            if r1 is r2:
+        for r1 in rels.obj_reads[events[r2].obj_read]:
+            if r1 == r2:
                 break
             src1 = rels.rf[r1]
-            if src1 == src2 or not rels.hb(r1, r2):
+            if src1 == src2 or not rels.hb(events[r1], events[r2]):
                 continue
             if flush_before(rels, src1, src2) is False:
-                return (r1, r2)
+                return (events[r1], events[r2])
     return None
 
 
 def reference_shmo3(rels, at=None):
+    events = rels.events
     for r in _reads(rels, at):
         src = rels.rf[r]
-        for w1 in rels.obj_issue_order.get(r.obj_read, ()):
-            if w1 == src or not rels.hb(w1, r):
+        for w1 in rels.obj_issue_order.get(events[r].obj_read, ()):
+            if w1 == src or not rels.hb(events[w1], events[r]):
                 continue
             if flush_before(rels, w1, src) is False:
-                return (w1, r)
+                return (events[w1], events[r])
     return None
 
 
@@ -92,8 +97,15 @@ RULES = ((_rule_shmo1, reference_shmo1), (_rule_shmo2, reference_shmo2),
 
 
 def reference_c11_oracle(rels):
-    """Every axiom as an all-pairs scan over ``rels.mo`` as it stands."""
-    mo_index = {obj: {w: i for i, w in enumerate(ws)} for obj, ws in rels.mo.items()}
+    """Every axiom as an all-pairs scan over ``rels.mo`` as it stands, on
+    events."""
+    events = rels.events
+
+    def as_events(by_obj):
+        return {obj: [events[p] for p in ps] for obj, ps in by_obj.items()}
+
+    mo = as_events(rels.mo)
+    mo_index = {obj: {w: i for i, w in enumerate(ws)} for obj, ws in mo.items()}
 
     def mo_before(a, b):
         obj = a.obj_written
@@ -102,30 +114,30 @@ def reference_c11_oracle(rels):
         index = mo_index.get(obj, {})
         return a in index and b in index and index[a] < index[b]
 
-    hb, rf = rels.hb, rels.rf
-    issued = rels.obj_issue_order
+    hb, rf = rels.hb, dict(rf_pairs(rels))
+    issued, obj_reads = as_events(rels.obj_issue_order), as_events(rels.obj_reads)
     rules = {}
     rules["mo1"] = next(
         ((w1, w2) for ws in issued.values() for w1 in ws for w2 in ws
          if w1 != w2 and hb(w1, w2) and not mo_before(w1, w2)), None)
     rules["mo2"] = next(
-        ((r1, r2) for rs in rels.obj_reads.values() for r1 in rs for r2 in rs
+        ((r1, r2) for rs in obj_reads.values() for r1 in rs for r2 in rs
          if r1 != r2 and hb(r1, r2)
          and rf[r1] != rf[r2] and not mo_before(rf[r1], rf[r2])), None)
     rules["mo3"] = next(
-        ((r1, w1) for obj, rs in rels.obj_reads.items() for r1 in rs
+        ((r1, w1) for obj, rs in obj_reads.items() for r1 in rs
          for w1 in issued.get(obj, ())
          if hb(r1, w1) and not mo_before(rf[r1], w1)), None)
     rules["mo4"] = next(
-        ((w1, r1) for obj, rs in rels.obj_reads.items() for r1 in rs
+        ((w1, r1) for obj, rs in obj_reads.items() for r1 in rs
          for w1 in issued.get(obj, ())
          if hb(w1, r1) and rf[r1] != w1 and not mo_before(w1, rf[r1])), None)
-    _, cycle = sc_order(rels.sc_placed)
-    rules["to"] = cycle if cycle is not None else next(
-        ((a, b) for a, b in sc_pairs(rels.sc_placed)
-         if hb(b, a) or mo_before(b, a)), None)
+    _, cycle = sc_order(events, rels.sc_placed)
+    rules["to"] = (events[cycle[0]], events[cycle[1]]) if cycle is not None else next(
+        ((events[a], events[b]) for a, b in sc_pairs(events, rels.sc_placed)
+         if hb(events[b], events[a]) or mo_before(events[b], events[a])), None)
     rules["co"] = None
-    for r in (e for e in rels.events if e.is_read_like):
+    for r in (e for e in events if e.is_read_like):
         w = rf.get(r)
         if w is None or hb(r, w):
             rules["co"] = (r,) if w is None else (r, w)
@@ -133,10 +145,12 @@ def reference_c11_oracle(rels):
     return rules
 
 
-def reference_conflict_positions(rels, e):
-    """Brute force: every earlier non-init event that conflicts with ``e``."""
-    return {rels.pos[d] for d in rels.events[rels.init_len:rels.pos[e]]
-            if conflicts(d, e, rels.release_objs)}
+def reference_conflict_positions(rels, p):
+    """Brute force: every earlier non-init event that conflicts with the
+    event at ``p``."""
+    events = rels.events
+    return {d for d in range(rels.init_len, p)
+            if conflicts(events[d], events[p], rels.release_objs)}
 
 
 def positions(mask):
@@ -180,14 +194,15 @@ def test_masks_match_pairwise_references():
         for child in unreduced_children(program):
             children += 1
             live = child.rels
-            new = live.events[-1]
+            new = len(live.events) - 1
+            act = live.events[new].act
             where = (program.name, child.schedule_so_far())
             rebuilt = compute_relations(child.sequence())
-            at = live.origin_of[new] if new.act is Act.SHADOW else new
+            at = live.origin_of[new] if act is Act.SHADOW else new
             for rule, reference in RULES:
                 assert rule(live) == reference(live), where
                 assert rule(rebuilt) == reference(rebuilt), where
-                if new.act is not Act.WRITE:
+                if act is not Act.WRITE:
                     assert rule(live, at) == reference(live, at), where
 
             assert positions(conflict_mask(live, new)) == \
@@ -206,35 +221,47 @@ def test_masks_match_pairwise_references():
 
 def reference_lookups(st):
     """Each mask-derived lookup of ``st.rels``, named, next to a scan of its
-    events: ``(name, derived, scanned)``."""
+    events, as positions (-1 for none) or position sets: ``(name, derived,
+    scanned, shown)``, where ``shown`` says the scan found more than an
+    empty default or an init event."""
     rels = st.rels
     events = rels.events
+    init_len = rels.init_len
     out = []
     for unit in {e.thr for e in events}:
-        own = [e for e in events if e.thr == unit]
-        out.append(("last_of_unit", rels.last_of_unit(unit), own[-1]))
+        own = [p for p, e in enumerate(events) if e.thr == unit]
+        out.append(("last_of_unit", rels.last_of_unit(unit), own[-1],
+                    own[-1] >= init_len))
         for obj in rels.obj_issue_order:
-            writes = [e for e in own if e.is_write_like and e.obj_written == obj]
-            out.append(("last_write", rels.last_obj_write_of_thread(unit, obj),
-                        writes[-1] if writes else None))
+            writes = [p for p in own
+                      if events[p].is_write_like and events[p].obj_written == obj]
+            last = writes[-1] if writes else -1
+            out.append(("last_write", rels.last_obj_write_of_thread(unit, obj), last,
+                        last >= init_len))
     for obj in rels.obj_issue_order:
-        rmws = [e for e in events if e.act is Act.RMW and e.obj_written == obj]
-        init = next(e for e in events
+        rmws = [p for p, e in enumerate(events) if e.act is Act.RMW and e.obj_written == obj]
+        init = next(p for p, e in enumerate(events)
                     if e.is_init and e.act is Act.WRITE and e.obj_written == obj)
-        out.append(("last_rmw", rels.last_rmw(obj), rmws[-1] if rmws else init))
-    for w in (e for e in events if e.is_write_like):
-        fences = [f for f in events[:rels.pos[w]]
-                  if f.thr == w.thr and f.act is Act.FENCE and at_least(f.ord, MO.REL)]
-        release = [w] if at_least(w.ord, MO.REL) else []
-        out.append(("sw_sources", rels.sw_sources(w), fences + release))
-        out.append(("release_fences", rels.sw_sources(w)[:len(fences)], fences))
-    for w, p in rels.flush_pos.items():
-        flush = w if w.act is Act.RMW else next(
-            e for e in events if rels.origin_of.get(e) == w)
-        out.append(("flush_event", events[p], flush))
+        out.append(("last_rmw", rels.last_rmw(obj), rmws[-1] if rmws else init,
+                    bool(rmws)))
+    for w, ew in enumerate(events):
+        if not ew.is_write_like:
+            continue
+        fences = {p for p, f in enumerate(events[:w])
+                  if f.thr == ew.thr and f.act is Act.FENCE and at_least(f.ord, MO.REL)}
+        release = {w} if at_least(ew.ord, MO.REL) else set()
+        derived = positions(rels.sw_sources(w))
+        out.append(("sw_sources", derived, fences | release, bool(fences | release)))
+        out.append(("release_fences", derived - {w}, fences, bool(fences)))
+    for w, p in enumerate(rels.flush_pos):
+        if p < 0:
+            continue
+        flush = w if events[w].act is Act.RMW else next(
+            x for x in range(len(events)) if rels.origin_of[x] == w)
+        out.append(("flush_event", p, flush, flush >= init_len))
     for unit in st.enabled_units():
-        out.append(("next_idx", st.peek(unit).event.idx,
-                    sum(1 for e in events if e.thr == unit)))
+        n = sum(1 for e in events if e.thr == unit)
+        out.append(("next_idx", st.peek(unit).event.idx, n, n > 0))
     return out
 
 
@@ -245,9 +272,9 @@ def test_derived_lookups_match_event_scans():
         for child in unreduced_children(program):
             children += 1
             where = (program.name, child.schedule_so_far())
-            for name, derived, scanned in reference_lookups(child):
+            for name, derived, scanned, nontrivial in reference_lookups(child):
                 assert derived == scanned, (name,) + where
-                if scanned and not getattr(scanned, "is_init", False):
+                if nontrivial:
                     shown.add(name)
     assert children > 10_000
     assert shown == {"last_of_unit", "last_write", "last_rmw", "sw_sources",

@@ -33,7 +33,7 @@ from moca_verify.explorer import (
     explore,
 )
 from moca_verify.ir import Fadd, Store, flatten, release_class_objects, stmt_objs
-from moca_verify.relations import compute_relations
+from moca_verify.relations import compute_relations, rf_pairs
 from moca_verify.transform import early_write_transform
 
 STORE_ORDERS = ["na", "rlx", "rel", "acq_rel", "sc"]
@@ -206,14 +206,14 @@ def check_hb_validity(source: str, rng: random.Random,
         # property 4: linearizations of the causal order are equivalent
         # execution sequences with identical reads-from and store orders
         base_id = canonical_trace_id(rels)
-        base_rf = {r.key: w.key for r, w in seq.rf.items()}
+        base_rf = {r.key: w.key for r, w in rf_pairs(seq)}
         assert base_id == trace.trace_id
         states_by_id.setdefault(base_id, _signature(final))
         for schedule in _cd_linearizations(final, rng, max_linearizations):
             replayed = run_sequence(target, schedule)
             rseq = replayed.sequence()
             rrels = compute_relations(rseq)
-            assert {r.key: w.key for r, w in rseq.rf.items()} == base_rf, source
+            assert {r.key: w.key for r, w in rf_pairs(rseq)} == base_rf, source
             assert canonical_trace_id(rrels) == base_id, source
             assert _signature(replayed) == _signature(final), source
             # property 5 across representatives
@@ -413,10 +413,10 @@ thread T3:
   r3 = fadd(a, 1, rlx)
 """))
         final = run_sequence(target, ["T1", "T2", "T3", "T1", "sth_a(T1)", "sth_a(T2)"])
-        base_rf = {r.key: w.key for r, w in final.sequence().rf.items()}
+        base_rf = {r.key: w.key for r, w in rf_pairs(final.sequence())}
         for schedule in _cd_linearizations(final, random.Random(1), 50):
             replayed = run_sequence(target, schedule).sequence()
-            assert {r.key: w.key for r, w in replayed.rf.items()} == base_rf, schedule
+            assert {r.key: w.key for r, w in rf_pairs(replayed)} == base_rf, schedule
 
 
 def _written_by_threads(program, obj: str) -> int:

@@ -11,20 +11,29 @@ from moca_verify import explore, parse_program, run_sequence
 from moca_verify.engine import initial_state
 from moca_verify.explorer import _Explorer, canonical_trace_id
 from moca_verify.ir import Act, ContractViolation, Event, MO, at_least
+from moca_verify.engine import Sequence
 from moca_verify.relations import (
     compute_relations,
+    mask_edges,
     release_sequence,
     release_sequence_members,
+    rf_pairs,
     sc_order,
     sc_pairs,
 )
+
+
+def edge_set(rels, masks):
+    """A relation stored as per-position source masks, as a set of pairs."""
+    return set(mask_edges(rels.events, masks))
 
 
 def reference_hb_mask(seq, rels):
     """Happens-before by its definition, as position bitmasks: po (same unit,
     smaller index), every init event before every non-init event, and the
     inter-thread closure, i.e. reachability over unit-successor + sw + dob
-    edges counting only paths with at least one sync edge."""
+    edges counting only paths with at least one sync edge.  Returns one mask
+    per position."""
     events = seq.events
     succ = {e: [] for e in events}
     by_unit = {}
@@ -34,7 +43,7 @@ def reference_hb_mask(seq, rels):
         unit_events.sort(key=lambda e: e.idx)
         for a, b in zip(unit_events, unit_events[1:]):
             succ[a].append((b, False))
-    for a, b in rels.sw | rels.dob:
+    for a, b in edge_set(rels, rels.sw) | edge_set(rels, rels.dob):
         succ[a].append((b, True))
 
     mask = {e: 0 for e in events}
@@ -56,7 +65,7 @@ def reference_hb_mask(seq, rels):
             po = start.thr == b.thr and start.idx < b.idx
             if po or (start.is_init and not b.is_init):
                 mask[b] |= bit
-    return mask
+    return [mask[e] for e in events]
 
 
 def reference_sc_order(placed):
@@ -94,10 +103,15 @@ def reference_sc_order(placed):
     return order, None, pairs
 
 
-def assert_sc_matches_reference(placed):
-    order, witness, pairs = reference_sc_order(placed)
-    assert sc_order(placed) == (order, witness), placed
-    assert list(sc_pairs(placed)) == pairs, placed
+def assert_sc_matches_reference(events, placed):
+    """``sc_order`` and ``sc_pairs`` on ``placed`` (positions into
+    ``events``) against the reference on the placed events themselves."""
+    order, witness, pairs = reference_sc_order([(events[p], at) for p, at in placed])
+    got_order, got_witness = sc_order(events, placed)
+    assert (None if got_order is None else [events[p] for p in got_order]) == order, placed
+    assert (None if got_witness is None else
+            tuple(events[p] for p in got_witness)) == witness, placed
+    assert [(events[a], events[b]) for a, b in sc_pairs(events, placed)] == pairs, placed
     return witness is not None
 
 
@@ -159,7 +173,7 @@ class TestComputeRelations:
         _, seq, rels = run(mp, ["T1", "T1", "sth_x(T1)", "sth_f(T1)", "T2", "T2"])
         w_x, w_f = by_key(seq, "T1", 0), by_key(seq, "T1", 1)
         r_f, r_x = by_key(seq, "T2", 0), by_key(seq, "T2", 1)
-        assert (w_f, r_f) in rels.sw
+        assert (w_f, r_f) in edge_set(rels, rels.sw)
         assert rels.hb(w_x, r_x)          # po ; sw ; po
         assert rels.mhb(w_x, r_x)         # not a direct synchronization edge
         assert not rels.mhb(w_f, r_f)     # direct sw pairs are excluded
@@ -168,7 +182,7 @@ class TestComputeRelations:
         p = parse_program(
             "program s\ninit x = 0\nthread T1:\n  store(x, 1, rlx)\n  r = load(x, rlx)\n")
         _, seq, rels = run(p, ["T1", "T1", "sth_x(T1)"])
-        assert rels.sw == set() and rels.dob == set()
+        assert not any(rels.sw) and not any(rels.dob)
         w, r = by_key(seq, "T1", 0), by_key(seq, "T1", 1)
         assert rels.hb(w, r) and not rels.hb(r, w)
 
@@ -186,14 +200,14 @@ thread T2:
         _, seq, rels = run(p, ["T1", "T1", "sth_x(T1)", "sth_x(T1)", "T2"])
         head, cont = by_key(seq, "T1", 0), by_key(seq, "T1", 1)
         r = by_key(seq, "T2", 0)
-        assert seq.rf[r] == cont
-        assert (head, r) in rels.dob
-        assert (cont, r) not in rels.sw   # continuation is not release-class
+        assert seq.rf[seq.pos[r]] == seq.pos[cont]
+        assert (head, r) in edge_set(rels, rels.dob)
+        assert (cont, r) not in edge_set(rels, rels.sw)   # continuation is not release-class
         assert rels.hb(head, r)
 
     def test_mo_follows_flush_order(self, w_rwr):
         _, seq, rels = run(w_rwr, ["T1", "sth_x(T1)", "T2", "T2", "T2", "sth_x(T2)"])
-        order = [e.thr for e in rels.mo["x"]]
+        order = [rels.events[w].thr for w in rels.mo["x"]]
         assert order == ["init", "T1", "T2"]
 
     def test_sc_writes_place_at_flush(self):
@@ -202,9 +216,9 @@ thread T2:
             "thread T2:\n  r = load(y, sc)\n")
         # the read executes before the store's flush: total order puts it first
         _, seq, rels = run(p, ["T1", "T2", "sth_x(T1)"])
-        order, witness = sc_order(rels.sc_placed)
+        order, witness = sc_order(rels.events, rels.sc_placed)
         assert witness is None
-        assert [e.act for e in order] == [Act.READ, Act.WRITE]
+        assert [rels.events[p].act for p in order] == [Act.READ, Act.WRITE]
 
     def test_hb_contained_in_sequence_order(self):
         for name in ("mp", "simple-ithb", "ww-rr"):
@@ -231,7 +245,7 @@ class TestFenceSynchronization:
         fence = by_key(seq, "T1", 1)
         r_f = by_key(seq, "T2", 0)
         assert fence.act is Act.FENCE
-        assert (fence, r_f) in rels.sw
+        assert (fence, r_f) in edge_set(rels, rels.sw)
         assert rels.hb(by_key(seq, "T1", 0), by_key(seq, "T2", 1))
 
     def test_acquire_fence_after_load(self):
@@ -239,7 +253,7 @@ class TestFenceSynchronization:
         _, seq, rels = run(p, ["T1", "T1", "sth_x(T1)", "sth_f(T1)", "T2", "T2", "T2"])
         w_f = by_key(seq, "T1", 1)
         fence = by_key(seq, "T2", 1)
-        assert (w_f, fence) in rels.sw
+        assert (w_f, fence) in edge_set(rels, rels.sw)
         assert rels.hb(by_key(seq, "T1", 0), by_key(seq, "T2", 2))
 
     def test_fence_to_fence(self):
@@ -248,7 +262,7 @@ class TestFenceSynchronization:
                                "T2", "T2", "T2"])
         f_rel = by_key(seq, "T1", 1)
         f_acq = by_key(seq, "T2", 1)
-        assert (f_rel, f_acq) in rels.sw
+        assert (f_rel, f_acq) in edge_set(rels, rels.sw)
         assert rels.hb(by_key(seq, "T1", 0), by_key(seq, "T2", 2))
 
     def test_fences_never_in_mo_or_rf(self):
@@ -262,13 +276,14 @@ class TestFenceSynchronization:
             seq = st.sequence()
             rels = compute_relations(seq)
             for ws in rels.mo.values():
-                assert all(w.act is not Act.FENCE for w in ws)
-            assert all(w.act is not Act.FENCE for w in seq.rf.values())
+                assert all(rels.events[w].act is not Act.FENCE for w in ws)
+            assert all(w.act is not Act.FENCE for _, w in rf_pairs(seq))
 
 
 class TestLiveMatchesReference:
     def test_hb_and_mhb_agree_on_every_prefix(self):
-        for name in ("mp", "simple-ithb", "sb-sc", "store-then-rmw", "wrc-addrs"):
+        for name in ("mp", "simple-ithb", "sb-sc", "store-then-rmw", "wrc-addrs",
+                     "mp-fence-acq", "mp-fence-both"):
             p = corpus_program(name)
             from moca_verify import explore
             from moca_verify.transform import early_write_transform
@@ -280,17 +295,22 @@ class TestLiveMatchesReference:
                     st = st.step(u)
                     seq = st.sequence()
                     rels = compute_relations(seq)
-                    # the fields the coherence rules read, in iteration order
-                    for field in ("rf", "readers", "flush_pos", "obj_reads",
-                                  "obj_issue_order", "mo", "unit_mask",
+                    # every position table and every per-object field both
+                    # classes keep, dicts in iteration order
+                    for field in ("events", "pos", "init_len", "rf", "readers",
+                                  "flush_pos", "hb_mask", "sw", "dob", "obj_reads",
+                                  "obj_issue_order", "mo", "sc_placed", "unit_mask",
                                   "obj_read_mask", "obj_write_mask"):
-                        live_items = list(getattr(st.rels, field).items())
-                        assert live_items == list(getattr(rels, field).items()), \
-                            (name, field)
-                    assert st.rels.sw == rels.sw, name
-                    assert st.rels.dob == rels.dob, name
-                    assert st.rels.sc_placed == rels.sc_placed, name
-                    assert_sc_matches_reference(rels.sc_placed)
+                        live, rebuilt = getattr(st.rels, field), getattr(rels, field)
+                        if isinstance(live, dict):
+                            live, rebuilt = list(live.items()), list(rebuilt.items())
+                        assert live == rebuilt, (name, field)
+                    n = len(seq.events)
+                    assert all(len(getattr(st.rels, field)) == n for field in (
+                        "rf", "readers", "flush_pos", "hb_mask", "cd_mask", "sw",
+                        "dob", "origin_of", "value_of")), name
+                    assert st.rels.origin_of == seq.origin_of, name
+                    assert_sc_matches_reference(rels.events, rels.sc_placed)
                     assert rels.hb_mask == reference_hb_mask(seq, rels), name
                     for a in seq.events:
                         for b in seq.events:
@@ -332,10 +352,10 @@ class TestScOrder:
                 counts[t] += 1
             rng.shuffle(events)
             placed, p = [], 0
-            for e in events:
+            for i in range(len(events)):
                 p += rng.randint(1, 3)
-                placed.append((e, p))
-            cyclic += assert_sc_matches_reference(placed)
+                placed.append((i, p))
+            cyclic += assert_sc_matches_reference(events, placed)
         assert 0 < cyclic < 100_000
 
     def test_cycle_witness_is_first_two_by_placement(self):
@@ -343,9 +363,11 @@ class TestScOrder:
         a1 = Event(thr="T1", act=Act.READ, obj=("y",), ord=MO.SC, idx=1)
         b0 = Event(thr="T2", act=Act.READ, obj=("x",), ord=MO.SC, idx=0)
         # T1's idx 1 is placed before T2's event, which precedes T1's idx 0
-        placed = [(a1, 5), (b0, 6), (a0, 7)]
-        assert sc_order(placed) == (None, (a1, b0))
-        assert list(sc_pairs(placed)) == [(a1, b0), (a0, a1), (b0, a0)]
+        events = [a1, b0, a0]
+        placed = [(0, 5), (1, 6), (2, 7)]
+        assert sc_order(events, placed) == (None, (0, 1))           # (a1, b0)
+        assert list(sc_pairs(events, placed)) == [(0, 1), (2, 0), (1, 2)]
+        # (a1, b0), (a0, a1), (b0, a0)
 
 
 class TestHappensBeforeMask:
@@ -353,12 +375,27 @@ class TestHappensBeforeMask:
         st = run_sequence(mp, ["T1", "T1", "sth_x(T1)", "sth_f(T1)", "T2", "T2"])
         seq = st.sequence()
         w_f, r_f = by_key(seq, "T1", 1), by_key(seq, "T2", 0)
-        # swap the synchronizing pair so the sw edge points backward
+        # swap the synchronizing pair so the sw edge points backward: every
+        # event and every position the sequence holds moves with the swap
         i, j = seq.pos[w_f], seq.pos[r_f]
-        seq.events[i], seq.events[j] = r_f, w_f
-        seq.pos[w_f], seq.pos[r_f] = j, i
-        with pytest.raises(ContractViolation):
-            compute_relations(seq)
+        swap = {i: j, j: i}
+
+        def moved(p):
+            return swap.get(p, p) if p >= 0 else p
+
+        def permuted(table):
+            out = list(table)
+            out[i], out[j] = table[j], table[i]
+            return [moved(p) for p in out]
+
+        swapped = Sequence(
+            events=[seq.events[swap.get(p, p)] for p in range(len(seq.events))],
+            rf=permuted(seq.rf), pos={e: moved(p) for e, p in seq.pos.items()},
+            flush_pos=permuted(seq.flush_pos), origin_of=permuted(seq.origin_of),
+            init_len=seq.init_len)
+        assert dict(rf_pairs(swapped)) == dict(rf_pairs(seq))   # same facts, moved
+        with pytest.raises(ContractViolation, match="points backward"):
+            compute_relations(swapped)
 
 
 # ---------------------------------------------------------------------------
@@ -369,11 +406,10 @@ def reference_dob(rels):
     """dob by one ``release_sequence_members`` call per release head before
     each acquire read's source."""
     dob = set()
-    for r in rels.events:
-        if not (r.is_read_like and at_least(r.ord, MO.ACQ)):
+    for r, src in rf_pairs(rels):
+        if not at_least(r.ord, MO.ACQ):
             continue
-        src = rels.rf[r]
-        order = rels.obj_issue_order[r.obj_read]
+        order = [rels.events[w] for w in rels.obj_issue_order[r.obj_read]]
         for head in order:
             if head == src or rels.pos[head] > rels.pos[src]:
                 continue
@@ -391,8 +427,9 @@ def assert_dob_matches_reference(program, monkeypatch):
     def check(self, state):
         live = state.rels
         reference = reference_dob(live)
-        assert live.dob == reference, (program.name, state.schedule_so_far())
-        assert compute_relations(state.sequence()).dob == reference
+        assert edge_set(live, live.dob) == reference, (program.name, state.schedule_so_far())
+        rebuilt = compute_relations(state.sequence())
+        assert edge_set(rebuilt, rebuilt.dob) == reference
         nonlocal edges
         edges += len(reference)
         record(self, state)

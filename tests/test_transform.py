@@ -2,9 +2,30 @@ from __future__ import annotations
 
 from conftest import corpus_names, corpus_program
 
+import random
+
+from test_properties import random_program_source
+
 from moca_verify import parse_program, pretty_print
-from moca_verify.ir import Load, Store, structurally_equal
+from moca_verify.ir import IfBlock, Load, Store, flatten, structurally_equal
 from moca_verify.transform import check_spr, early_write_transform
+
+
+def statements(program):
+    return [s for t in program.threads for s in flatten(t.body)]
+
+
+def program_snapshot(program):
+    """Every field of ``program`` and of its statements, nested bodies
+    included."""
+    def block(body):
+        return [(type(s).__name__, dict(vars(s), then_body=None, else_body=None))
+                + ((block(s.then_body), block(s.else_body))
+                   if isinstance(s, IfBlock) else ())
+                for s in body]
+    return (program.name, dict(program.objects),
+            [(t.name, block(t.body)) for t in program.threads],
+            [vars(a).copy() for a in program.asserts], program.expect_traces)
 
 
 def thread_kinds(program, name="T1"):
@@ -87,6 +108,21 @@ class TestHoisting:
         q = early_write_transform(p)
         inner = q.thread("T1").body[1].then_body
         assert [type(s).__name__ for s in inner] == ["Store", "Load"]
+
+    def test_input_program_is_left_unchanged(self):
+        """The result holds copies of the statements (the frozen expressions
+        are shared); the input, ``influences`` included, stays as it was."""
+        rng = random.Random(20261019)
+        programs = [corpus_program(n) for n in corpus_names()]
+        programs += [parse_program(random_program_source(rng)) for _ in range(200)]
+        hoisted = 0
+        for p in programs:
+            before = program_snapshot(p)
+            q = early_write_transform(p)
+            assert program_snapshot(p) == before, p.name
+            assert not {id(s) for s in statements(p)} & {id(s) for s in statements(q)}
+            hoisted += not structurally_equal(p, q)
+        assert hoisted >= 10
 
     def test_idempotent_on_corpus(self):
         for name in corpus_names():
