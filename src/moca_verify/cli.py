@@ -16,8 +16,8 @@ import click
 
 from .ir import ParseError, parse_program, pretty_print
 from .engine import ReplayError, initial_state, replay, run_sequence, walk_trace
-from .relations import compute_relations, hb_pairs, mask_edges, rf_pairs, sc_order
-from .coherence import check_c11_oracle, check_moca
+from .relations import compute_relations, hb_pairs, mask_edges, rf_pairs
+from .coherence import check_c11_oracle, check_moca, shto_order
 from .explorer import (
     EnumerationCapExceeded,
     ExplorationReport,
@@ -81,7 +81,7 @@ def _relation_dump(program, schedule: list[str]) -> dict:
     def edges(pairs) -> list[str]:
         return sorted(f"{a.pretty()} -> {b.pretty()}" for a, b in pairs)
 
-    to, _ = sc_order(events, rels.sc_placed)
+    to = shto_order(rels)
     return {
         "schema": "moca-verify-relations/1",
         "schedule": schedule,
@@ -145,7 +145,8 @@ def main() -> None:
 @click.option("--dump-relations", is_flag=True,
               help="include per-trace relation edge lists in the JSON report")
 @click.option("--dump-trace", is_flag=True,
-              help="print per-step shared-store snapshots of each distinct trace")
+              help="print per-step shared-store snapshots of each distinct trace "
+                   "(with --json, under each trace's \"snapshots\" key)")
 @click.option("--replay", "replay_file", type=click.Path(), default=None,
               help="replay a witness schedule (JSON list of unit ids) instead of exploring")
 def verify(path, as_json, max_seqs, max_depth, no_early_write, no_enforce_expect,
@@ -170,10 +171,15 @@ def verify(path, as_json, max_seqs, max_depth, no_early_write, no_enforce_expect
             entry["relations"] = _relation_dump(target, entry["schedule"])
     if dump_trace:
         target = early_write_transform(program) if not no_early_write else program
-        for t in report.traces:
-            click.echo(f"trace {t.trace_id}:")
-            for ev, snapshot in walk_trace(target, t.schedule):
-                click.echo(_trace_line(ev, snapshot))
+        for entry in payload["traces"]:
+            snapshots = walk_trace(target, entry["schedule"])
+            if as_json:
+                entry["snapshots"] = [{"event": ev.pretty(), "shared": shr}
+                                      for ev, shr in snapshots]
+            else:
+                click.echo(f"trace {entry['trace_id']}:")
+                for ev, shr in snapshots:
+                    click.echo(_trace_line(ev, shr))
 
     mismatch = None
     if program.expect_traces is not None and not no_enforce_expect:

@@ -4,8 +4,9 @@ Two rule families are implemented:
 
 * the shadow-order rules (``shco``, ``shmo1``..``shmo3``, ``shrmo``,
   ``shto``) that decide which interleavings the explorer may keep, and
-* the classic per-location coherence axioms (``mo1``..``mo4``, ``to``, ``co``)
-  evaluated over (hb, rf, mo, to) as a post-hoc validation oracle.
+* the classic per-location coherence axioms (``mo1``..``mo4``, ``co``) and
+  the sc axiom ``to`` (some total order of the sc events extends hb and
+  mo), evaluated over (hb, rf, mo) as a post-hoc validation oracle.
 
 The shadow-order rules read a relations object directly: either the engine's
 ``LiveRelations`` or a ``RelationSet`` rebuilt by ``compute_relations``; the
@@ -31,6 +32,13 @@ prefix, ``shmo2``/``shmo3`` those among the read's object's reads/writes.
 Set bits come in position order, so the first witness is the one a scan of
 events in sequence order finds.
 
+``shto`` is a constraint, not an order the interleaving supplies: it holds
+iff the hb, mo, rf and fr edges among the placed sc events (reads, fences
+and rmws at their own position, writes at their flush) form no cycle, in
+the style of RC11's psc acyclicity (Lahav et al., PLDI 2017).  So the
+placement order of sc events of different threads decides nothing, and the
+explorer lets them commute.
+
 Each rule is written once as ``_rule_X(rels, at=None)``.  With ``at=None``
 it checks every instance; that is ``check_moca``, the post-hoc check of a
 maximal sequence.  With the position ``at`` of an event it checks only the
@@ -55,7 +63,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .ir import Act, Event, MO
-from .relations import LiveRelations, Relations, sc_order, sc_pairs, set_bits
+from .relations import LiveRelations, Relations, set_bits
 
 Witness = tuple[Event, ...]
 
@@ -191,37 +199,73 @@ def _rule_shrmo(rels: Relations, at: Optional[int] = None) -> Optional[Witness]:
     return None
 
 
+def _sc_graph(rels: Relations) -> tuple[list[int], dict[int, int]]:
+    """The ``shto`` graph: the placed sc events in placement order, and for
+    each the mask of its predecessors among them by hb, mo (flush order), rf
+    (source to read) and fr (read to every write mo-after its source).
+
+    rf needs no term of its own: an sc read of an sc write synchronizes
+    with it, or follows it in program order, so the edge is in hb."""
+    nodes = [p for p, _ in rels.sc_placed]
+    if not nodes:
+        return nodes, {}
+    placed = sum(1 << p for p in nodes)
+    # each flushed write's mo-predecessors and their reads (its fr sources)
+    mo_fr: dict[int, int] = {}
+    for ws in rels.mo.values():
+        before = 0
+        for w in ws:
+            mo_fr[w] = before
+            before |= 1 << w | rels.readers[w]
+    # an rmw is a reader of its own mo-predecessor: no fr edge to itself
+    preds = {p: (rels.hb_mask[p] | mo_fr.get(p, 0)) & placed & ~(1 << p)
+             for p in nodes}
+    return nodes, preds
+
+
+def _ancestors(preds: dict[int, int], p: int) -> int:
+    """The mask of the nodes with a path to ``p``; ``p`` is in it iff ``p``
+    lies on a cycle."""
+    seen, todo = 0, preds[p]
+    while todo:
+        low = todo & -todo
+        seen |= low
+        todo = (todo | preds[low.bit_length() - 1]) & ~seen
+    return seen
+
+
 def _rule_shto(rels: Relations, at: Optional[int] = None) -> Optional[Witness]:
-    events = rels.events
-    if at is None:
-        _, cycle = sc_order(events, rels.sc_placed)
-        if cycle is not None:
-            return (events[cycle[0]], events[cycle[1]])
-        pairs = sc_pairs(events, rels.sc_placed)
-    elif events[at].ord is not MO.SC:
+    """``_sc_graph`` is acyclic.  A cycle is reported as the two
+    earliest-placed members of the strongly connected component of the
+    earliest-placed event on any cycle, in placement order.  An edge is
+    fixed once both its events are placed, so on a prefix whose proper
+    prefixes passed, every cycle passes through ``at``."""
+    if at is not None and rels.events[at].ord is not MO.SC:
         return None
-    else:
-        # ``at`` is the last placement and the order before it was acyclic:
-        # a cycle must pass through ``at``, which has an outgoing edge only
-        # to a placed event of its own thread with a higher idx
-        ev = events[at]
-        earlier = [p for p, _ in rels.sc_placed[:-1]]
-        if any(events[p].thr == ev.thr and events[p].idx > ev.idx for p in earlier):
-            _, cycle = sc_order(events, rels.sc_placed)
-            if cycle is not None:
-                return (events[cycle[0]], events[cycle[1]])
-        # the pairs containing ``at``, oriented and ordered as ``sc_pairs``
-        pairs = ((at, p) if events[p].thr == ev.thr and ev.idx < events[p].idx
-                 else (p, at) for p in earlier)
-    for a, b in pairs:
-        ea, eb = events[a], events[b]
-        if rels.hb_mask[a] >> b & 1:
-            return (ea, eb)
-        if (ea.is_write_like and eb.is_write_like
-                and ea.obj_written == eb.obj_written
-                and flush_before(rels, b, a) is True):
-            return (ea, eb)
+    nodes, preds = _sc_graph(rels)
+    for a in nodes if at is None else (at,):
+        before = _ancestors(preds, a)
+        if before >> a & 1:
+            cycle = [p for p in nodes
+                     if before >> p & 1 and _ancestors(preds, p) >> a & 1]
+            return (rels.events[cycle[0]], rels.events[cycle[1]])
     return None
+
+
+def shto_order(rels: Relations) -> Optional[list[int]]:
+    """A total order of the placed sc events that extends ``_sc_graph``,
+    as positions: the earliest-placed event whose predecessors are all
+    listed comes next.  None if the graph has a cycle."""
+    nodes, preds = _sc_graph(rels)
+    order: list[int] = []
+    listed = 0
+    while len(order) < len(nodes):
+        p = next((p for p in nodes if not (listed >> p & 1 or preds[p] & ~listed)), None)
+        if p is None:
+            return None
+        order.append(p)
+        listed |= 1 << p
+    return order
 
 
 # in report order; ``check_step`` reports the first failure in this order
@@ -271,9 +315,11 @@ def overdue_write(rels: Relations, rule: str, witness: Witness) -> Optional[Even
 # ---------------------------------------------------------------------------
 
 def check_c11_oracle(rels: Relations) -> CoherenceVerdict:
-    """Validate (hb, rf, mo, to) against the per-location coherence axioms
+    """Validate (hb, rf, mo) against the per-location coherence axioms
     and the sc total-order axiom; violations are verdicts, not exceptions.
-    Each axiom reports its first violating pair, in scan order.
+    Each axiom reports its first violating pair, in scan order; ``to``'s is
+    the first pair of placed sc events, in placement order, that the
+    transitive closure of hb and mo orders both ways.
 
     ``mo1``..``mo4`` are one mask test per event: one running mask per
     object over ``rels.mo``, as it stands at the call, gives each flushed
@@ -332,10 +378,17 @@ def check_c11_oracle(rels: Relations) -> CoherenceVerdict:
          for r1 in rs for w1 in issued.get(obj, ())
          if hb(w1, r1) and rf[r1] != w1 and not mo_before(w1, rf[r1])), None)
 
-    _, cycle = sc_order(events, rels.sc_placed)
-    verdict.rules["to"] = witness(*cycle) if cycle is not None else next(
-        (witness(a, b) for a, b in sc_pairs(events, rels.sc_placed)
-         if hb(b, a) or mo_before(b, a)), None)
+    # some total order of the sc events extends hb and mo iff the closure
+    # of their union orders no pair both ways
+    sc = [p for p, _ in rels.sc_placed]
+    after = {a: sum(1 << b for b in sc if hb(a, b) or mo_before(a, b)) for a in sc}
+    for k in sc:
+        for a in sc:
+            if after[a] >> k & 1:
+                after[a] |= after[k]
+    verdict.rules["to"] = next(
+        (witness(a, b) for i, a in enumerate(sc) for b in sc[i + 1:]
+         if after[a] >> b & 1 and after[b] >> a & 1), None)
 
     verdict.rules["co"] = None
     for r, e in enumerate(events):

@@ -8,21 +8,23 @@ algorithm applies unchanged.  Two events conflict when they are
 * two shared-store updates (shadow-writes or atomic rmws) of one object,
 * a shared-store update and a foreign thread's read of the same object,
 * two same-object write issues of which one is an rmw (the order decides
-  whether the plain write's thread reads its own write or the rmw's),
+  whether the plain write's thread reads its own write or the rmw's), or
 * two same-object plain write issues, if a release-class write exists for
-  the object (the order decides release-sequence membership), or
-* two placed sc events of different threads (their relative order feeds
-  the sc total order).
+  the object (the order decides release-sequence membership).
 
 Two plain write issues of an object that no release-class write touches
-commute; ``conflicts`` gives the argument.
+commute; ``conflicts`` gives the argument.  Two sc events of different
+threads commute unless a clause above orders them: ``shto`` asks only that
+some total order of the sc events fits their hb, mo, rf and fr edges, and
+the trace id fixes all four, so the order in which the sc events are placed
+reaches nothing the explorer distinguishes.
 
 When an executed event races with an earlier conflicting event not already
 ordered by the causal relation, an alternative starting unit is inserted
 into the backtrack set of the state before the earlier event; sleep sets
 suppress re-exploring commuting choices.  Race detection visits only the
-earlier events that ``conflict_mask`` selects from per-object, per-unit and
-sc position masks (exactly those ``conflicts`` accepts), and tests a race's
+earlier events that ``conflict_mask`` selects from per-object and per-unit
+position masks (exactly those ``conflicts`` accepts), and tests a race's
 reversibility on the set bits of the causal mask between the two.
 
 A node's state is dead once its candidates are built, so every enabled
@@ -133,9 +135,6 @@ def conflicts(a: Event, b: Event, release_objs: frozenset[str]) -> bool:
                 and upd.obj_written == other.obj_read
                 and upd.parent_thr != other.parent_thr):
             return True
-    if (a.is_sc_placement and b.is_sc_placement
-            and a.parent_thr != b.parent_thr):
-        return True
     return False
 
 
@@ -143,8 +142,8 @@ def conflict_mask(rels: LiveRelations, p: int) -> int:
     """Positions of the events ``d`` before the event ``e`` at ``p``,
     outside the init prefix and e's unit, with ``conflicts(d, e,
     rels.release_objs)``: each clause of ``conflicts`` read off the
-    per-object, per-unit and sc masks of ``rels`` (the engine's rmws read
-    and write one object)."""
+    per-object and per-unit masks of ``rels`` (the engine's rmws read and
+    write one object)."""
     e = rels.events[p]
     others = ~rels.parent_mask[e.parent_thr]
     mask = 0
@@ -159,8 +158,6 @@ def conflict_mask(rels: LiveRelations, p: int) -> int:
             mask |= rels.obj_rmw_mask.get(obj, 0)
     if e.is_read_like:
         mask |= rels.obj_update_mask.get(e.obj_read, 0) & others
-    if e.is_sc_placement:
-        mask |= rels.sc_mask & others
     after_init = (1 << p) - (1 << rels.init_len)
     return mask & after_init & ~rels.unit_mask[e.thr]
 

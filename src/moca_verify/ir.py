@@ -107,7 +107,7 @@ class Event:
     Events are hashed and queried on every relation lookup, so the hash and
     the derived attributes (``key``, ``objects``, ``obj_read``,
     ``obj_written``, ``is_write_like``, ``is_read_like``, ``is_init``,
-    ``is_store_update``, ``is_sc_placement``, ``parent_thr``) and the
+    ``is_store_update``, ``parent_thr``) and the
     display strings (``name``, ``pretty()``) are fixed once at construction.
     """
 
@@ -141,8 +141,6 @@ class Event:
         attrs["is_init"] = thr == INIT_THREAD or thr.endswith(f"({INIT_THREAD})")
         # updates the shared store: a shadow-write or an atomic rmw
         attrs["is_store_update"] = act is Act.SHADOW or act is Act.RMW
-        # takes a place in the sc total order (an sc write at its flush)
-        attrs["is_sc_placement"] = self.ord is MO.SC and act is not Act.WRITE
         # program thread the event acts for: a shadow-write acts for the
         # thread of the write it flushes
         attrs["parent_thr"] = thr[thr.index("(") + 1:-1] if act is Act.SHADOW else thr

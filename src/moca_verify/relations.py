@@ -48,8 +48,8 @@ instead of scanning event pairs: ``unit_mask`` (the events of each unit),
 and ``obj_issue_order``).  ``LiveRelations`` adds the masks race detection
 reads (``explorer.conflict_mask``): ``parent_mask`` (the events acting for
 each program thread, its shadow-writes included), ``obj_update_mask``
-(shadow-writes and rmws of each object), ``obj_rmw_mask`` and ``sc_mask``
-(every sc placement); and ``rel_fence_mask`` (release-class fences).
+(shadow-writes and rmws of each object) and ``obj_rmw_mask``; and
+``rel_fence_mask`` (release-class fences).
 
 ``LiveRelations`` stores each fact once: beyond the shared fields and
 masks, only ``cd_mask``, ``origin_of`` (a shadow-write's write) and
@@ -59,17 +59,16 @@ engine's other lookups are read off the masks: ``last_of_unit``,
 store update ``flush_pos[w]`` and a unit's next ``idx``
 (``unit_mask[unit].bit_count()``).
 
-Neither stores the sc total order: ``sc_order(events, rels.sc_placed)``
-derives it from the placements (program order within a thread, placement
-order across threads) in one walk, and ``sc_pairs`` lists the ordered pairs
-it implies.
+Neither stores an sc total order.  ``coherence._rule_shto`` checks that
+one exists: the hb, mo, rf and fr edges among the placed sc events must be
+acyclic.  ``coherence.shto_order`` lists one such order.
 
 Relations computed: per-unit program order (program threads, shadow-threads,
 and the init prefix), synchronizes-with (release write read by an acquire
 read, plus the three fence synchronization shapes), dependency-ordered-before
 (via release sequences), their inter-thread closure, happens-before, the
 non-racing restriction of happens-before, per-object modification order
-induced by shadow-write order, and the total order on sc events.
+induced by shadow-write order, and the placements of the sc events.
 """
 
 from __future__ import annotations
@@ -138,49 +137,6 @@ def release_heads(events: list[Event], src: int, earlier: Iterable[int]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# sc total order
-# ---------------------------------------------------------------------------
-
-def sc_order(events: list[Event], placed: list[tuple[int, int]]
-             ) -> tuple[Optional[list[int]], Optional[tuple[int, int]]]:
-    """Total order of the placed sc events, or the witness of a cycle, as
-    positions into ``events``.
-
-    The order is the tournament that ``sc_pairs`` orients: same-thread pairs
-    follow program order, cross-thread pairs follow placement order (writes
-    place at their shadow-write, rmws at their own atomic update).  Walking
-    the remaining events in placement order, only the po-first remaining
-    event of the earliest-placed one's thread can be minimal, and it is
-    minimal iff no other thread's event is placed before it.  Returns
-    ``(order, None)``, or ``(None, (a, b))`` with the first two remaining
-    events by placement when no minimum exists.
-    """
-    remaining = [p for p, _ in placed]
-    order: list[int] = []
-    while remaining:
-        thr = events[remaining[0]].thr
-        first = min((i for i, p in enumerate(remaining) if events[p].thr == thr),
-                    key=lambda i: events[remaining[i]].idx)
-        if any(events[p].thr != thr for p in remaining[:first]):
-            return None, (remaining[0], remaining[1])
-        order.append(remaining.pop(first))
-    return order, None
-
-
-def sc_pairs(events: list[Event], placed: list[tuple[int, int]]
-             ) -> Iterable[tuple[int, int]]:
-    """Every pair of placed sc events, as positions, ordered: by program
-    order within a thread, by placement across threads; pairs come in
-    placement order."""
-    logical = [p for p, _ in placed]
-    for i, a in enumerate(logical):
-        ea = events[a]
-        for b in logical[i + 1:]:
-            eb = events[b]
-            yield (b, a) if ea.thr == eb.thr and eb.idx < ea.idx else (a, b)
-
-
-# ---------------------------------------------------------------------------
 # Incremental relations
 # ---------------------------------------------------------------------------
 
@@ -204,8 +160,7 @@ class LiveRelations:
     * write issue order: an rmw after every earlier write issue of its
       object; a plain write after the previous write issue of its object if
       the object is in ``release_objs``, else only after the object's last
-      rmw (``last_rmw``), as ``explorer.conflicts`` orders them;
-    * the cross-thread sc placement chain.
+      rmw (``last_rmw``), as ``explorer.conflicts`` orders them.
 
     ``release_objs`` is the program's ``ir.release_class_objects``, fixed for
     the whole exploration and shared by every clone.
@@ -216,7 +171,7 @@ class LiveRelations:
         "flush_pos", "origin_of", "mo", "obj_issue_order", "obj_reads",
         "hb_mask", "cd_mask", "sw", "dob", "sc_placed", "release_objs",
         "unit_mask", "parent_mask", "obj_read_mask", "obj_write_mask",
-        "obj_update_mask", "obj_rmw_mask", "sc_mask", "rel_fence_mask",
+        "obj_update_mask", "obj_rmw_mask", "rel_fence_mask",
     )
 
     def __init__(self, release_objs: frozenset[str]) -> None:
@@ -248,7 +203,6 @@ class LiveRelations:
         self.obj_write_mask: dict[str, int] = {}
         self.obj_update_mask: dict[str, int] = {}
         self.obj_rmw_mask: dict[str, int] = {}
-        self.sc_mask = 0
         self.rel_fence_mask = 0
 
     def clone(self) -> "LiveRelations":
@@ -276,7 +230,6 @@ class LiveRelations:
         other.obj_write_mask = dict(self.obj_write_mask)
         other.obj_update_mask = dict(self.obj_update_mask)
         other.obj_rmw_mask = dict(self.obj_rmw_mask)
-        other.sc_mask = self.sc_mask
         other.rel_fence_mask = self.rel_fence_mask
         return other
 
@@ -358,25 +311,9 @@ class LiveRelations:
             _add_bit(self.obj_update_mask, e.obj_written, bit)
         if e.act is Act.RMW:
             _add_bit(self.obj_rmw_mask, e.obj_written, bit)
-        if e.is_sc_placement:
-            self.sc_mask |= bit
         if e.act is Act.FENCE and at_least(e.ord, MO.REL):
             self.rel_fence_mask |= bit
         return p
-
-    def _place_sc(self, thr: str, logical: int) -> int:
-        """Record an sc placement at the next position (reads/fences/rmws
-        at their own position, writes at their flush) and return the mask
-        of causal predecessors it induces: the earlier placements of other
-        threads.
-
-        Cross-thread placement order feeds the sc total order, so placements
-        of different threads are order-sensitive and must be causally
-        ordered; same-thread pairs follow program order regardless of
-        placement order and stay independent.
-        """
-        self.sc_placed.append((logical, len(self.events)))
-        return self.sc_mask & ~self.parent_mask.get(thr, 0)
 
     # -- init prefix -----------------------------------------------------------
 
@@ -414,9 +351,9 @@ class LiveRelations:
         # the thread's own write commutes with the write's flush
         if self.events[src].thr != e.thr:
             cd |= 1 << self.flush_pos[src]
-        if e.ord is MO.SC:
-            cd |= self._place_sc(e.thr, len(self.events))
         p = self._register(e, cd, sw, dob)
+        if e.ord is MO.SC:
+            self.sc_placed.append((p, p))
         self.rf[p] = src
         self.readers[src] |= 1 << p
         self.obj_reads.setdefault(e.obj_read, []).append(p)
@@ -448,9 +385,9 @@ class LiveRelations:
         cd |= 1 << self.flush_pos[self.mo[obj][-1]]
         # the atomic update orders after earlier reads of other threads
         cd |= self.obj_read_mask.get(obj, 0) & ~self.unit_mask.get(e.thr, 0)
-        if e.ord is MO.SC:
-            cd |= self._place_sc(e.thr, len(self.events))
         p = self._register(e, cd, sw, dob)
+        if e.ord is MO.SC:
+            self.sc_placed.append((p, p))
         self.value_of[p] = new
         self.rf[p] = src
         self.readers[src] |= 1 << p
@@ -467,8 +404,10 @@ class LiveRelations:
             for p in set_bits(self.unit_mask.get(e.thr, 0)):
                 if rf[p] >= 0:   # a read-like event of the thread
                     sw |= self.sw_sources(rf[p])
-        cd = self._place_sc(e.thr, len(self.events)) if e.ord is MO.SC else 0
-        return self._register(e, cd, sw)
+        p = self._register(e, 0, sw)
+        if e.ord is MO.SC:
+            self.sc_placed.append((p, p))
+        return p
 
     def append_flush(self, e: Event, w: int) -> int:
         obj = e.obj[0]
@@ -477,9 +416,9 @@ class LiveRelations:
         # a foreign read never moves after a later flush of its object; the
         # flushing thread's own reads commute with it
         cd |= self.obj_read_mask.get(obj, 0) & ~self.unit_mask.get(ew.thr, 0)
-        if ew.ord is MO.SC:
-            cd |= self._place_sc(ew.thr, w)
         p = self._register(e, cd)
+        if ew.ord is MO.SC:   # an sc write takes its place at its flush
+            self.sc_placed.append((w, p))
         self.origin_of[p] = w
         self.flush_pos[w] = p
         self.mo[obj].append(w)

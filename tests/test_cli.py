@@ -127,6 +127,16 @@ class TestVerify:
         assert "shadow-write" in result.output
         assert "x=1" in result.output
 
+    def test_dump_trace_with_json_is_one_document(self, runner):
+        result = runner.invoke(main, ["verify", corpus("mp"), "--json", "--dump-trace"])
+        payload = json.loads(result.output)
+        for entry in payload["traces"]:
+            snapshots = entry["snapshots"]
+            assert len(snapshots) == len(entry["schedule"])
+            assert snapshots[-1]["shared"] == entry["final_shared"]
+        assert any(s["event"].startswith("sth_x") and s["shared"]["x"] == 1
+                   for e in payload["traces"] for s in e["snapshots"])
+
     def test_dump_relations_embeds_edges(self, runner):
         result = runner.invoke(
             main, ["verify", corpus("mp"), "--json", "--dump-relations"])

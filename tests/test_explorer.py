@@ -3,10 +3,13 @@ from __future__ import annotations
 import hashlib
 import importlib.util
 import json
+import random
+import time
 
 import pytest
 
 from conftest import CORPUS, corpus_names, corpus_program
+from test_properties import random_program_source
 
 from moca_verify import parse_program, run_sequence
 from moca_verify.coherence import check_moca
@@ -48,10 +51,26 @@ class TestTraceCounts:
         ("w-rwr", 5, 4),
         # control: no object written by two threads
         ("fibonacci-2", 20, 20),
+        # sc events of different threads commute: one sequence per trace
+        ("sb-sc", 3, 3), ("sb-fences", 4, 4),
     ])
     def test_sequences_explored(self, name, sequences, traces):
         rep = explore(corpus_program(name))
         assert (rep.sequences_explored, rep.distinct_traces) == (sequences, traces)
+
+    def test_sb_ring_explores_one_sequence_per_trace(self):
+        # four threads, each ``store(x_i, 1, sc)`` then ``load(x_{i+1}, sc)``:
+        # the sc placement order is checked, not explored
+        lines = ["program sb_ring_4", "init x1 = 0, x2 = 0, x3 = 0, x4 = 0"]
+        for i in range(1, 5):
+            lines += [f"thread T{i}:", f"  store(x{i}, 1, sc)",
+                      f"  r{i} = load(x{i % 4 + 1}, sc)"]
+        t0 = time.monotonic()
+        rep = explore(parse_program("\n".join(lines) + "\n"))
+        elapsed = time.monotonic() - t0
+        assert (rep.sequences_explored, rep.distinct_traces) == (15, 15)
+        assert rep.non_mca_sequences == 0 and rep.c11_oracle_failures == 0
+        assert elapsed < 2.0, f"sb-ring-4 took {elapsed:.2f}s"
 
     def test_single_thread_single_trace(self):
         p = parse_program(
@@ -267,13 +286,16 @@ def maximal_states(program, monkeypatch):
 
 
 def test_trace_id_matches_reference_formula(monkeypatch):
+    rng = random.Random(20261020)
+    programs = [corpus_program(name) for name in corpus_names()]
+    programs += [parse_program(random_program_source(rng)) for _ in range(40)]
     sequences = 0
-    for name in corpus_names():
-        for st in maximal_states(corpus_program(name), monkeypatch)[1]:
+    for program in programs:
+        for st in maximal_states(program, monkeypatch)[1]:
             sequences += 1
             for rels in (st.rels, compute_relations(st.sequence())):
                 assert canonical_trace_id(rels) == reference_trace_id(rels), \
-                    (name, st.schedule_so_far())
+                    (program.name, st.schedule_so_far())
     assert sequences > 200
 
 

@@ -280,8 +280,6 @@ def property_definitions(e: Event) -> dict:
         "is_read_like": e.act in (Act.READ, Act.RMW),
         "is_init": e.thr == INIT_THREAD or e.thr.endswith(f"({INIT_THREAD})"),
         "is_store_update": e.act in (Act.SHADOW, Act.RMW),
-        "is_sc_placement": e.ord is MO.SC and e.act in (Act.READ, Act.FENCE,
-                                                         Act.RMW, Act.SHADOW),
     }
 
 

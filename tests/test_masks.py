@@ -1,8 +1,10 @@
 """The mask-based hot paths against their pairwise definitions.
 
 ``_rule_shmo1``..``_rule_shmo3`` walk happens-before predecessor bits,
-``check_c11_oracle`` tests ``mo1``..``mo4`` with one mask per event, and
-race detection visits only the events ``conflict_mask`` selects.  The
+``_rule_shto`` and ``shto_order`` search the sc graph by predecessor masks,
+``check_c11_oracle`` tests ``mo1``..``mo4`` with one mask per event and
+``to`` with a closure over masks, and race detection visits only the events
+``conflict_mask`` selects.  The
 pairwise scans they replaced are kept here as references and compared,
 witnesses included, on every prefix of an unreduced walk.  So are the
 lookups ``LiveRelations`` reads off its position masks instead of storing
@@ -22,15 +24,17 @@ from moca_verify.coherence import (
     _rule_shmo1,
     _rule_shmo2,
     _rule_shmo3,
+    _rule_shto,
     _reads,
     check_c11_oracle,
     check_step,
     flush_before,
+    shto_order,
 )
 from moca_verify.engine import initial_state
 from moca_verify.explorer import _estimate_events, conflict_mask, conflicts
 from moca_verify.ir import Act, MO, at_least
-from moca_verify.relations import compute_relations, rf_pairs, sc_order, sc_pairs
+from moca_verify.relations import compute_relations, rf_pairs
 from moca_verify.transform import early_write_transform
 
 
@@ -92,8 +96,74 @@ def reference_shmo3(rels, at=None):
     return None
 
 
+def reaches(nodes, edge, a, b):
+    """Is there a path of one or more ``edge`` steps from ``a`` to ``b``
+    through ``nodes``?"""
+    seen, stack = set(), [a]
+    while stack:
+        x = stack.pop()
+        for y in nodes:
+            if y not in seen and edge(x, y):
+                if y is b:
+                    return True
+                seen.add(y)
+                stack.append(y)
+    return False
+
+
+def reference_sc_graph(rels):
+    """The placed sc events in placement order and the ``shto`` edge
+    between two of them by definition: hb, mo, rf (source to read), or fr
+    (read to a write mo-after its source, other than the read itself)."""
+    events, pos, rf = rels.events, rels.pos, rels.rf
+    mo_index = {w: i for ws in rels.mo.values() for i, w in enumerate(ws)}
+
+    def mo(a, b):
+        pa, pb = pos[a], pos[b]
+        return (a.is_write_like and b.is_write_like
+                and a.obj_written == b.obj_written
+                and pa in mo_index and pb in mo_index and mo_index[pa] < mo_index[pb])
+
+    def edge(a, b):
+        if rels.hb(a, b) or mo(a, b) or rf[pos[b]] == pos[a]:
+            return True
+        src = rf[pos[a]]
+        return a is not b and src >= 0 and mo(events[src], b)
+
+    return [events[p] for p, _ in rels.sc_placed], edge
+
+
+def reference_shto(rels, at=None):
+    """The two earliest-placed events of the first cyclic component, found
+    by searching every pair; with ``at``, only an sc ``at`` is checked (its
+    proper prefixes passed, so every cycle passes through it)."""
+    if at is not None and rels.events[at].ord is not MO.SC:
+        return None
+    nodes, edge = reference_sc_graph(rels)
+    cyclic = [a for a in nodes if reaches(nodes, edge, a, a)]
+    if not cyclic:
+        return None
+    a = cyclic[0]
+    return a, next(b for b in nodes if b is not a and reaches(nodes, edge, a, b)
+                   and reaches(nodes, edge, b, a))
+
+
+def reference_shto_order(rels):
+    """Kahn's algorithm over the graph, taking the earliest-placed root."""
+    nodes, edge = reference_sc_graph(rels)
+    order, remaining = [], list(nodes)
+    while remaining:
+        root = next((b for b in remaining
+                     if not any(edge(a, b) for a in remaining if a is not b)), None)
+        if root is None:
+            return None
+        remaining.remove(root)
+        order.append(rels.pos[root])
+    return order
+
+
 RULES = ((_rule_shmo1, reference_shmo1), (_rule_shmo2, reference_shmo2),
-         (_rule_shmo3, reference_shmo3))
+         (_rule_shmo3, reference_shmo3), (_rule_shto, reference_shto))
 
 
 def reference_c11_oracle(rels):
@@ -132,10 +202,16 @@ def reference_c11_oracle(rels):
         ((w1, r1) for obj, rs in obj_reads.items() for r1 in rs
          for w1 in issued.get(obj, ())
          if hb(w1, r1) and rf[r1] != w1 and not mo_before(w1, rf[r1])), None)
-    _, cycle = sc_order(events, rels.sc_placed)
-    rules["to"] = (events[cycle[0]], events[cycle[1]]) if cycle is not None else next(
-        ((events[a], events[b]) for a, b in sc_pairs(events, rels.sc_placed)
-         if hb(events[b], events[a]) or mo_before(events[b], events[a])), None)
+    # the first pair, in placement order, with a path of hb and mo edges
+    # each way
+    sc = [events[p] for p, _ in rels.sc_placed]
+
+    def hb_or_mo(a, b):
+        return hb(a, b) or mo_before(a, b)
+
+    rules["to"] = next(
+        ((a, b) for i, a in enumerate(sc) for b in sc[i + 1:]
+         if reaches(sc, hb_or_mo, a, b) and reaches(sc, hb_or_mo, b, a)), None)
     rules["co"] = None
     for r in (e for e in events if e.is_read_like):
         w = rf.get(r)
@@ -209,14 +285,17 @@ def test_masks_match_pairwise_references():
                 reference_conflict_positions(live, new), where
 
             for rels in (live, rebuilt):
+                assert shto_order(rels) == reference_shto_order(rels), where
                 assert check_c11_oracle(rels).rules == reference_c11_oracle(rels), where
+            if _rule_shto(live) is not None:
+                failed.add("shto")
             # an inverted modification order makes every axiom fail somewhere
             rebuilt.mo = {obj: ws[::-1] for obj, ws in rebuilt.mo.items()}
             rules = check_c11_oracle(rebuilt).rules
             assert rules == reference_c11_oracle(rebuilt), where
             failed.update(axiom for axiom, w in rules.items() if w is not None)
     assert children > 10_000
-    assert {"mo1", "mo2", "mo3", "mo4", "to"} <= failed
+    assert {"mo1", "mo2", "mo3", "mo4", "to", "shto"} <= failed
 
 
 def reference_lookups(st):

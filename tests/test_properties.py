@@ -16,7 +16,7 @@ For every explored maximal sequence the suite checks:
 
 The causal order used for linearization is the exploration relation:
 happens-before plus reads-from, issue-to-flush, per-object flush order,
-read-before-later-flush, and cross-thread sc placement edges.
+read-before-later-flush, and write issue order.
 """
 
 from __future__ import annotations

@@ -8,9 +8,10 @@ from conftest import corpus_names, corpus_program
 from test_properties import random_program_source
 
 from moca_verify import explore, parse_program, run_sequence
+from moca_verify.coherence import check_c11_oracle, check_moca, shto_order
 from moca_verify.engine import initial_state
 from moca_verify.explorer import _Explorer, canonical_trace_id
-from moca_verify.ir import Act, ContractViolation, Event, MO, at_least
+from moca_verify.ir import Act, ContractViolation, MO, at_least
 from moca_verify.engine import Sequence
 from moca_verify.relations import (
     compute_relations,
@@ -18,8 +19,6 @@ from moca_verify.relations import (
     release_sequence,
     release_sequence_members,
     rf_pairs,
-    sc_order,
-    sc_pairs,
 )
 
 
@@ -66,53 +65,6 @@ def reference_hb_mask(seq, rels):
             if po or (start.is_init and not b.is_init):
                 mask[b] |= bit
     return [mask[e] for e in events]
-
-
-def reference_sc_order(placed):
-    """The sc total order by its definition: a tournament over the placed sc
-    events (same-thread pairs by program order, cross-thread pairs by
-    placement), topologically sorted by Kahn's algorithm taking the
-    earliest-placed root first.  Returns ``(order, cycle witness, pairs)``;
-    the witness is the first two remaining events by placement."""
-    nodes = [e for e, _ in placed]
-    placement = dict(placed)
-
-    def edge(a, b):
-        if a.thr == b.thr:
-            return a.idx < b.idx
-        return placement[a] < placement[b]
-
-    pairs = [(a, b) if edge(a, b) else (b, a)
-             for i, a in enumerate(nodes) for b in nodes[i + 1:]]
-    indeg = {e: 0 for e in nodes}
-    for _, b in pairs:
-        indeg[b] += 1
-    order = []
-    remaining = set(nodes)
-    while remaining:
-        roots = [e for e in remaining if indeg[e] == 0]
-        if not roots:
-            rem = sorted(remaining, key=placement.get)
-            return None, (rem[0], rem[1]), pairs
-        e = min(roots, key=placement.get)
-        remaining.remove(e)
-        order.append(e)
-        for x in remaining:
-            if edge(e, x):
-                indeg[x] -= 1
-    return order, None, pairs
-
-
-def assert_sc_matches_reference(events, placed):
-    """``sc_order`` and ``sc_pairs`` on ``placed`` (positions into
-    ``events``) against the reference on the placed events themselves."""
-    order, witness, pairs = reference_sc_order([(events[p], at) for p, at in placed])
-    got_order, got_witness = sc_order(events, placed)
-    assert (None if got_order is None else [events[p] for p in got_order]) == order, placed
-    assert (None if got_witness is None else
-            tuple(events[p] for p in got_witness)) == witness, placed
-    assert [(events[a], events[b]) for a, b in sc_pairs(events, placed)] == pairs, placed
-    return witness is not None
 
 
 def run(program, schedule):
@@ -214,10 +166,13 @@ thread T2:
         p = parse_program(
             "program sc\ninit x = 0, y = 0\nthread T1:\n  store(x, 1, sc)\n"
             "thread T2:\n  r = load(y, sc)\n")
-        # the read executes before the store's flush: total order puts it first
+        # the read executes before the store's flush and nothing orders the
+        # two otherwise: the sc order takes them by placement, read first
         _, seq, rels = run(p, ["T1", "T2", "sth_x(T1)"])
-        order, witness = sc_order(rels.events, rels.sc_placed)
-        assert witness is None
+        assert [(p, rels.events[at].act) for p, at in rels.sc_placed] == [
+            (seq.pos[by_key(seq, "T2", 0)], Act.READ),
+            (seq.pos[by_key(seq, "T1", 0)], Act.SHADOW)]
+        order = shto_order(rels)
         assert [rels.events[p].act for p in order] == [Act.READ, Act.WRITE]
 
     def test_hb_contained_in_sequence_order(self):
@@ -310,7 +265,6 @@ class TestLiveMatchesReference:
                         "rf", "readers", "flush_pos", "hb_mask", "cd_mask", "sw",
                         "dob", "origin_of", "value_of")), name
                     assert st.rels.origin_of == seq.origin_of, name
-                    assert_sc_matches_reference(rels.events, rels.sc_placed)
                     assert rels.hb_mask == reference_hb_mask(seq, rels), name
                     for a in seq.events:
                         for b in seq.events:
@@ -332,42 +286,72 @@ class TestLiveMatchesReference:
                 assert live == t.trace_id, (name, t.schedule)
 
 
-class TestScOrder:
-    def test_matches_reference_on_random_placements(self):
-        # placement lists of up to 7 sc events over up to 3 threads; each
-        # thread's events take increasing idx in creation order, then the
-        # events are placed in a random order, so placement and program
-        # order disagree (and the tournament has a cycle) in many lists
-        rng = random.Random(20211)
-        pool = {(t, i): Event(thr=f"T{t}", act=Act.READ, obj=("x",), ord=MO.SC, idx=i)
-                for t in range(3) for i in range(7)}
-        cyclic = 0
-        for _ in range(100_000):
-            threads = rng.randint(1, 3)
-            counts = [0] * threads
-            events = []
-            for _ in range(rng.randint(0, 7)):
-                t = rng.randrange(threads)
-                events.append(pool[t, counts[t]])
-                counts[t] += 1
-            rng.shuffle(events)
-            placed, p = [], 0
-            for i in range(len(events)):
-                p += rng.randint(1, 3)
-                placed.append((i, p))
-            cyclic += assert_sc_matches_reference(events, placed)
-        assert 0 < cyclic < 100_000
+class TestScGraph:
+    """``shto`` checks that some total order of the placed sc events extends
+    their hb, mo, rf and fr edges; ``to`` that one extends hb and mo."""
 
-    def test_cycle_witness_is_first_two_by_placement(self):
-        a0 = Event(thr="T1", act=Act.READ, obj=("x",), ord=MO.SC, idx=0)
-        a1 = Event(thr="T1", act=Act.READ, obj=("y",), ord=MO.SC, idx=1)
-        b0 = Event(thr="T2", act=Act.READ, obj=("x",), ord=MO.SC, idx=0)
-        # T1's idx 1 is placed before T2's event, which precedes T1's idx 0
-        events = [a1, b0, a0]
-        placed = [(0, 5), (1, 6), (2, 7)]
-        assert sc_order(events, placed) == (None, (0, 1))           # (a1, b0)
-        assert list(sc_pairs(events, placed)) == [(0, 1), (2, 0), (1, 2)]
-        # (a1, b0), (a0, a1), (b0, a0)
+    def test_order_need_not_follow_placement(self):
+        p = parse_program(
+            "program scpo\ninit x = 0, y = 0\nthread T1:\n  store(x, 1, sc)\n"
+            "  r = load(y, sc)\n")
+        # the read is placed before the store it follows in program order
+        _, seq, rels = run(p, ["T1", "T1", "sth_x(T1)"])
+        w, r = by_key(seq, "T1", 0), by_key(seq, "T1", 1)
+        assert [rels.events[p] for p, _ in rels.sc_placed] == [r, w]
+        assert check_moca(rels).rules["shto"] is None
+        assert check_c11_oracle(rels).rules["to"] is None
+        assert [rels.events[p] for p in shto_order(rels)] == [w, r]
+
+    def test_hb_against_mo_is_a_cycle_for_both(self):
+        p = parse_program("""
+program schbmo
+init a = 0, f = 0
+thread T1:
+  store(a, 1, sc)
+  store(f, 1, rel)
+thread T2:
+  r = load(f, acq)
+  store(a, 2, sc)
+""")
+        # T1's store is hb-before T2's, but flushes after it
+        _, seq, rels = run(p, ["T1", "T1", "sth_f(T1)", "T2", "T2",
+                               "sth_a(T2)", "sth_a(T1)"])
+        w1, w2 = by_key(seq, "T1", 0), by_key(seq, "T2", 1)
+        assert rels.hb(w1, w2)
+        assert check_moca(rels).rules["shto"] == (w2, w1)
+        assert check_c11_oracle(rels).rules["to"] == (w2, w1)
+        assert shto_order(rels) is None
+
+    def test_two_plus_two_w_needs_the_closure(self):
+        p = parse_program("""
+program sc22w
+init a = 0, b = 0
+thread T1:
+  store(a, 2, sc)
+  store(b, 1, sc)
+thread T2:
+  store(b, 2, sc)
+  store(a, 1, sc)
+""")
+        # mo puts T2's a before T1's and T1's b before T2's; with program
+        # order that is a cycle of four, and no pair is ordered both ways
+        # by a single edge
+        _, seq, rels = run(p, ["T1", "T1", "T2", "T2", "sth_a(T2)", "sth_b(T1)",
+                               "sth_a(T1)", "sth_b(T2)"])
+        wa1, wb1 = by_key(seq, "T2", 1), by_key(seq, "T1", 1)
+        assert check_moca(rels).failures == {"shto": (wa1, wb1)}
+        assert check_c11_oracle(rels).rules["to"] == (wa1, wb1)
+        assert shto_order(rels) is None
+
+    def test_fr_cycle_fails_shto_only(self):
+        # both reads read the init values, so each is fr-before the other
+        # thread's store, and po closes the cycle; hb and mo alone fit the
+        # order T1's store, T1's read, T2's store, T2's read
+        _, seq, rels = run(corpus_program("sb-sc"), ["T1", "T2", "T1", "T2", "sth_x(T1)", "sth_y(T2)"])
+        r1, r2 = by_key(seq, "T1", 1), by_key(seq, "T2", 1)
+        assert check_moca(rels).failures == {"shto": (r1, r2)}
+        assert check_c11_oracle(rels).rules["to"] is None
+        assert shto_order(rels) is None
 
 
 class TestHappensBeforeMask:
