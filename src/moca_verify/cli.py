@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 verified (no violations or races), 1 violation / na race /
-expected-trace-count mismatch, 2 usage or parse error, 3 exploration budget
-exhausted (partial report), 4 internal error (an uncaught exception inside
-the checker; one line on stderr, never a verdict).
+expected-trace-count mismatch, 2 usage or parse error, or an assert that
+could not be evaluated (and no violation), 3 exploration budget exhausted
+(partial report), 4 internal error (an uncaught exception inside the
+checker, or an explored sequence that the post-hoc rules or the C11 oracle
+reject; one line on stderr, never a verdict).
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ def _text_report(report: ExplorationReport) -> str:
         f"sequences_explored: {report.sequences_explored}",
         f"distinct_traces:    {report.distinct_traces}",
         f"non_mca_sequences:  {report.non_mca_sequences}",
+        f"c11_oracle_failures: {report.c11_oracle_failures}",
         f"racy_sequences:     {report.racy_sequence_count}",
         f"violations:         {len(report.violations)}",
     ]
@@ -69,6 +72,8 @@ def _text_report(report: ExplorationReport) -> str:
         seen.add(key)
         lines.append(f"  na race: {r['events'][0]} <-> {r['events'][1]}"
                      f"  witness schedule: {' '.join(r['schedule'])}")
+    for d in report.assert_diagnostics:
+        lines.append(f"  assert diagnostic: {d}")
     if report.budget_exhausted:
         lines.append("WARNING: exploration budget exhausted; report is partial")
     return "\n".join(lines)
@@ -196,10 +201,20 @@ def verify(path, as_json, max_seqs, max_depth, no_early_write, no_enforce_expect
         if mismatch:
             click.echo(f"trace-count mismatch: expected {mismatch[0]}, found {mismatch[1]}")
 
+    if report.non_mca_sequences or report.c11_oracle_failures:
+        # every explored sequence passed the incremental filter, so a
+        # rejection by the post-hoc rules or the oracle is the checker
+        # contradicting itself, not a verdict
+        click.echo(f"internal error: {report.non_mca_sequences} explored sequences "
+                   f"fail the post-hoc rules and {report.c11_oracle_failures} the "
+                   f"C11 oracle", err=True)
+        sys.exit(EXIT_INTERNAL)
     if report.budget_exhausted:
         sys.exit(EXIT_BUDGET)
     if report.violations or report.na_races or mismatch:
         sys.exit(EXIT_VIOLATION)
+    if report.assert_diagnostics:
+        sys.exit(EXIT_USAGE)
     sys.exit(EXIT_OK)
 
 

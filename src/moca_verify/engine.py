@@ -175,9 +175,6 @@ class ExecState:
         units.extend(sorted(u for u, q in self.pending.items() if q))
         return units
 
-    def enabled_events(self) -> set[Event]:
-        return {self.peek(u).event for u in self.enabled_units()}
-
     # -- reads-from resolution ---------------------------------------------------
 
     def latest_visible_write(self, obj: str) -> int:

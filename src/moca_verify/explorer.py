@@ -27,6 +27,13 @@ earlier events that ``conflict_mask`` selects from per-object and per-unit
 position masks (exactly those ``conflicts`` accepts), and tests a race's
 reversibility on the set bits of the causal mask between the two.
 
+Each search node keeps its backtrack, done and sleep sets and its coherent
+candidates as int masks over unit bits.  The units are numbered once per
+exploration in the search's preference order: program threads in
+declaration order, then every shadow-thread a ``store`` can create, sorted
+by name.  The lowest set bit of a mask (``mask & -mask``) is then the
+preferred unit of the set, so every pick of the search is one bit operation.
+
 A node's state is dead once its candidates are built, so every enabled
 unit but the last steps a clone of it and the last advances it in place.
 A candidate state is advanced in turn once its own subtree starts; the
@@ -62,9 +69,11 @@ from .ir import (
     Program,
     QualifiedRef,
     SharedRef,
+    Store,
     UndefinedName,
     UnOp,
     eval_expr,
+    flatten,
     shadow_unit,
 )
 from .engine import ExecState, initial_state
@@ -74,7 +83,6 @@ from .relations import (
     compute_relations,
     mhb_pos,
     rf_pairs,
-    set_bits,
 )
 from .coherence import check_moca, check_c11_oracle, check_step, overdue_write
 from .transform import early_write_transform
@@ -240,51 +248,68 @@ class AssertOutcome:
     diagnostics: list[str] = field(default_factory=list)
 
 
-def check_asserts(program: Program, final: ExecState) -> AssertOutcome:
+def bare_names(expr) -> tuple[str, ...]:
+    """The bare names (``LocalRef``) of an assert predicate, left to right,
+    each once."""
+    out: list[str] = []
+
+    def walk(e) -> None:
+        if isinstance(e, LocalRef):
+            if e.name not in out:
+                out.append(e.name)
+        elif isinstance(e, UnOp):
+            walk(e.operand)
+        elif isinstance(e, BinOp):
+            walk(e.left)
+            walk(e.right)
+
+    walk(expr)
+    return tuple(out)
+
+
+def check_asserts(program: Program, final: ExecState,
+                  names: Optional[list[tuple[str, ...]]] = None) -> AssertOutcome:
     """Evaluate each 'assert never' predicate on final shared and local
-    values; a true predicate is a violation."""
+    values; a true predicate is a violation.
+
+    A bare name is a declared object's final value, else the final local
+    of the one thread that holds it; any other name is undefined, and the
+    first undefined name (left to right) makes the assert a diagnostic.
+    ``names`` is ``bare_names`` of each assert, computed here if absent.
+    """
+    if names is None:
+        names = [bare_names(a.expr) for a in program.asserts]
     out = AssertOutcome()
-    locals_by_thread = final.final_locals()
-    for i, a in enumerate(program.asserts):
+    shr, lcl, objects = final.shr, final.lcl, program.objects
+
+    def resolve(ref) -> int:
+        if isinstance(ref, SharedRef):
+            return shr[ref.obj]
+        if isinstance(ref, QualifiedRef):
+            env = lcl.get(ref.thread)
+            if env is None or ref.local not in env:
+                raise UndefinedName(f"{ref.thread}.{ref.local}")
+            return env[ref.local]
+        raise UndefinedName(str(ref))
+
+    for i, (a, bare) in enumerate(zip(program.asserts, names)):
+        env: dict[str, int] = {}
         try:
-            value = _eval_assert(a.expr, final, locals_by_thread)
+            for name in bare:
+                if name in objects:
+                    env[name] = shr[name]
+                    continue
+                owners = [ls for ls in lcl.values() if name in ls]
+                if len(owners) != 1:
+                    raise UndefinedName(name)
+                env[name] = owners[0][name]
+            value = eval_expr(a.expr, env, resolve)
         except UndefinedName as ue:
             out.diagnostics.append(f"assert {i}: undefined reference {ue.name}")
             continue
         if value != 0:
             out.violations.append(i)
     return out
-
-
-def _eval_assert(expr, final: ExecState, locals_by_thread) -> int:
-    def resolve(ref) -> int:
-        if isinstance(ref, SharedRef):
-            return final.shr[ref.obj]
-        if isinstance(ref, QualifiedRef):
-            env = locals_by_thread.get(ref.thread)
-            if env is None or ref.local not in env:
-                raise UndefinedName(f"{ref.thread}.{ref.local}")
-            return env[ref.local]
-        raise UndefinedName(str(ref))
-
-    # bare names: shared object if declared, else a unique thread local
-    env: dict[str, int] = {}
-
-    def rewrite(e):
-        if isinstance(e, LocalRef):
-            if e.name in final.program.objects:
-                return SharedRef(e.name)
-            owners = [t for t, ls in locals_by_thread.items() if e.name in ls]
-            if len(owners) == 1:
-                return QualifiedRef(owners[0], e.name)
-            raise UndefinedName(e.name)
-        if isinstance(e, UnOp):
-            return UnOp(e.op, rewrite(e.operand))
-        if isinstance(e, BinOp):
-            return BinOp(e.op, rewrite(e.left), rewrite(e.right))
-        return e
-
-    return eval_expr(rewrite(expr), env, resolve)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +336,7 @@ class ExplorationReport:
     na_races: list[dict] = field(default_factory=list)
     racy_sequence_count: int = 0
     traces: list[TraceSummary] = field(default_factory=list)
-    assert_diagnostics: list[str] = field(default_factory=list)
+    assert_diagnostics: list[str] = field(default_factory=list)  # distinct, first seen first
     budget_exhausted: bool = False
     c11_oracle_failures: int = 0
 
@@ -320,7 +345,9 @@ class ExplorationReport:
         return {t.trace_id for t in self.traces}
 
     def to_json(self) -> dict:
-        return {
+        """The JSON report; ``assert_diagnostics`` is present only when
+        some assert could not be evaluated."""
+        doc = {
             "schema": "moca-verify-report/1",
             "program": self.program,
             "sequences_explored": self.sequences_explored,
@@ -343,6 +370,9 @@ class ExplorationReport:
                 for t in self.traces
             ],
         }
+        if self.assert_diagnostics:
+            doc["assert_diagnostics"] = self.assert_diagnostics
+        return doc
 
 
 # ---------------------------------------------------------------------------
@@ -350,21 +380,25 @@ class ExplorationReport:
 # ---------------------------------------------------------------------------
 
 class _Node:
-    """One state on the search path: its coherent successor states keyed by
-    unit (``candidates``), the event each of them executed (``events``), and
-    the unit whose subtree is being explored.  A candidate state is advanced
-    in place once its subtree starts, so only ``events`` says what it ran."""
+    """One state on the search path.  Units are bits (module docstring);
+    ``backtrack``, ``done``, ``sleep`` and ``cands`` (the units whose next
+    event survived the coherence filter) are masks of them.  ``candidates``
+    and ``events`` map a candidate's bit to its successor state and to the
+    event it executed; ``unit`` is the bit whose subtree is being explored,
+    0 if none.  A candidate state is advanced in place once its subtree
+    starts, so only ``events`` says what it ran."""
 
-    __slots__ = ("backtrack", "done", "sleep", "candidates", "events", "unit")
+    __slots__ = ("backtrack", "done", "sleep", "cands", "candidates", "events", "unit")
 
-    def __init__(self, sleep: set[str], candidates: dict[str, ExecState],
-                 events: dict[str, Event]):
-        self.backtrack: set[str] = set()
-        self.done: set[str] = set()
+    def __init__(self, sleep: int, cands: int, candidates: dict[int, ExecState],
+                 events: dict[int, Event]):
+        self.backtrack = 0
+        self.done = 0
         self.sleep = sleep
+        self.cands = cands
         self.candidates = candidates
         self.events = events
-        self.unit: Optional[str] = None
+        self.unit = 0
 
 
 class _Explorer:
@@ -372,25 +406,25 @@ class _Explorer:
         self.program = program
         self.max_seqs = max_seqs
         self.max_depth = max_depth
-        self.unit_order = {t.name: i for i, t in enumerate(program.threads)}
+        # unit bits in preference order (module docstring)
+        shadows = sorted({shadow_unit(t.name, s.obj) for t in program.threads
+                          for s in flatten(t.body) if isinstance(s, Store)})
+        units = [t.name for t in program.threads] + shadows
+        self.bit_of = {u: 1 << i for i, u in enumerate(units)}
+        self.assert_names = [bare_names(a.expr) for a in program.asserts]
         self.report = ExplorationReport(program=program.name)
         self._seen_ids: set[str] = set()
         self.nodes: list[_Node] = []
 
-    def unit_key(self, unit: str) -> tuple:
-        if unit in self.unit_order:
-            return (0, self.unit_order[unit], unit)
-        return (1, unit)
-
     # -- candidate filtering ---------------------------------------------------
 
     def _candidates(self, state: ExecState, units: list[str]
-                    ) -> tuple[dict[str, ExecState], dict[str, Event], set[str]]:
+                    ) -> tuple[dict[int, ExecState], dict[int, Event], int, int]:
         """The ``units`` enabled at ``state`` that survive the incremental
-        coherence filter, mapped to their successor states and to the events
-        they executed, plus recovery units for pruned ones.  ``state`` is
-        dead afterwards: the last unit advances it in place instead of
-        stepping a clone.
+        coherence filter, each one's bit mapped to its successor state and
+        to the event it executed, the mask of those bits, and the mask of
+        recovery units for pruned ones.  ``state`` is dead afterwards: the
+        last unit advances it in place instead of stepping a clone.
 
         Pruned candidates still feed race detection: a pruned event's
         reversible races are the schedule changes that can realize its
@@ -399,22 +433,25 @@ class _Explorer:
         write's flush unit here is the direct repair, so it is proposed as a
         backtrack alternative.
         """
-        out: dict[str, ExecState] = {}
-        events: dict[str, Event] = {}
-        recoveries: set[str] = set()
+        bit_of = self.bit_of
+        out: dict[int, ExecState] = {}
+        events: dict[int, Event] = {}
+        cands = recoveries = 0
         last = units[-1]
         for unit in units:
+            bit = bit_of[unit]
             child = state.advance(unit) if unit == last else state.step(unit)
             verdict = check_step(child.rels)
             if verdict is None:
-                out[unit] = child
-                events[unit] = child.rels.events[-1]
+                out[bit] = child
+                events[bit] = child.rels.events[-1]
+                cands |= bit
                 continue
             self._find_races(child)
             overdue = overdue_write(child.rels, *verdict)
             if overdue is not None:
-                recoveries.add(shadow_unit(overdue.thr, overdue.obj_written))
-        return out, events, recoveries
+                recoveries |= bit_of[shadow_unit(overdue.thr, overdue.obj_written)]
+        return out, events, cands, recoveries
 
     # -- race detection ----------------------------------------------------------
 
@@ -425,7 +462,11 @@ class _Explorer:
         cd_mask = rels.cd_mask
         executed = len(rels.events) - 1
         mask_e = cd_mask[executed]
-        for pos_d in set_bits(conflict_mask(rels, executed)):
+        mask = conflict_mask(rels, executed)
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            pos_d = low.bit_length() - 1
             if (mask_e >> pos_d) & 1 and _on_causal_path(cd_mask, pos_d, mask_e):
                 continue
             self._insert_backtrack(rels, pos_d, executed)
@@ -436,35 +477,36 @@ class _Explorer:
             return
         node = self.nodes[node_index]
         # v = the events after d that are not causally after d, then the
-        # executed event itself
+        # executed event itself; an initial is the first event of v of its
+        # unit if no event of v is causally before it
         cd_mask = rels.cd_mask
         v = [x for x in range(pos_d + 1, executed) if not (cd_mask[x] >> pos_d) & 1]
         v.append(executed)
         v_bits = 0
         for x in v:
             v_bits |= 1 << x
-        initials: set[str] = set()
-        claimed: set[str] = set()
+        events, bit_of = rels.events, self.bit_of
+        initials = claimed = 0
         for x in v:
-            thr = rels.events[x].thr
-            if thr in claimed:
+            bit = bit_of[events[x].thr]
+            if claimed & bit:
                 continue
-            claimed.add(thr)
+            claimed |= bit
             if not (cd_mask[x] & v_bits):
-                initials.add(thr)
+                initials |= bit
         if not initials:
             return
         # only entries that can actually run from the node satisfy the
         # insertion: sleeping units never run there, and units whose next
         # event the coherence filter rejected cannot be scheduled at all
-        candidates = node.candidates.keys()
-        runnable = (initials & candidates) - node.sleep
-        if (node.backtrack & candidates - node.sleep) & initials:
+        runnable = node.cands & ~node.sleep
+        if node.backtrack & runnable & initials:
             return
+        runnable &= initials
         if runnable:
-            node.backtrack.add(min(runnable, key=self.unit_key))
+            node.backtrack |= runnable & -runnable
         elif not node.backtrack & initials:
-            node.backtrack.add(min(initials, key=self.unit_key))
+            node.backtrack |= initials & -initials
 
     # -- recording ----------------------------------------------------------------
 
@@ -486,8 +528,10 @@ class _Explorer:
                     "schedule": schedule,
                     "trace_id": trace_id,
                 })
-        asserts = check_asserts(self.program, state)
-        self.report.assert_diagnostics.extend(asserts.diagnostics)
+        asserts = check_asserts(self.program, state, self.assert_names)
+        for d in asserts.diagnostics:
+            if d not in self.report.assert_diagnostics:
+                self.report.assert_diagnostics.append(d)
         for idx in asserts.violations:
             self.report.violations.append({
                 "assert": self.program.asserts[idx].text,
@@ -517,24 +561,29 @@ class _Explorer:
         top node either explores its next backtrack unit or is popped, and
         the unit it explored joins its sleep set once the search returns."""
         try:
-            self._push(initial_state(self.program), set())
+            self._push(initial_state(self.program), 0)
             while self.nodes:
                 node = self.nodes[-1]
-                if node.unit is not None:
-                    node.sleep.add(node.unit)
-                    node.unit = None
-                unit = self._next_unit(node)
-                if unit is None:
+                node.sleep |= node.unit
+                bit = self._next_unit(node)
+                node.unit = bit
+                if not bit:
                     self.nodes.pop()
                     continue
-                node.unit = unit
-                child = node.candidates[unit]
+                child = node.candidates[bit]
                 events = node.events
-                executed = events[unit]
+                executed = events[bit]
                 self._find_races(child)
                 release_objs = child.rels.release_objs
-                child_sleep = {q for q in node.sleep if q in events
-                               and not conflicts(executed, events[q], release_objs)}
+                # a sleeping candidate stays asleep below if it commutes
+                # with the executed event
+                child_sleep = 0
+                sleeping = node.sleep & node.cands
+                while sleeping:
+                    q = sleeping & -sleeping
+                    sleeping ^= q
+                    if not conflicts(executed, events[q], release_objs):
+                        child_sleep |= q
                 self._push(child, child_sleep)
         except ExplorationBudgetExceeded:
             self.report.budget_exhausted = True
@@ -542,7 +591,7 @@ class _Explorer:
         self.report.traces.sort(key=lambda t: t.schedule)
         return self.report
 
-    def _push(self, state: ExecState, sleep: set[str]) -> None:
+    def _push(self, state: ExecState, sleep: int) -> None:
         """Record ``state`` if maximal, else push a node for it unless every
         coherent candidate sleeps."""
         if len(self.nodes) > self.max_depth:
@@ -552,26 +601,23 @@ class _Explorer:
         if not units:
             self._record_maximal(state)
             return
-        candidates, events, recoveries = self._candidates(state, units)
-        available = [u for u in candidates if u not in sleep]
+        candidates, events, cands, recoveries = self._candidates(state, units)
+        available = cands & ~sleep
         if not available:
             return  # sleep-set blocked or fully pruned: redundant or incoherent
-        node = _Node(sleep, candidates, events)
-        node.backtrack.add(min(available, key=self.unit_key))
-        node.backtrack.update(u for u in recoveries if u in candidates)
+        node = _Node(sleep, cands, candidates, events)
+        node.backtrack = (available & -available) | (recoveries & cands)
         self.nodes.append(node)
 
-    def _next_unit(self, node: _Node) -> Optional[str]:
-        """The smallest backtrack unit of ``node`` still to explore, marked
-        done; backtrack units the coherence filter rejected count as done."""
-        candidates = node.candidates
-        todo = [u for u in node.backtrack - node.done - node.sleep if u in candidates]
-        node.done.update(u for u in node.backtrack - node.done if u not in candidates)
-        if not todo:
-            return None
-        unit = min(todo, key=self.unit_key)
-        node.done.add(unit)
-        return unit
+    def _next_unit(self, node: _Node) -> int:
+        """The lowest backtrack bit of ``node`` still to explore, marked
+        done, or 0; backtrack units the coherence filter rejected count as
+        done."""
+        node.done |= node.backtrack & ~node.cands
+        todo = node.backtrack & ~node.done & ~node.sleep
+        bit = todo & -todo
+        node.done |= bit
+        return bit
 
 
 def explore(program: Program, *, max_seqs: int = 1_000_000,
@@ -588,7 +634,7 @@ def explore(program: Program, *, max_seqs: int = 1_000_000,
 # ---------------------------------------------------------------------------
 
 def _estimate_events(program: Program) -> int:
-    from .ir import Cas, Fadd, Fence, IfBlock, Load, Store
+    from .ir import Cas, Fadd, Fence, IfBlock, Load
 
     def block_cost(body) -> int:
         n = 0

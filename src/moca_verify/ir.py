@@ -61,14 +61,6 @@ def at_least(o: MO, m: MO) -> bool:
     return ord_leq(m, o)
 
 
-def orders_at_least(m: MO) -> frozenset[MO]:
-    return frozenset(o for o in MO if at_least(o, m))
-
-
-def orders_at_most(m: MO) -> frozenset[MO]:
-    return frozenset(o for o in MO if ord_leq(o, m))
-
-
 # ---------------------------------------------------------------------------
 # Events
 # ---------------------------------------------------------------------------
@@ -453,10 +445,6 @@ class Program:
             if t.name == name:
                 return t
         raise KeyError(name)
-
-    @property
-    def thread_names(self) -> list[str]:
-        return [t.name for t in self.threads]
 
 
 def release_class_objects(program: Program) -> frozenset[str]:
@@ -991,17 +979,3 @@ def pretty_print(prog: Program) -> str:
         out.append(f"expect traces = {prog.expect_traces}")
     return "\n".join(out) + "\n"
 
-
-def structurally_equal(a: Program, b: Program) -> bool:
-    """Structural identity ignoring statement uids and line numbers."""
-    def canon(body: list[Stmt]) -> tuple:
-        return tuple(stmt_fingerprint(s) + ((canon(s.then_body), canon(s.else_body))
-                                            if isinstance(s, IfBlock) else ())
-                     for s in body)
-
-    return (a.name == b.name and a.objects == b.objects
-            and a.expect_traces == b.expect_traces
-            and [x.text for x in a.asserts] == [x.text for x in b.asserts]
-            and [t.name for t in a.threads] == [t.name for t in b.threads]
-            and all(canon(ta.body) == canon(tb.body)
-                    for ta, tb in zip(a.threads, b.threads)))

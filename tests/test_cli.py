@@ -12,8 +12,9 @@ from click.testing import CliRunner
 from conftest import CORPUS
 
 import moca_verify
-from moca_verify import cli
+from moca_verify import cli, explorer
 from moca_verify.cli import main
+from moca_verify.coherence import CoherenceVerdict
 
 
 @pytest.fixture
@@ -157,6 +158,52 @@ class TestVerify:
             "internal error: RecursionError: maximum recursion depth exceeded"
             " in _explore\n")
 
+    @pytest.mark.parametrize("oracle,counts", [
+        ("check_moca", ("non_mca_sequences:  3", "c11_oracle_failures: 0")),
+        ("check_c11_oracle", ("non_mca_sequences:  0", "c11_oracle_failures: 3")),
+    ])
+    def test_oracle_disagreement_exits_four(self, runner, monkeypatch, oracle, counts):
+        # every explored sequence passed the incremental filter, so an oracle
+        # that rejects one means the checker contradicts itself
+        monkeypatch.setattr(explorer, oracle,
+                            lambda rels: CoherenceVerdict({"shco": ()}))
+        result = runner.invoke(main, ["verify", corpus("mp")])
+        assert result.exit_code == 4
+        lines = result.stdout.splitlines()
+        assert all(line in lines for line in counts), result.stdout
+        assert result.stderr.count("\n") == 1
+        assert result.stderr.startswith("internal error: ")
+        result = runner.invoke(main, ["verify", corpus("mp"), "--json"])
+        assert result.exit_code == 4
+        payload = json.loads(result.stdout)
+        assert (payload["non_mca_sequences"], payload["c11_oracle_failures"]) == (
+            (3, 0) if oracle == "check_moca" else (0, 3))
+
+    def test_undefined_assert_exits_two(self, runner, tmp_path):
+        # x == 5 holds in some trace, but q is defined nowhere: the assert
+        # cannot be evaluated, which must not read as verified
+        lit = tmp_path / "undefined.lit"
+        lit.write_text("program u\ninit x = 0\nthread T1:\n  store(x, 5, rlx)\n"
+                       "thread T2:\n  r = load(x, rlx)\n"
+                       "assert never (x == 5 || q == 1)\n")
+        result = runner.invoke(main, ["verify", str(lit)])
+        assert result.exit_code == 2
+        assert "violations:         0" in result.stdout
+        assert result.stdout.count("assert diagnostic:") == 1
+        assert "assert diagnostic: assert 0: undefined reference q" in result.stdout
+        result = runner.invoke(main, ["verify", str(lit), "--json"])
+        assert result.exit_code == 2
+        payload = json.loads(result.stdout)
+        assert payload["assert_diagnostics"] == ["assert 0: undefined reference q"]
+
+    def test_violation_outranks_an_undefined_assert(self, runner, tmp_path):
+        lit = tmp_path / "both.lit"
+        lit.write_text("program b\ninit x = 0\nthread T1:\n  store(x, 5, rlx)\n"
+                       "assert never (q == 1)\nassert never (x == 5)\n")
+        result = runner.invoke(main, ["verify", str(lit)])
+        assert result.exit_code == 1
+        assert "assert diagnostic: assert 0: undefined reference q" in result.stdout
+
     def test_usage_errors_keep_their_exit_codes(self, runner):
         result = runner.invoke(main, ["verify", corpus("mp"), "--max-seqs", "x"])
         assert result.exit_code == 2
@@ -244,7 +291,7 @@ class TestTransform:
     def test_transform_output_reparses(self, runner):
         from moca_verify import parse_program
         result = runner.invoke(main, ["transform", corpus("mp")])
-        assert parse_program(result.output).thread_names == ["T1", "T2"]
+        assert [t.name for t in parse_program(result.output).threads] == ["T1", "T2"]
 
 
 class TestRelations:

@@ -15,14 +15,27 @@ from moca_verify import parse_program, run_sequence
 from moca_verify.coherence import check_moca
 from moca_verify.engine import ExecState
 from moca_verify.explorer import (
+    AssertOutcome,
     EnumerationCapExceeded,
     _Explorer,
+    bare_names,
     canonical_trace_id,
+    check_asserts,
     detect_na_races,
     enumerate_all,
     explore,
 )
-from moca_verify.ir import Act, Event
+from moca_verify.ir import (
+    Act,
+    BinOp,
+    Event,
+    LocalRef,
+    QualifiedRef,
+    SharedRef,
+    UndefinedName,
+    UnOp,
+    eval_expr,
+)
 from moca_verify.relations import LiveRelations, compute_relations, hb_pairs, rf_pairs
 from moca_verify.transform import early_write_transform
 
@@ -175,6 +188,45 @@ class TestAsserts:
         rep = explore(corpus_program("mp"))
         assert rep.violations == []
 
+    def test_diagnostics_are_kept_once_each(self):
+        # the defined half of the predicate does not make it evaluable
+        source = (CORPUS / "counter-3.lit").read_text().replace(
+            "assert never (c < 1 || c > 3)",
+            "assert never (c == 5 || q == 1)\nassert never (p == 1 && q == 1)")
+        rep = explore(parse_program(source))
+        assert rep.sequences_explored == 36 and rep.violations == []
+        assert rep.assert_diagnostics == ["assert 0: undefined reference q",
+                                          "assert 1: undefined reference p"]
+        assert rep.to_json()["assert_diagnostics"] == rep.assert_diagnostics
+        assert "assert_diagnostics" not in explore(corpus_program("counter-3")).to_json()
+
+    def test_asserts_match_the_rewriting_evaluator(self, monkeypatch):
+        """``check_asserts`` resolves each assert's bare names once per
+        sequence; it must give the outcome, diagnostics included, of the
+        evaluator that rewrote every bare name inside the tree."""
+        predicates = [
+            "c == 3", "(r1 == 0 && r2 == 0) || r3 == 1", "c == 5 || q == 1",
+            "p == 1 && q == 1", "T1.r1 == 0 || T9.r == 1", "c == 1 || T3.nosuch == 0",
+            "q + c == 1 || -r1 == 0", "!(T2.r2 == c)", "r1 == r1 && r == r1",
+            "r == 0 || r1 == 0", "c == T1.r1 + 1",
+        ]
+        base = (CORPUS / "counter-3.lit").read_text().replace(
+            "assert never (c < 1 || c > 3)\n", "").replace("expect traces = 36\n", "")
+        # ``r`` is a local of two threads: ambiguous, hence undefined
+        base = base.replace("thread T3:", "  r = load(c, rlx)\nthread T3:\n  r = load(c, rlx)")
+        program = parse_program(base + "".join(f"assert never ({a})\n" for a in predicates))
+        target = early_write_transform(program)
+        names = [bare_names(a.expr) for a in target.asserts]
+        outcomes = set()
+        for st in maximal_states(program, monkeypatch)[1]:
+            got = check_asserts(target, st, names)
+            assert check_asserts(target, st) == got
+            assert got == reference_check_asserts(target, st)
+            outcomes.add((tuple(got.violations), tuple(got.diagnostics)))
+        # the sequences differ in which asserts fire and which are undefined
+        assert len(outcomes) > 1
+        assert any(d.endswith("T9.r") for _, ds in outcomes for d in ds)
+
     def test_sb_violation_found_with_witness(self):
         rep = explore(corpus_program("luc10"))
         assert len(rep.violations) == 1
@@ -270,6 +322,45 @@ def reference_trace_id(rels):
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
+def reference_check_asserts(program, final) -> AssertOutcome:
+    """``check_asserts`` as first written: every bare name is rewritten to a
+    shared or thread-qualified reference, then the tree is evaluated."""
+    out = AssertOutcome()
+    locals_by_thread = final.final_locals()
+
+    def resolve(ref) -> int:
+        if isinstance(ref, SharedRef):
+            return final.shr[ref.obj]
+        env = locals_by_thread.get(ref.thread)
+        if env is None or ref.local not in env:
+            raise UndefinedName(f"{ref.thread}.{ref.local}")
+        return env[ref.local]
+
+    def rewrite(e):
+        if isinstance(e, LocalRef):
+            if e.name in final.program.objects:
+                return SharedRef(e.name)
+            owners = [t for t, ls in locals_by_thread.items() if e.name in ls]
+            if len(owners) == 1:
+                return QualifiedRef(owners[0], e.name)
+            raise UndefinedName(e.name)
+        if isinstance(e, UnOp):
+            return UnOp(e.op, rewrite(e.operand))
+        if isinstance(e, BinOp):
+            return BinOp(e.op, rewrite(e.left), rewrite(e.right))
+        return e
+
+    for i, a in enumerate(program.asserts):
+        try:
+            value = eval_expr(rewrite(a.expr), {}, resolve)
+        except UndefinedName as ue:
+            out.diagnostics.append(f"assert {i}: undefined reference {ue.name}")
+            continue
+        if value != 0:
+            out.violations.append(i)
+    return out
+
+
 def maximal_states(program, monkeypatch):
     """Explore ``program``; return its report and every recorded state."""
     states = []
@@ -306,12 +397,13 @@ def test_trace_id_matches_reference_formula(monkeypatch):
 def pushed_states(program, monkeypatch, check):
     """Explore ``program`` calling ``check(state, schedule)`` on every state
     the search pushes, before it is expanded; ``schedule`` is the units the
-    nodes on the search path explore, i.e. what the state should have run.
-    Returns the report."""
+    nodes on the search path explore (their ``unit`` bits mapped back to
+    unit names), i.e. what the state should have run.  Returns the report."""
     push = _Explorer._push
 
     def checked(self, state, sleep):
-        check(state, [node.unit for node in self.nodes])
+        name_of = {bit: unit for unit, bit in self.bit_of.items()}
+        check(state, [name_of[node.unit] for node in self.nodes])
         push(self, state, sleep)
 
     with monkeypatch.context() as m:
@@ -447,3 +539,66 @@ def test_every_name_the_benchmark_spans_wrap_is_importable():
         for part in attr.split("."):
             owner = getattr(owner, part, None)
         assert callable(owner), attr
+
+
+# ---------------------------------------------------------------------------
+# The search's visible choices
+# ---------------------------------------------------------------------------
+
+OUT_OF_ORDER = """\
+program out_of_order
+init x = 0, y = 0
+thread T2:
+  store(x, 1, rlx)
+  store(y, 1, rel)
+thread T1:
+  store(y, 2, rlx)
+  r = load(x, rlx)
+  store(x, 2, rlx)
+"""
+
+
+class TestSearchChoices:
+    """The search prefers program threads in declaration order, then
+    shadow-threads by name; which unit it explores first decides each
+    trace's witness schedule and, with duplicates, ``sequences_explored``.
+    The values below were recorded before the search held its units as
+    bits."""
+
+    def test_units_are_bits_in_preference_order(self):
+        explorer = _Explorer(early_write_transform(parse_program(OUT_OF_ORDER)), 10, 10)
+        assert list(explorer.bit_of) == ["T2", "T1", "sth_x(T1)", "sth_x(T2)",
+                                         "sth_y(T1)", "sth_y(T2)"]
+        assert list(explorer.bit_of.values()) == [1 << i for i in range(6)]
+
+    def test_threads_declared_out_of_name_order(self):
+        rep = explore(parse_program(OUT_OF_ORDER))
+        assert (rep.sequences_explored, rep.distinct_traces) == (12, 6)
+        assert [(t.trace_id, " ".join(t.schedule)) for t in rep.traces] == [
+            ("645a3c8d1fec6471", "T2 T2 T1 T1 T1 sth_x(T1) sth_x(T2) sth_y(T1) sth_y(T2)"),
+            ("75cf7c4d74993b91", "T2 T2 T1 T1 T1 sth_x(T1) sth_x(T2) sth_y(T2) sth_y(T1)"),
+            ("360661e54526d0ec", "T2 T2 T1 T1 T1 sth_x(T2) sth_x(T1) sth_y(T1) sth_y(T2)"),
+            ("6dedfe955ce19237", "T2 T2 T1 T1 T1 sth_x(T2) sth_x(T1) sth_y(T2) sth_y(T1)"),
+            ("599bd997387dfc96", "T2 T2 T1 sth_x(T2) T1 T1 sth_x(T1) sth_y(T1) sth_y(T2)"),
+            ("41bc341273ebe034", "T2 T2 T1 sth_x(T2) T1 T1 sth_x(T1) sth_y(T2) sth_y(T1)"),
+        ]
+
+    def test_reports_match_the_recorded_digest(self):
+        """Every report of the corpus and of 300 random programs, hashed in
+        order: any change in a count, a witness schedule or an id shows."""
+        digest = hashlib.sha256()
+        programs = [corpus_program(name) for name in corpus_names()]
+        rng = random.Random(1212)
+        programs += [parse_program(random_program_source(rng)) for _ in range(300)]
+        for program in programs:
+            report = explore(program).to_json()
+            digest.update(json.dumps(report, sort_keys=True).encode())
+        assert digest.hexdigest() == (
+            "747934f8193fa41293ccaab4ccce1b2d0a4ce1156c624e2825a9c369849fcd62")
+
+    def test_a_unit_without_a_bit_raises(self, monkeypatch):
+        enabled = ExecState.enabled_units
+        monkeypatch.setattr(ExecState, "enabled_units",
+                            lambda self: enabled(self) + ["sth_z(T1)"])
+        with pytest.raises(KeyError, match="sth_z"):
+            explore(corpus_program("mp"))

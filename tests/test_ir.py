@@ -16,13 +16,13 @@ from moca_verify.ir import (
     dep,
     flatten,
     ord_leq,
-    orders_at_least,
     parse_program,
     pretty_print,
     shadow_unit,
     stmt_dep,
-    structurally_equal,
 )
+
+from conftest import structurally_equal
 
 ALL = list(MO)
 
@@ -63,7 +63,12 @@ class TestOrderLattice:
             assert a == b
 
     def test_filter_sets_consistent(self):
-        from moca_verify.ir import orders_at_most
+        def orders_at_least(m: MO) -> frozenset[MO]:
+            return frozenset(o for o in MO if at_least(o, m))
+
+        def orders_at_most(m: MO) -> frozenset[MO]:
+            return frozenset(o for o in MO if ord_leq(o, m))
+
         assert orders_at_least(MO.REL) == {MO.REL, MO.ACQ_REL, MO.SC}
         assert orders_at_least(MO.ACQ) == {MO.ACQ, MO.ACQ_REL, MO.SC}
         assert orders_at_most(MO.REL) == {MO.NA, MO.RLX, MO.REL}

@@ -1,13 +1,13 @@
 from __future__ import annotations
 
-from conftest import corpus_names, corpus_program
+from conftest import corpus_names, corpus_program, structurally_equal
 
 import random
 
 from test_properties import random_program_source
 
 from moca_verify import parse_program, pretty_print
-from moca_verify.ir import IfBlock, Load, Store, flatten, structurally_equal
+from moca_verify.ir import IfBlock, Load, Store, flatten
 from moca_verify.transform import check_spr, early_write_transform
 
 
