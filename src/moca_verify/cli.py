@@ -254,7 +254,11 @@ def _replay(program, replay_file: str, use_early_write: bool, dump_trace: bool) 
         click.echo(f"violated: assert never {target.asserts[i].text}")
     for a, b in races:
         click.echo(f"na race: {a.pretty()} <-> {b.pretty()}")
-    sys.exit(EXIT_VIOLATION if (outcome.violations or races) else EXIT_OK)
+    for d in outcome.diagnostics:
+        click.echo(f"assert diagnostic: {d}")
+    if outcome.violations or races:
+        sys.exit(EXIT_VIOLATION)
+    sys.exit(EXIT_USAGE if outcome.diagnostics else EXIT_OK)
 
 
 @main.command("enumerate")

@@ -330,10 +330,7 @@ def check_c11_oracle(rels: Relations) -> CoherenceVerdict:
     issued, obj_reads = rels.obj_issue_order, rels.obj_reads
     read_mask, write_mask = rels.obj_read_mask, rels.obj_write_mask
     n = len(events)
-    reads_of = [0] * n          # reads by source write
-    for rs in obj_reads.values():
-        for r in rs:
-            reads_of[rf[r]] |= 1 << r
+    reads_of = rels.readers     # reads by source write
     writes_before = [0] * n     # writes mo-before each write
     reads_before = [0] * n      # reads of writes mo-before it
     for ws in rels.mo.values():

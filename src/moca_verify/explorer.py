@@ -48,9 +48,15 @@ flush unit it names as a direct repair.
 Every maximal surviving sequence is recorded, keyed by a canonical trace id
 (a stable hash of the executed events, the reads-from edges, the per-object
 store orders, and the happens-before edges; sequences interleaving only
-independent events agree on all of these).  ``enumerate_all`` is the
-brute-force oracle: it walks every coherent interleaving without any
-reduction and must produce the same trace-id set.
+independent events agree on all of these).  Recording runs one stage at a
+time (relation rebuild, post-hoc rules, C11 oracle, trace id) over a batch
+of ``RECORD_BATCH`` leaves, then folds each leaf's results into the report
+in DFS order; a leaf has no enabled unit, so nothing advances a queued
+state.  Every oracle still runs on every maximal sequence, but an oracle's
+exception can surface up to ``RECORD_BATCH - 1`` leaves after the leaf that
+caused it.  ``enumerate_all`` is the brute-force oracle: it walks every
+coherent interleaving without any reduction and must produce the same
+trace-id set.
 """
 
 from __future__ import annotations
@@ -86,6 +92,10 @@ from .relations import (
 )
 from .coherence import check_moca, check_c11_oracle, check_step, overdue_write
 from .transform import early_write_transform
+
+
+# maximal sequences recorded per batch (CHANGES.md has the sweep)
+RECORD_BATCH = 64
 
 
 class ExplorationBudgetExceeded(Exception):
@@ -187,6 +197,11 @@ def _on_causal_path(cd_mask: list[int], d: int, mask_e: int) -> bool:
 # Trace identity
 # ---------------------------------------------------------------------------
 
+def _json_strings(items: list[str]) -> str:
+    """``json.dumps(items)`` for ASCII strings that need no escape."""
+    return '["' + '", "'.join(items) + '"]' if items else "[]"
+
+
 def canonical_trace_id(rels: Relations) -> str:
     """Stable id of the equivalence class of the sequence behind ``rels``.
 
@@ -194,6 +209,13 @@ def canonical_trace_id(rels: Relations) -> str:
     order, and the happens-before edge set: sequences interleaving only
     independent events agree on all four, while differing rf, store order,
     or synchronization structure changes the id.
+
+    The hashed payload is ``json.dumps`` of ``{"events", "hb", "mo", "rf"}``
+    with sorted keys, joined here from strings.  Event and object names are
+    built from identifiers and ASCII punctuation, none of which JSON
+    escapes, except that an identifier may be any ``str.isalpha`` letter;
+    a payload with a non-ASCII character is therefore encoded by
+    ``json.dumps`` itself.
     """
     names = [e.name for e in rels.events]
     rf = sorted(f"{names[w]}->{names[r]}" for r, w in enumerate(rels.rf) if w >= 0)
@@ -208,8 +230,13 @@ def canonical_trace_id(rels: Relations) -> str:
             hb.append(names[low.bit_length() - 1] + to_b)
             mask ^= low
     hb.sort()
-    payload = json.dumps({"events": sorted(names), "rf": rf, "mo": mo, "hb": hb},
-                         sort_keys=True)
+    names.sort()
+    mo_items = ", ".join(f'"{obj}": {_json_strings(mo[obj])}' for obj in sorted(mo))
+    payload = (f'{{"events": {_json_strings(names)}, "hb": {_json_strings(hb)}, '
+               f'"mo": {{{mo_items}}}, "rf": {_json_strings(rf)}}}')
+    if not payload.isascii():
+        payload = json.dumps({"events": names, "rf": rf, "mo": mo, "hb": hb},
+                             sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
@@ -412,8 +439,13 @@ class _Explorer:
         units = [t.name for t in program.threads] + shadows
         self.bit_of = {u: 1 << i for i, u in enumerate(units)}
         self.assert_names = [bare_names(a.expr) for a in program.asserts]
+        # init writes are non-atomic but never race, so a program with no
+        # non-atomic statement has no race to look for
+        self.has_na = any(getattr(s, "mo", None) is MO.NA
+                          for t in program.threads for s in flatten(t.body))
         self.report = ExplorationReport(program=program.name)
         self._seen_ids: set[str] = set()
+        self._queued: list[ExecState] = []
         self.nodes: list[_Node] = []
 
     # -- candidate filtering ---------------------------------------------------
@@ -511,48 +543,59 @@ class _Explorer:
     # -- recording ----------------------------------------------------------------
 
     def _record_maximal(self, state: ExecState) -> None:
+        """Count the maximal ``state`` and queue it for ``_flush_records``;
+        a leaf has no enabled unit, so nothing advances a queued state."""
         self.report.sequences_explored += 1
-        rels = compute_relations(state.sequence())
-        if not check_moca(rels).ok:
-            self.report.non_mca_sequences += 1
-        if not check_c11_oracle(rels).ok:
-            self.report.c11_oracle_failures += 1
-        trace_id = canonical_trace_id(rels)
-        schedule = state.schedule_so_far()
-        races = detect_na_races(rels)
-        if races:
-            self.report.racy_sequence_count += 1
-            for a, b in races:
-                self.report.na_races.append({
-                    "events": [a.pretty(), b.pretty()],
-                    "schedule": schedule,
-                    "trace_id": trace_id,
-                })
-        asserts = check_asserts(self.program, state, self.assert_names)
-        for d in asserts.diagnostics:
-            if d not in self.report.assert_diagnostics:
-                self.report.assert_diagnostics.append(d)
-        for idx in asserts.violations:
-            self.report.violations.append({
-                "assert": self.program.asserts[idx].text,
-                "index": idx,
-                "schedule": schedule,
-                "final_shared": dict(state.shr),
-                "trace_id": trace_id,
-            })
-        if trace_id not in self._seen_ids:
-            self._seen_ids.add(trace_id)
-            self.report.traces.append(TraceSummary(
-                trace_id=trace_id,
-                schedule=schedule,
-                final_shared=dict(state.shr),
-                final_locals=state.final_locals(),
-                rf=sorted((w.name, r.name) for r, w in rf_pairs(rels)
-                          if not r.is_init),
-                racy=bool(races),
-            ))
+        self._queued.append(state)
+        if len(self._queued) >= RECORD_BATCH:
+            self._flush_records()
         if self.report.sequences_explored >= self.max_seqs:
             raise ExplorationBudgetExceeded()
+
+    def _flush_records(self) -> None:
+        """Record the queued leaves: each stage runs over the whole batch in
+        turn, then the per-leaf results join the report in DFS order."""
+        states, self._queued = self._queued, []
+        report = self.report
+        batch = [compute_relations(state.sequence()) for state in states]
+        report.non_mca_sequences += sum(not check_moca(rels).ok for rels in batch)
+        report.c11_oracle_failures += sum(not check_c11_oracle(rels).ok
+                                          for rels in batch)
+        trace_ids = [canonical_trace_id(rels) for rels in batch]
+        for state, rels, trace_id in zip(states, batch, trace_ids):
+            schedule = state.schedule_so_far()
+            races = detect_na_races(rels) if self.has_na else []
+            if races:
+                report.racy_sequence_count += 1
+                for a, b in races:
+                    report.na_races.append({
+                        "events": [a.pretty(), b.pretty()],
+                        "schedule": schedule,
+                        "trace_id": trace_id,
+                    })
+            asserts = check_asserts(self.program, state, self.assert_names)
+            for d in asserts.diagnostics:
+                if d not in report.assert_diagnostics:
+                    report.assert_diagnostics.append(d)
+            for idx in asserts.violations:
+                report.violations.append({
+                    "assert": self.program.asserts[idx].text,
+                    "index": idx,
+                    "schedule": schedule,
+                    "final_shared": dict(state.shr),
+                    "trace_id": trace_id,
+                })
+            if trace_id not in self._seen_ids:
+                self._seen_ids.add(trace_id)
+                report.traces.append(TraceSummary(
+                    trace_id=trace_id,
+                    schedule=schedule,
+                    final_shared=dict(state.shr),
+                    final_locals=state.final_locals(),
+                    rf=sorted((w.name, r.name) for r, w in rf_pairs(rels)
+                              if not r.is_init),
+                    racy=bool(races),
+                ))
 
     # -- DFS ------------------------------------------------------------------
 
@@ -587,6 +630,7 @@ class _Explorer:
                 self._push(child, child_sleep)
         except ExplorationBudgetExceeded:
             self.report.budget_exhausted = True
+        self._flush_records()
         self.report.distinct_traces = len(self._seen_ids)
         self.report.traces.sort(key=lambda t: t.schedule)
         return self.report

@@ -250,6 +250,20 @@ class TestReplay:
         assert [l for l in lines if l.startswith("incoherent:")] == [
             "incoherent: shto: T1#1:read(y)sc, T2#1:read(x)sc"]
 
+    def test_replay_prints_assert_diagnostics(self, runner, tmp_path):
+        # as verify does: an assert that cannot be evaluated is not verified
+        lit = tmp_path / "undefined.lit"
+        lit.write_text("program u\ninit x = 0\nthread T1:\n  store(x, 5, rlx)\n"
+                       "thread T2:\n  r = load(x, rlx)\n"
+                       "assert never (x == 5 || q == 1)\n")
+        sched = tmp_path / "sched.json"
+        sched.write_text(json.dumps(["T1", "sth_x(T1)", "T2"]))
+        result = runner.invoke(main, ["verify", str(lit), "--replay", str(sched)])
+        assert result.exit_code == 2
+        assert "coherent: True" in result.stdout.splitlines()
+        assert [l for l in result.stdout.splitlines() if "assert diagnostic" in l] == [
+            "assert diagnostic: assert 0: undefined reference q"]
+
     def test_replay_witness_reproduces_violation(self, runner, tmp_path):
         explore_result = runner.invoke(main, ["verify", corpus("luc10"), "--json"])
         payload = json.loads(explore_result.output)

@@ -7,14 +7,18 @@ import random
 import time
 
 import pytest
+from click.testing import CliRunner
 
 from conftest import CORPUS, corpus_names, corpus_program
 from test_properties import random_program_source
 
+from moca_verify import explorer as explorer_module
 from moca_verify import parse_program, run_sequence
+from moca_verify.cli import main
 from moca_verify.coherence import check_moca
 from moca_verify.engine import ExecState
 from moca_verify.explorer import (
+    RECORD_BATCH,
     AssertOutcome,
     EnumerationCapExceeded,
     _Explorer,
@@ -28,6 +32,7 @@ from moca_verify.explorer import (
 from moca_verify.ir import (
     Act,
     BinOp,
+    ContractViolation,
     Event,
     LocalRef,
     QualifiedRef,
@@ -376,10 +381,25 @@ def maximal_states(program, monkeypatch):
     return report, states
 
 
+# JSON escapes non-ASCII characters, so the id's payload must come from
+# json.dumps here, not from joined strings
+NON_ASCII = """\
+program non_ascii
+init yé = 0, x = 0
+thread Té:
+  store(yé, 1, rel)
+  r = load(x, rlx)
+thread T2:
+  s = load(yé, acq)
+  store(x, 1, rlx)
+"""
+
+
 def test_trace_id_matches_reference_formula(monkeypatch):
     rng = random.Random(20261020)
     programs = [corpus_program(name) for name in corpus_names()]
     programs += [parse_program(random_program_source(rng)) for _ in range(40)]
+    programs.append(parse_program(NON_ASCII))
     sequences = 0
     for program in programs:
         for st in maximal_states(program, monkeypatch)[1]:
@@ -602,3 +622,81 @@ class TestSearchChoices:
                             lambda self: enabled(self) + ["sth_z(T1)"])
         with pytest.raises(KeyError, match="sth_z"):
             explore(corpus_program("mp"))
+
+
+# ---------------------------------------------------------------------------
+# Recording in batches
+# ---------------------------------------------------------------------------
+
+def counter_source(n: int, order: str = "rlx", extra: str = "") -> str:
+    """``n`` threads each loading ``c`` and storing the value plus one."""
+    lines = [f"program counter_{n}", "init c = 0"]
+    for i in range(1, n + 1):
+        lines += [f"thread T{i}:", f"  r{i} = load(c, {order})",
+                  f"  store(c, r{i} + 1, {order})"]
+    lines.append(f"assert never (c < 1 || c > {n})")
+    if extra:
+        lines.append(extra)
+    return "\n".join(lines) + "\n"
+
+
+def fib_source(k: int) -> str:
+    """Two threads of ``k`` accumulate-and-publish rounds on x and y."""
+    lines = [f"program fibonacci_{k}", "init x = 0, y = 0"]
+    for t, mine, other, acc, b in ((1, "x", "y", "a", "b"), (2, "y", "x", "c", "d")):
+        lines += [f"thread T{t}:", f"  {acc} = 1"]
+        for j in range(1, k + 1):
+            lines += [f"  {b}{j} = load({other}, rlx)", f"  {acc} = {acc} + {b}{j}",
+                      f"  store({mine}, {acc}, rlx)"]
+    lines.append("assert never (x < 1 || y < 1)")
+    return "\n".join(lines) + "\n"
+
+
+class TestRecordBatches:
+    """Leaves are recorded ``RECORD_BATCH`` at a time; the reports below were
+    hashed before recording was batched, one leaf at a time."""
+
+    @pytest.mark.parametrize("source,max_seqs,counts,digest", [
+        # 175 leaves: the last batch is partial
+        (fib_source(3), 1_000_000, (175, 0, 0, False),
+         "0db446864171a3f286f4bc8ea3730decd7707c12adcc35922b942a984828d449"),
+        # the budget stops the search in the middle of the second batch
+        (counter_source(4), 100, (100, 0, 0, True),
+         "bf2e02c9df61bcf2f83051709305839a20659dddd5b1ae769949e7e2f0aa7106"),
+        # violations and races in every batch, in DFS order; 576 leaves
+        # fill the last batch exactly
+        (counter_source(4, "na", "assert never (c == 4)"), 1_000_000,
+         (576, 24, 10368, False),
+         "068566b4f31fd192ce7949c1709f743833b5fda4979c8e228b7670a2ee9270ca"),
+    ], ids=["fib-3", "counter-4-budget", "counter-4-na"])
+    def test_reports_match_the_unbatched_digest(self, source, max_seqs, counts, digest):
+        report = explore(parse_program(source), max_seqs=max_seqs)
+        assert report.sequences_explored > RECORD_BATCH
+        assert (report.sequences_explored, len(report.violations),
+                len(report.na_races), report.budget_exhausted) == counts
+        doc = json.dumps(report.to_json(), sort_keys=True).encode()
+        assert hashlib.sha256(doc).hexdigest() == digest
+
+    def test_an_oracle_exception_surfaces_without_a_report(self, monkeypatch, tmp_path):
+        calls = 0
+        compute = explorer_module.compute_relations
+
+        def failing(seq):
+            nonlocal calls
+            calls += 1
+            if calls == 70:
+                raise ContractViolation("unresolved read in sequence")
+            return compute(seq)
+
+        monkeypatch.setattr(explorer_module, "compute_relations", failing)
+        program = parse_program(counter_source(4))
+        with pytest.raises(ContractViolation, match="unresolved read"):
+            explore(program)
+        assert calls == 70
+        lit = tmp_path / "counter.lit"
+        lit.write_text(counter_source(4))
+        calls = 0
+        result = CliRunner().invoke(main, ["verify", str(lit), "--json"])
+        assert result.exit_code == 4
+        assert result.stdout == ""
+        assert result.stderr.startswith("internal error: ContractViolation: ")
