@@ -163,19 +163,21 @@ def verify(path, as_json, max_seqs, max_depth, no_early_write, no_enforce_expect
         _replay(program, replay_file, not no_early_write, dump_trace)
         return
 
-    transformed = pretty_print(early_write_transform(program)) if emit_transformed else None
+    # transformed once, for the explorer, both dumps and --emit-transformed
+    # (which prints it even with --no-early-write)
+    hoisted = (early_write_transform(program)
+               if emit_transformed or not no_early_write else None)
+    target = program if no_early_write else hoisted
+    transformed = pretty_print(hoisted) if emit_transformed else None
     if transformed is not None and not as_json:
         click.echo(transformed, nl=False)
 
-    report = explore(program, max_seqs=max_seqs, max_depth=max_depth,
-                     use_early_write=not no_early_write)
+    report = explore(target, max_seqs=max_seqs, max_depth=max_depth, use_early_write=False)
     payload = report.to_json()
     if dump_relations:
-        target = early_write_transform(program) if not no_early_write else program
         for entry in payload["traces"]:
             entry["relations"] = _relation_dump(target, entry["schedule"])
     if dump_trace:
-        target = early_write_transform(program) if not no_early_write else program
         for entry in payload["traces"]:
             snapshots = walk_trace(target, entry["schedule"])
             if as_json:
@@ -304,8 +306,8 @@ def transform_cmd(path) -> None:
 def relations_cmd(path, dot, no_early_write) -> None:
     """Explore and dump hb/sw/dob/rf/mo/to edges for each distinct trace."""
     program = _load(path)
-    report = explore(program, use_early_write=not no_early_write)
-    target = early_write_transform(program) if not no_early_write else program
+    target = program if no_early_write else early_write_transform(program)
+    report = explore(target, use_early_write=False)
     dumps = [_relation_dump(target, t.schedule) for t in report.traces]
     if dot:
         for d in dumps:

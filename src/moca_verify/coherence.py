@@ -159,7 +159,7 @@ def _reads(rels: Relations, at: Optional[int]) -> Iterable[int]:
     read, or the reads of the write it flushes; every read, by object, for
     ``None``."""
     if at is None:
-        return (r for rs in rels.obj_reads.values() for r in rs)
+        return (r for rs in rels.obj_read_mask.values() for r in set_bits(rs))
     return (at,) if rels.events[at].is_read_like else set_bits(rels.readers[at])
 
 
@@ -327,8 +327,9 @@ def check_c11_oracle(rels: Relations) -> CoherenceVerdict:
     that fails a test is scanned pairwise for the witness.
     """
     events, hb_mask, rf = rels.events, rels.hb_mask, rels.rf
-    issued, obj_reads = rels.obj_issue_order, rels.obj_reads
     read_mask, write_mask = rels.obj_read_mask, rels.obj_write_mask
+    writes_by_obj = {obj: list(set_bits(ws)) for obj, ws in write_mask.items()}
+    reads_by_obj = {obj: list(set_bits(rs)) for obj, rs in read_mask.items()}
     n = len(events)
     reads_of = rels.readers     # reads by source write
     writes_before = [0] * n     # writes mo-before each write
@@ -351,28 +352,28 @@ def check_c11_oracle(rels: Relations) -> CoherenceVerdict:
 
     verdict = CoherenceVerdict()
     verdict.rules["mo1"] = next(
-        (witness(w1, w2) for obj, ws in issued.items()
+        (witness(w1, w2) for obj, ws in writes_by_obj.items()
          if any(hb_mask[w2] & write_mask[obj] & ~writes_before[w2] for w2 in ws)
          for w1 in ws for w2 in ws
          if w1 != w2 and hb(w1, w2) and not mo_before(w1, w2)), None)
     verdict.rules["mo2"] = next(
-        (witness(r1, r2) for obj, rs in obj_reads.items()
+        (witness(r1, r2) for obj, rs in reads_by_obj.items()
          if any(hb_mask[r2] & read_mask[obj]
                 & ~(reads_before[rf[r2]] | reads_of[rf[r2]]) for r2 in rs)
          for r1 in rs for r2 in rs
          if r1 != r2 and hb(r1, r2)
          and rf[r1] != rf[r2] and not mo_before(rf[r1], rf[r2])), None)
     verdict.rules["mo3"] = next(
-        (witness(r1, w1) for obj, rs in obj_reads.items()
+        (witness(r1, w1) for obj, rs in reads_by_obj.items()
          if any(hb_mask[w1] & read_mask[obj] & ~reads_before[w1]
-                for w1 in issued.get(obj, ()))
-         for r1 in rs for w1 in issued.get(obj, ())
+                for w1 in writes_by_obj.get(obj, ()))
+         for r1 in rs for w1 in writes_by_obj.get(obj, ())
          if hb(r1, w1) and not mo_before(rf[r1], w1)), None)
     verdict.rules["mo4"] = next(
-        (witness(w1, r1) for obj, rs in obj_reads.items()
+        (witness(w1, r1) for obj, rs in reads_by_obj.items()
          if any(hb_mask[r1] & write_mask.get(obj, 0)
                 & ~(writes_before[rf[r1]] | 1 << rf[r1]) for r1 in rs)
-         for r1 in rs for w1 in issued.get(obj, ())
+         for r1 in rs for w1 in writes_by_obj.get(obj, ())
          if hb(w1, r1) and rf[r1] != w1 and not mo_before(w1, rf[r1])), None)
 
     # some total order of the sc events extends hb and mo iff the closure

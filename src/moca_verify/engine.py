@@ -16,9 +16,12 @@ Initialization is a virtual ``init`` thread whose non-atomic writes and
 shadow-writes occupy a fixed prefix of every sequence (in object order) and
 are minimal elements of every relation.
 
-``step`` is ``clone().advance``: ``replay`` and the oracles stay functional,
-while the explorer advances a node's state in place for its last candidate,
-once it has cloned the state for every other one.
+``advance`` executes a unit's next event in place: a shadow-thread flushes
+its oldest pending write, and each statement type builds its event and
+applies it in one branch.  ``step`` is ``clone().advance``: ``replay`` and
+the oracles stay functional, while the explorer advances a node's state in
+place for its last candidate, once it has cloned the state for every other
+one.
 """
 
 from __future__ import annotations
@@ -55,22 +58,6 @@ class ReplayError(Exception):
         self.unit = unit
         self.reason = reason
         super().__init__(f"step {step_index}: cannot schedule {unit!r}: {reason}")
-
-
-class Pending:
-    """A peeked next event for one schedulable unit, with effects resolved:
-    the source position and value of a read-like event, the value a
-    write-like event (or a shadow-write) stores."""
-
-    __slots__ = ("event", "rf_source", "read_value", "write_value")
-
-    def __init__(self, event: Event, rf_source: int = -1,
-                 read_value: Optional[int] = None,
-                 write_value: Optional[int] = None) -> None:
-        self.event = event
-        self.rf_source = rf_source
-        self.read_value = read_value
-        self.write_value = write_value
 
 
 @dataclass
@@ -191,7 +178,7 @@ class ExecState:
         own = self.rels.last_obj_write_of_thread(thread, obj)
         return own if own > self.rels.flush_pos[lw] else lw
 
-    # -- peeking -------------------------------------------------------------
+    # -- stepping ------------------------------------------------------------
 
     def _event(self, unit: str, idx: int, stmt: Stmt, act: Act,
                obj: tuple[str, ...], ord: MO) -> Event:
@@ -203,88 +190,61 @@ class ExecState:
                                          idx=idx, stmt=stmt)
         return ev
 
-    def peek(self, unit: str) -> Pending:
-        """The next event of ``unit``, effects resolved.  The one enabledness
-        check: a ``ReplayError`` at the schedule index of the next step."""
-        if not (self.cursors.get(unit) or self.pending.get(unit)):
-            raise ReplayError(len(self.rels.events) - self.rels.init_len, unit,
-                              "not enabled")
-        # a unit's next idx is the number of events it has executed
-        idx = self.rels.unit_mask.get(unit, 0).bit_count()
-        if is_shadow_unit(unit):
-            w = self.pending[unit][0]
-            ew = self.rels.events[w]
-            ev = self._event(unit, idx, ew.stmt, Act.SHADOW, (ew.obj_written,), ew.ord)
-            return Pending(ev, write_value=self.rels.value_of[w])
-        stmt = self._current_stmt(unit)
-        env = self.lcl[unit]
-        if isinstance(stmt, Load):
-            src = self.resolve_rf(unit, stmt.obj)
-            ev = self._event(unit, idx, stmt, Act.READ, (stmt.obj,), stmt.mo)
-            return Pending(ev, src, self.rels.value_of[src])
-        if isinstance(stmt, Store):
-            ev = self._event(unit, idx, stmt, Act.WRITE, (stmt.obj,), stmt.mo)
-            return Pending(ev, write_value=eval_expr(stmt.value, env))
-        if isinstance(stmt, Fadd):
-            src = self.resolve_rf(unit, stmt.obj)
-            old = self.rels.value_of[src]
-            ev = self._event(unit, idx, stmt, Act.RMW, (stmt.obj, stmt.obj), stmt.mo)
-            return Pending(ev, src, old, old + eval_expr(stmt.delta, env))
-        if isinstance(stmt, Cas):
-            src = self.resolve_rf(unit, stmt.obj)
-            old = self.rels.value_of[src]
-            if old == eval_expr(stmt.expect, env):
-                ev = self._event(unit, idx, stmt, Act.RMW, (stmt.obj, stmt.obj),
-                                 stmt.mo)
-                return Pending(ev, src, old, eval_expr(stmt.desired, env))
-            ev = self._event(unit, idx, stmt, Act.READ, (stmt.obj,), stmt.mo)
-            return Pending(ev, src, old)
-        if isinstance(stmt, Fence):
-            return Pending(self._event(unit, idx, stmt, Act.FENCE, (), stmt.mo))
-        raise AssertionError(f"unexpected statement {stmt!r}")
-
-    # -- stepping ------------------------------------------------------------
-
     def step(self, unit: str) -> "ExecState":
         """The successor state after the next event of ``unit``; ``self``
         is left unchanged."""
         return self.clone().advance(unit)
 
     def advance(self, unit: str) -> "ExecState":
-        """Execute the next event of ``unit`` in place; returns ``self``."""
-        self._apply(self.peek(unit))
-        return self
-
-    def _apply(self, p: Pending) -> None:
-        ev = p.event
-        if ev.act is Act.SHADOW:
-            w = self.pending[ev.thr].popleft()
-            self.shr[ev.obj[0]] = p.write_value
-            self.rels.append_flush(ev, w)
-        elif ev.act is Act.READ:
-            self.rels.append_read(ev, p.rf_source)
-            self.lcl[ev.thr][ev.stmt.local] = p.read_value
-            self._advance(ev.thr)
-        elif ev.act is Act.WRITE:
-            w = self.rels.append_write(ev, p.write_value)
-            unit = shadow_unit(ev.thr, ev.obj[0])
-            self.pending.setdefault(unit, deque()).append(w)
-            self._advance(ev.thr)
-        elif ev.act is Act.RMW:
-            self.rels.append_rmw(ev, p.rf_source, p.write_value)
-            self.shr[ev.obj_written] = p.write_value
-            self.lcl[ev.thr][ev.stmt.local] = p.read_value
-            self._advance(ev.thr)
-        elif ev.act is Act.FENCE:
-            self.rels.append_fence(ev)
-            self._advance(ev.thr)
-        self._check_store_consistency()
-
-    def _advance(self, thread: str) -> None:
-        frames = self.cursors[thread]
+        """Execute the next event of ``unit`` in place; returns ``self``.
+        The one enabledness check: a ``ReplayError`` at the schedule index
+        of this step."""
+        if not (self.cursors.get(unit) or self.pending.get(unit)):
+            raise ReplayError(len(self.rels.events) - self.rels.init_len, unit,
+                              "not enabled")
+        rels = self.rels
+        # a unit's next idx is the number of events it has executed
+        idx = rels.unit_mask.get(unit, 0).bit_count()
+        if is_shadow_unit(unit):
+            w = self.pending[unit].popleft()
+            ew = rels.events[w]
+            obj = ew.obj_written
+            rels.append_flush(self._event(unit, idx, ew.stmt, Act.SHADOW, (obj,), ew.ord), w)
+            self.shr[obj] = rels.value_of[w]
+            self._check_store_consistency()
+            return self
+        stmt = self._current_stmt(unit)
+        env = self.lcl[unit]
+        if isinstance(stmt, Store):
+            ev = self._event(unit, idx, stmt, Act.WRITE, (stmt.obj,), stmt.mo)
+            w = rels.append_write(ev, eval_expr(stmt.value, env))
+            self.pending.setdefault(shadow_unit(unit, stmt.obj), deque()).append(w)
+        elif isinstance(stmt, Fence):
+            rels.append_fence(self._event(unit, idx, stmt, Act.FENCE, (), stmt.mo))
+        elif isinstance(stmt, (Load, Fadd, Cas)):
+            src = self.resolve_rf(unit, stmt.obj)
+            old = rels.value_of[src]
+            new = None
+            if isinstance(stmt, Fadd):
+                new = old + eval_expr(stmt.delta, env)
+            elif isinstance(stmt, Cas) and old == eval_expr(stmt.expect, env):
+                new = eval_expr(stmt.desired, env)
+            if new is None:     # a load, or a failed cas
+                ev = self._event(unit, idx, stmt, Act.READ, (stmt.obj,), stmt.mo)
+                rels.append_read(ev, src)
+            else:
+                ev = self._event(unit, idx, stmt, Act.RMW, (stmt.obj, stmt.obj), stmt.mo)
+                rels.append_rmw(ev, src, new)
+                self.shr[stmt.obj] = new
+            env[stmt.local] = old
+        else:
+            raise AssertionError(f"unexpected statement {stmt!r}")
+        frames = self.cursors[unit]
         body, i = frames[-1]
         frames[-1] = (body, i + 1)
-        self._normalize(thread)
+        self._normalize(unit)
+        self._check_store_consistency()
+        return self
 
     def _check_store_consistency(self) -> None:
         # shr must equal init values overwritten by flushes in sequence order

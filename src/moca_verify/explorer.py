@@ -51,7 +51,7 @@ store orders, and the happens-before edges; sequences interleaving only
 independent events agree on all of these).  Recording runs one stage at a
 time (relation rebuild, post-hoc rules, C11 oracle, trace id) over a batch
 of ``RECORD_BATCH`` leaves, then folds each leaf's results into the report
-in DFS order; a leaf has no enabled unit, so nothing advances a queued
+in DFS order; a queued leaf keeps only what recording reads, not its
 state.  Every oracle still runs on every maximal sequence, but an oracle's
 exception can surface up to ``RECORD_BATCH - 1`` leaves after the leaf that
 caused it.  ``enumerate_all`` is the brute-force oracle: it walks every
@@ -173,7 +173,7 @@ def conflict_mask(rels: LiveRelations, p: int) -> int:
         if e.act is Act.RMW or obj in rels.release_objs:
             mask |= rels.obj_write_mask[obj]
         else:
-            mask |= rels.obj_rmw_mask.get(obj, 0)
+            mask |= rels.obj_update_mask[obj] & rels.obj_write_mask[obj]
     if e.is_read_like:
         mask |= rels.obj_update_mask.get(e.obj_read, 0) & others
     after_init = (1 << p) - (1 << rels.init_len)
@@ -445,7 +445,7 @@ class _Explorer:
                           for t in program.threads for s in flatten(t.body))
         self.report = ExplorationReport(program=program.name)
         self._seen_ids: set[str] = set()
-        self._queued: list[ExecState] = []
+        self._queued: list[tuple] = []   # one entry per leaf, see _record_maximal
         self.nodes: list[_Node] = []
 
     # -- candidate filtering ---------------------------------------------------
@@ -543,10 +543,14 @@ class _Explorer:
     # -- recording ----------------------------------------------------------------
 
     def _record_maximal(self, state: ExecState) -> None:
-        """Count the maximal ``state`` and queue it for ``_flush_records``;
-        a leaf has no enabled unit, so nothing advances a queued state."""
+        """Count the maximal ``state`` and queue what ``_flush_records``
+        reads of it: its sequence, schedule, final shared values (a leaf has
+        no enabled unit, so nothing changes them) and final locals, and its
+        assert outcome."""
         self.report.sequences_explored += 1
-        self._queued.append(state)
+        self._queued.append((state.sequence(), state.schedule_so_far(), state.shr,
+                             state.final_locals(),
+                             check_asserts(self.program, state, self.assert_names)))
         if len(self._queued) >= RECORD_BATCH:
             self._flush_records()
         if self.report.sequences_explored >= self.max_seqs:
@@ -555,15 +559,15 @@ class _Explorer:
     def _flush_records(self) -> None:
         """Record the queued leaves: each stage runs over the whole batch in
         turn, then the per-leaf results join the report in DFS order."""
-        states, self._queued = self._queued, []
+        leaves, self._queued = self._queued, []
         report = self.report
-        batch = [compute_relations(state.sequence()) for state in states]
+        batch = [compute_relations(leaf[0]) for leaf in leaves]
         report.non_mca_sequences += sum(not check_moca(rels).ok for rels in batch)
         report.c11_oracle_failures += sum(not check_c11_oracle(rels).ok
                                           for rels in batch)
         trace_ids = [canonical_trace_id(rels) for rels in batch]
-        for state, rels, trace_id in zip(states, batch, trace_ids):
-            schedule = state.schedule_so_far()
+        for (_, schedule, shr, final_locals, asserts), rels, trace_id in zip(
+                leaves, batch, trace_ids):
             races = detect_na_races(rels) if self.has_na else []
             if races:
                 report.racy_sequence_count += 1
@@ -573,7 +577,6 @@ class _Explorer:
                         "schedule": schedule,
                         "trace_id": trace_id,
                     })
-            asserts = check_asserts(self.program, state, self.assert_names)
             for d in asserts.diagnostics:
                 if d not in report.assert_diagnostics:
                     report.assert_diagnostics.append(d)
@@ -582,7 +585,7 @@ class _Explorer:
                     "assert": self.program.asserts[idx].text,
                     "index": idx,
                     "schedule": schedule,
-                    "final_shared": dict(state.shr),
+                    "final_shared": dict(shr),
                     "trace_id": trace_id,
                 })
             if trace_id not in self._seen_ids:
@@ -590,8 +593,8 @@ class _Explorer:
                 report.traces.append(TraceSummary(
                     trace_id=trace_id,
                     schedule=schedule,
-                    final_shared=dict(state.shr),
-                    final_locals=state.final_locals(),
+                    final_shared=dict(shr),
+                    final_locals=final_locals,
                     rf=sorted((w.name, r.name) for r, w in rf_pairs(rels)
                               if not r.is_init),
                     racy=bool(races),

@@ -36,28 +36,29 @@ under the same names and shapes, so every consumer reads either one:
 * ``sw[p]`` and ``dob[p]``, the masks of the synchronizes-with and
   dependency-ordered-before sources of ``p`` (``mhb`` drops both from
   ``hb_mask[p]``);
-* ``obj_reads`` and ``obj_issue_order`` (per-object reads and writes, as
-  ascending positions) and ``mo`` (per-object flush order, the modification
-  order, as write positions);
+* ``mo`` (per-object flush order, the modification order, as write
+  positions);
 * ``sc_placed``, the sc events as ``(position, placement position)`` in
   placement order.
 
 Both also keep position masks, so the rules intersect ``hb_mask`` with them
 instead of scanning event pairs: ``unit_mask`` (the events of each unit),
-``obj_read_mask`` and ``obj_write_mask`` (the positions of ``obj_reads``
-and ``obj_issue_order``).  ``LiveRelations`` adds the masks race detection
-reads (``explorer.conflict_mask``): ``parent_mask`` (the events acting for
-each program thread, its shadow-writes included), ``obj_update_mask``
-(shadow-writes and rmws of each object) and ``obj_rmw_mask``; and
-``rel_fence_mask`` (release-class fences).
+``obj_read_mask`` and ``obj_write_mask`` (the reads and the write issues of
+each object; a walk of their set bits visits them in sequence order).
+``LiveRelations`` adds the masks race detection reads
+(``explorer.conflict_mask``): ``parent_mask`` (the events acting for each
+program thread, its shadow-writes included) and ``obj_update_mask``
+(shadow-writes and rmws of each object, so ``obj_update_mask &
+obj_write_mask`` are its rmws); and ``rel_fence_mask`` (release-class
+fences).
 
 ``LiveRelations`` stores each fact once: beyond the shared fields and
 masks, only ``cd_mask``, ``origin_of`` (a shadow-write's write) and
 ``value_of`` (a write-like event's value, else None) per position.  The
 engine's other lookups are read off the masks: ``last_of_unit``,
-``last_obj_write_of_thread``, ``last_rmw``, ``sw_sources``, a write's
-store update ``flush_pos[w]`` and a unit's next ``idx``
-(``unit_mask[unit].bit_count()``).
+``last_obj_write_of_thread``, ``last_rmw``, ``sw_sources``, the writes
+before a release sequence's source, a write's store update
+``flush_pos[w]`` and a unit's next ``idx`` (``unit_mask[unit].bit_count()``).
 
 Neither stores an sc total order.  ``coherence._rule_shto`` checks that
 one exists: the hb, mo, rf and fr edges among the placed sc events must be
@@ -111,20 +112,22 @@ def release_sequence_members(issue_order: Iterable[Event], head: Event) -> list[
     return members
 
 
-def release_heads(events: list[Event], src: int, earlier: Iterable[int]) -> int:
+def release_heads(events: list[Event], src: int, earlier: int) -> int:
     """The mask of the release-class writes other than ``src`` whose release
-    sequence contains ``src``, given ``earlier``: the positions of the
-    writes of src's object issued before it, latest first.
+    sequence contains ``src``, given ``earlier``: the mask of the writes of
+    src's object issued before it.
 
-    One walk back from the source: a head qualifies while every weak write
-    after it, ``src`` included, is of the head's own thread, so the walk
-    ends at the second thread with a weak write.  ``release_sequence_members``
-    is the per-head reference.
+    One walk down its bits from the source: a head qualifies while every
+    weak write after it, ``src`` included, is of the head's own thread, so
+    the walk ends at the second thread with a weak write.
+    ``release_sequence_members`` is the per-head reference.
     """
     heads = 0
     s = events[src]
     owner = s.thr if _is_weak(s) else None   # the thread of the weak writes
-    for p in earlier:
+    while earlier:
+        p = earlier.bit_length() - 1
+        earlier ^= 1 << p
         w = events[p]
         if (owner is None or owner == w.thr) and at_least(w.ord, MO.REL):
             heads |= 1 << p
@@ -168,10 +171,9 @@ class LiveRelations:
 
     __slots__ = (
         "events", "pos", "init_len", "value_of", "rf", "readers",
-        "flush_pos", "origin_of", "mo", "obj_issue_order", "obj_reads",
-        "hb_mask", "cd_mask", "sw", "dob", "sc_placed", "release_objs",
-        "unit_mask", "parent_mask", "obj_read_mask", "obj_write_mask",
-        "obj_update_mask", "obj_rmw_mask", "rel_fence_mask",
+        "flush_pos", "origin_of", "mo", "hb_mask", "cd_mask", "sw", "dob",
+        "sc_placed", "release_objs", "unit_mask", "parent_mask",
+        "obj_read_mask", "obj_write_mask", "obj_update_mask", "rel_fence_mask",
     )
 
     def __init__(self, release_objs: frozenset[str]) -> None:
@@ -190,19 +192,17 @@ class LiveRelations:
         self.dob: list[int] = []
         # per object, as positions
         self.mo: dict[str, list[int]] = {}
-        self.obj_issue_order: dict[str, list[int]] = {}
-        # keyed in first-read order, as compute_relations keys it, so the
-        # rules visit objects in one order on both implementations
-        self.obj_reads: dict[str, list[int]] = {}
         self.sc_placed: list[tuple[int, int]] = []  # (logical pos, placement pos)
         self.release_objs = release_objs
-        # position masks, kept by ``_register`` from the event attributes
+        # position masks, kept by ``_register`` from the event attributes;
+        # the per-object ones are keyed in first-read and first-write order,
+        # as compute_relations keys them, so the rules visit objects in one
+        # order on both implementations
         self.unit_mask: dict[str, int] = {}
         self.parent_mask: dict[str, int] = {}
         self.obj_read_mask: dict[str, int] = {}
         self.obj_write_mask: dict[str, int] = {}
         self.obj_update_mask: dict[str, int] = {}
-        self.obj_rmw_mask: dict[str, int] = {}
         self.rel_fence_mask = 0
 
     def clone(self) -> "LiveRelations":
@@ -220,8 +220,6 @@ class LiveRelations:
         other.sw = list(self.sw)
         other.dob = list(self.dob)
         other.mo = {k: list(v) for k, v in self.mo.items()}
-        other.obj_issue_order = {k: list(v) for k, v in self.obj_issue_order.items()}
-        other.obj_reads = {k: list(v) for k, v in self.obj_reads.items()}
         other.sc_placed = list(self.sc_placed)
         other.release_objs = self.release_objs
         other.unit_mask = dict(self.unit_mask)
@@ -229,7 +227,6 @@ class LiveRelations:
         other.obj_read_mask = dict(self.obj_read_mask)
         other.obj_write_mask = dict(self.obj_write_mask)
         other.obj_update_mask = dict(self.obj_update_mask)
-        other.obj_rmw_mask = dict(self.obj_rmw_mask)
         other.rel_fence_mask = self.rel_fence_mask
         return other
 
@@ -253,9 +250,11 @@ class LiveRelations:
                 & self.obj_write_mask.get(obj, 0)).bit_length() - 1
 
     def last_rmw(self, obj: str) -> int:
-        """Position of the object's last issued rmw, else of its init write."""
-        rmws = self.obj_rmw_mask.get(obj, 0)
-        return rmws.bit_length() - 1 if rmws else self.obj_issue_order[obj][0]
+        """Position of the object's last issued rmw, else of its init write
+        (its first write)."""
+        writes = self.obj_write_mask[obj]
+        rmws = self.obj_update_mask[obj] & writes
+        return (rmws or writes & -writes).bit_length() - 1
 
     def sw_sources(self, w: int) -> int:
         """The mask of what an acquire read of ``w``, or an acquire fence
@@ -309,8 +308,6 @@ class LiveRelations:
             _add_bit(self.obj_write_mask, e.obj_written, bit)
         if e.is_store_update:
             _add_bit(self.obj_update_mask, e.obj_written, bit)
-        if e.act is Act.RMW:
-            _add_bit(self.obj_rmw_mask, e.obj_written, bit)
         if e.act is Act.FENCE and at_least(e.ord, MO.REL):
             self.rel_fence_mask |= bit
         return p
@@ -322,7 +319,6 @@ class LiveRelations:
         pw = self._register(w, 0)
         psh = self._register(sh, 1 << pw)
         self.value_of[pw] = value
-        self.obj_issue_order[w.obj[0]] = [pw]
         self.mo[w.obj[0]] = [pw]
         self.origin_of[psh] = pw
         self.flush_pos[pw] = psh
@@ -338,11 +334,8 @@ class LiveRelations:
         if not at_least(e.ord, MO.ACQ):
             return 0, 0
         # release-sequence heads whose sequence contains the source
-        obj = e.obj_read
-        before = (self.obj_write_mask[obj] & ((1 << src) - 1)).bit_count()
-        heads = release_heads(self.events, src,
-                              reversed(self.obj_issue_order[obj][:before]))
-        return self.sw_sources(src), heads
+        earlier = self.obj_write_mask[e.obj_read] & ((1 << src) - 1)
+        return self.sw_sources(src), release_heads(self.events, src, earlier)
 
     def append_read(self, e: Event, src: int) -> int:
         sw, dob = self._sync_for_read(e, src)
@@ -356,7 +349,6 @@ class LiveRelations:
             self.sc_placed.append((p, p))
         self.rf[p] = src
         self.readers[src] |= 1 << p
-        self.obj_reads.setdefault(e.obj_read, []).append(p)
         return p
 
     def append_write(self, e: Event, value: int) -> int:
@@ -365,12 +357,11 @@ class LiveRelations:
         # on release objects; elsewhere only the order against rmws (rf)
         # matters (``explorer.conflicts``)
         if obj in self.release_objs:
-            prev = self.obj_issue_order[obj][-1]
+            prev = self.obj_write_mask[obj].bit_length() - 1
         else:
             prev = self.last_rmw(obj)
         p = self._register(e, 1 << prev)
         self.value_of[p] = value
-        self.obj_issue_order[obj].append(p)
         return p
 
     def append_rmw(self, e: Event, src: int, new: int) -> int:
@@ -391,8 +382,6 @@ class LiveRelations:
         self.value_of[p] = new
         self.rf[p] = src
         self.readers[src] |= 1 << p
-        self.obj_reads.setdefault(obj, []).append(p)
-        self.obj_issue_order[obj].append(p)
         self.mo[obj].append(p)
         self.flush_pos[p] = p
         return p
@@ -439,8 +428,6 @@ class RelationSet:
     rf: list[int]                           # source position, or -1
     readers: list[int]                      # mask of each write's reads
     flush_pos: list[int]                    # store-update position, or -1
-    obj_reads: dict[str, list[int]]
-    obj_issue_order: dict[str, list[int]]
     mo: dict[str, list[int]]
     sc_placed: list[tuple[int, int]]
     sw: list[int]                           # mask of each event's sw sources
@@ -448,8 +435,8 @@ class RelationSet:
     hb_mask: list[int]                      # positions of strict hb predecessors
     init_len: int
     unit_mask: dict[str, int]               # positions of each unit's events
-    obj_read_mask: dict[str, int]           # positions of obj_reads[obj]
-    obj_write_mask: dict[str, int]          # positions of obj_issue_order[obj]
+    obj_read_mask: dict[str, int]           # positions of each object's reads
+    obj_write_mask: dict[str, int]          # positions of each object's writes
 
     def hb(self, a: Event, b: Event) -> bool:
         return bool(self.hb_mask[self.pos[b]] >> self.pos[a] & 1)
@@ -514,9 +501,7 @@ def compute_relations(seq: "Sequence") -> RelationSet:
     reads: list[int] = []
     fences: list[int] = []
     readers = [0] * n
-    obj_reads: dict[str, list[int]] = {}
     obj_read_mask: dict[str, int] = {}
-    obj_issue_order: dict[str, list[int]] = {}
     obj_write_mask: dict[str, int] = {}
     # modification order per object: init write first, then flush order
     mo: dict[str, list[int]] = {}
@@ -531,11 +516,9 @@ def compute_relations(seq: "Sequence") -> RelationSet:
             reads.append(p)
             readers[rf[p]] |= bit
             obj = e.obj_read
-            obj_reads.setdefault(obj, []).append(p)
             obj_read_mask[obj] = obj_read_mask.get(obj, 0) | bit
         if e.is_write_like:
             obj = e.obj_written
-            obj_issue_order.setdefault(obj, []).append(p)
             obj_write_mask[obj] = obj_write_mask.get(obj, 0) | bit
         if act is Act.SHADOW:
             mo.setdefault(e.obj[0], []).append(origin_of[p])
@@ -571,9 +554,7 @@ def compute_relations(seq: "Sequence") -> RelationSet:
             sw[fa] |= sources
         if at_least(er.ord, MO.ACQ):
             sw[r] |= sources
-            obj = er.obj_read
-            before = (obj_write_mask[obj] & ((1 << w) - 1)).bit_count()
-            dob[r] = release_heads(events, w, reversed(obj_issue_order[obj][:before]))
+            dob[r] = release_heads(events, w, obj_write_mask[er.obj_read] & ((1 << w) - 1))
 
     # happens-before in one forward pass: po plus the inter-thread closure,
     # i.e. reachability over unit-successor + sync edges counting paths with
@@ -614,8 +595,7 @@ def compute_relations(seq: "Sequence") -> RelationSet:
 
     return RelationSet(
         events=list(events), pos=dict(seq.pos), rf=rf, readers=readers,
-        flush_pos=flush_pos, obj_reads=obj_reads, obj_issue_order=obj_issue_order,
-        mo=mo, sc_placed=placed, sw=sw, dob=dob, hb_mask=hb_mask,
+        flush_pos=flush_pos, mo=mo, sc_placed=placed, sw=sw, dob=dob, hb_mask=hb_mask,
         init_len=seq.init_len, unit_mask=unit_mask,
         obj_read_mask=obj_read_mask, obj_write_mask=obj_write_mask,
     )

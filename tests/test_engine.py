@@ -55,7 +55,7 @@ class TestWorkedExample:
 
 def enabled_events(state) -> set:
     """The next event of every enabled unit of ``state``."""
-    return {state.peek(u).event for u in state.enabled_units()}
+    return {state.step(u).rels.events[-1] for u in state.enabled_units()}
 
 
 class TestEnabled:

@@ -242,6 +242,19 @@ class TestAsserts:
         assert st.lcl["T1"]["r1"] == 0 and st.lcl["T2"]["r2"] == 0
 
 
+RECOVERY_NEEDED = """\
+program rnd
+init a = 0, b = 0
+thread T1:
+  store(a, 2, rlx)
+thread T2:
+  r1_0 = load(a, sc)
+thread T3:
+  store(b, 2, rlx)
+  store(a, 1, sc)
+"""
+
+
 class TestEnumerateAll:
     def test_single_write_single_interleaving(self):
         p = parse_program("program s\ninit x = 0\nthread T1:\n  store(x, 1, rlx)\n")
@@ -260,6 +273,16 @@ class TestEnumerateAll:
 
     def test_mp_oracle_equals_explorer(self, mp):
         assert set(enumerate_all(mp)) == explore(mp).trace_ids
+
+    def test_overdue_flush_recovery_reaches_every_trace(self):
+        """Some prefixes fail ``shmo1`` at T2's load on a write whose flush
+        is still pending.  The flush unit ``_candidates`` proposes for that
+        write is the search's only way to one of the six traces: without
+        the proposal, ``explore`` finds five."""
+        p = parse_program(RECOVERY_NEEDED)
+        traces = set(enumerate_all(p))
+        assert len(traces) == 6
+        assert explore(p).trace_ids == traces
 
 
 class TestWitnessReplay:
@@ -547,18 +570,26 @@ def test_event_hashing_stays_off_the_hot_path(monkeypatch):
 
 def test_every_name_the_benchmark_spans_wrap_is_importable():
     """``bench/spans.py`` times each layer by wrapping names it looks up on
-    ``moca_verify.explorer``; a name that moved would read as a zero span."""
-    import moca_verify.explorer as explorer_module
-
+    ``moca_verify.explorer``; a name that moved would read as a zero span.
+    The file is only read here: every name must resolve, none may be
+    reported absent, and each span must see calls during one ``explore``."""
     path = CORPUS.parent / "bench" / "spans.py"
     spec = importlib.util.spec_from_file_location("bench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    assert {"ExecState.step", "ExecState.sequence"} <= set(spans.WRAPPED.values())
     for attr in spans.WRAPPED.values():
         owner = explorer_module
         for part in attr.split("."):
             owner = getattr(owner, part, None)
         assert callable(owner), attr
+    # na statements, so race detection runs; an assert, so asserts run
+    program = parse_program(counter_source(2, "na"))
+    tracer = spans.Tracer(explorer_module)
+    with tracer.installed():
+        explorer_module.explore(program)
+    assert tracer.absent == []
+    assert {name for name in spans.WRAPPED if not tracer.calls[name]} == set()
 
 
 # ---------------------------------------------------------------------------

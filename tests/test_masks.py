@@ -34,7 +34,7 @@ from moca_verify.coherence import (
 from moca_verify.engine import initial_state
 from moca_verify.explorer import _estimate_events, conflict_mask, conflicts
 from moca_verify.ir import Act, MO, at_least
-from moca_verify.relations import compute_relations, rf_pairs
+from moca_verify.relations import compute_relations, rf_pairs, set_bits
 from moca_verify.transform import early_write_transform
 
 
@@ -73,7 +73,7 @@ def reference_shmo2(rels, at=None):
     events = rels.events
     for r2 in _reads(rels, at):
         src2 = rels.rf[r2]
-        for r1 in rels.obj_reads[events[r2].obj_read]:
+        for r1 in set_bits(rels.obj_read_mask[events[r2].obj_read]):
             if r1 == r2:
                 break
             src1 = rels.rf[r1]
@@ -88,7 +88,7 @@ def reference_shmo3(rels, at=None):
     events = rels.events
     for r in _reads(rels, at):
         src = rels.rf[r]
-        for w1 in rels.obj_issue_order.get(events[r].obj_read, ()):
+        for w1 in set_bits(rels.obj_write_mask.get(events[r].obj_read, 0)):
             if w1 == src or not rels.hb(events[w1], events[r]):
                 continue
             if flush_before(rels, w1, src) is False:
@@ -185,7 +185,8 @@ def reference_c11_oracle(rels):
         return a in index and b in index and index[a] < index[b]
 
     hb, rf = rels.hb, dict(rf_pairs(rels))
-    issued, obj_reads = as_events(rels.obj_issue_order), as_events(rels.obj_reads)
+    issued = as_events({obj: set_bits(ws) for obj, ws in rels.obj_write_mask.items()})
+    obj_reads = as_events({obj: set_bits(rs) for obj, rs in rels.obj_read_mask.items()})
     rules = {}
     rules["mo1"] = next(
         ((w1, w2) for ws in issued.values() for w1 in ws for w2 in ws
@@ -311,13 +312,13 @@ def reference_lookups(st):
         own = [p for p, e in enumerate(events) if e.thr == unit]
         out.append(("last_of_unit", rels.last_of_unit(unit), own[-1],
                     own[-1] >= init_len))
-        for obj in rels.obj_issue_order:
+        for obj in rels.obj_write_mask:
             writes = [p for p in own
                       if events[p].is_write_like and events[p].obj_written == obj]
             last = writes[-1] if writes else -1
             out.append(("last_write", rels.last_obj_write_of_thread(unit, obj), last,
                         last >= init_len))
-    for obj in rels.obj_issue_order:
+    for obj in rels.obj_write_mask:
         rmws = [p for p, e in enumerate(events) if e.act is Act.RMW and e.obj_written == obj]
         init = next(p for p, e in enumerate(events)
                     if e.is_init and e.act is Act.WRITE and e.obj_written == obj)
@@ -340,7 +341,7 @@ def reference_lookups(st):
         out.append(("flush_event", p, flush, flush >= init_len))
     for unit in st.enabled_units():
         n = sum(1 for e in events if e.thr == unit)
-        out.append(("next_idx", st.peek(unit).event.idx, n, n > 0))
+        out.append(("next_idx", st.step(unit).rels.events[-1].idx, n, n > 0))
     return out
 
 

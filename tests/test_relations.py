@@ -19,6 +19,7 @@ from moca_verify.relations import (
     release_sequence,
     release_sequence_members,
     rf_pairs,
+    set_bits,
 )
 
 
@@ -253,8 +254,8 @@ class TestLiveMatchesReference:
                     # every position table and every per-object field both
                     # classes keep, dicts in iteration order
                     for field in ("events", "pos", "init_len", "rf", "readers",
-                                  "flush_pos", "hb_mask", "sw", "dob", "obj_reads",
-                                  "obj_issue_order", "mo", "sc_placed", "unit_mask",
+                                  "flush_pos", "hb_mask", "sw", "dob", "mo",
+                                  "sc_placed", "unit_mask",
                                   "obj_read_mask", "obj_write_mask"):
                         live, rebuilt = getattr(st.rels, field), getattr(rels, field)
                         if isinstance(live, dict):
@@ -393,7 +394,7 @@ def reference_dob(rels):
     for r, src in rf_pairs(rels):
         if not at_least(r.ord, MO.ACQ):
             continue
-        order = [rels.events[w] for w in rels.obj_issue_order[r.obj_read]]
+        order = [rels.events[w] for w in set_bits(rels.obj_write_mask[r.obj_read])]
         for head in order:
             if head == src or rels.pos[head] > rels.pos[src]:
                 continue
