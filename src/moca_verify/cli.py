@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 
 import click
+from click.core import ParameterSource
 
 from .ir import ParseError, parse_program, pretty_print
 from .engine import ReplayError, initial_state, replay, run_sequence, walk_trace
@@ -135,6 +136,11 @@ def main() -> None:
     """Model checker for litmus programs under multi-copy-atomic semantics."""
 
 
+# verify's options that only exploring reads
+_EXPLORE_ONLY = frozenset({"as_json", "max_seqs", "max_depth", "no_enforce_expect",
+                           "emit_transformed", "dump_relations"})
+
+
 @main.command()
 @click.argument("path", type=click.Path())
 @click.option("--json", "as_json", is_flag=True, help="emit a JSON report")
@@ -145,8 +151,9 @@ def main() -> None:
 @click.option("--no-enforce-expect", is_flag=True,
               help="ignore 'expect traces = N' annotations")
 @click.option("--emit-transformed", is_flag=True,
-              help="also print the transformed program source (with --json, "
-                   "under the report's \"transformed\" key)")
+              help="also print the source of the program explored: transformed, "
+                   "or as written with --no-early-write (with --json, under the "
+                   "report's \"transformed\" key)")
 @click.option("--dump-relations", is_flag=True,
               help="include per-trace relation edge lists in the JSON report")
 @click.option("--dump-trace", is_flag=True,
@@ -157,18 +164,20 @@ def main() -> None:
 def verify(path, as_json, max_seqs, max_depth, no_early_write, no_enforce_expect,
            emit_transformed, dump_relations, dump_trace, replay_file) -> None:
     """Explore all traces of a litmus program; report violations and races."""
-    program = _load(path)
-
     if replay_file is not None:
-        _replay(program, replay_file, not no_early_write, dump_trace)
+        ctx = click.get_current_context()
+        for param in ctx.command.params:
+            if (param.name in _EXPLORE_ONLY
+                    and ctx.get_parameter_source(param.name) is not ParameterSource.DEFAULT):
+                raise click.UsageError(f"{param.opts[0]} has no effect with --replay", ctx)
+        _replay(_load(path), replay_file, not no_early_write, dump_trace)
         return
 
+    program = _load(path)
+
     # transformed once, for the explorer, both dumps and --emit-transformed
-    # (which prints it even with --no-early-write)
-    hoisted = (early_write_transform(program)
-               if emit_transformed or not no_early_write else None)
-    target = program if no_early_write else hoisted
-    transformed = pretty_print(hoisted) if emit_transformed else None
+    target = program if no_early_write else early_write_transform(program)
+    transformed = pretty_print(target) if emit_transformed else None
     if transformed is not None and not as_json:
         click.echo(transformed, nl=False)
 

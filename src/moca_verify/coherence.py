@@ -321,15 +321,15 @@ def check_c11_oracle(rels: Relations) -> CoherenceVerdict:
     the first pair of placed sc events, in placement order, that the
     transitive closure of hb and mo orders both ways.
 
-    ``mo1``..``mo4`` are one mask test per event: one running mask per
-    object over ``rels.mo``, as it stands at the call, gives each flushed
-    write the writes and the reads (by source) before it.  Only an object
-    that fails a test is scanned pairwise for the witness.
+    ``mo1``..``mo4`` give each event of an object one mask: the events it
+    violates the axiom with.  One running mask per object over ``rels.mo``,
+    as it stands at the call, gives each flushed write the writes and the
+    reads (by source) before it.  The witness is the first pair of the
+    pairwise scan: ``mo1``..``mo3`` scan the events in the masks first,
+    ``mo4`` the events the masks belong to.
     """
     events, hb_mask, rf = rels.events, rels.hb_mask, rels.rf
     read_mask, write_mask = rels.obj_read_mask, rels.obj_write_mask
-    writes_by_obj = {obj: list(set_bits(ws)) for obj, ws in write_mask.items()}
-    reads_by_obj = {obj: list(set_bits(rs)) for obj, rs in read_mask.items()}
     n = len(events)
     reads_of = rels.readers     # reads by source write
     writes_before = [0] * n     # writes mo-before each write
@@ -341,51 +341,54 @@ def check_c11_oracle(rels: Relations) -> CoherenceVerdict:
             w_mask |= 1 << w
             r_mask |= reads_of[w]
 
-    def hb(a: int, b: int) -> int:
-        return hb_mask[b] >> a & 1
-
-    def mo_before(a: int, b: int) -> int:
-        return writes_before[b] >> a & 1
-
-    def witness(*ps: int) -> Witness:
-        return tuple(events[p] for p in ps)
+    def first(per_obj: Iterable[list[tuple[int, int]]], by_mask: bool) -> Optional[Witness]:
+        """The first ``(events[q], events[p])``, q a set bit of p's mask,
+        over each object's ``(p, mask)`` pairs in position order: ordered
+        by q, then p if ``by_mask``, else by p, then q."""
+        for pairs in per_obj:
+            if by_mask:
+                union = 0
+                for _, m in pairs:
+                    union |= m
+                if not union:
+                    continue
+                q = (union & -union).bit_length() - 1
+                p = next(p for p, m in pairs if m >> q & 1)
+            else:
+                p, m = next(((p, m) for p, m in pairs if m), (0, 0))
+                if not m:
+                    continue
+                q = (m & -m).bit_length() - 1
+            return (events[q], events[p])
+        return None
 
     verdict = CoherenceVerdict()
-    verdict.rules["mo1"] = next(
-        (witness(w1, w2) for obj, ws in writes_by_obj.items()
-         if any(hb_mask[w2] & write_mask[obj] & ~writes_before[w2] for w2 in ws)
-         for w1 in ws for w2 in ws
-         if w1 != w2 and hb(w1, w2) and not mo_before(w1, w2)), None)
-    verdict.rules["mo2"] = next(
-        (witness(r1, r2) for obj, rs in reads_by_obj.items()
-         if any(hb_mask[r2] & read_mask[obj]
-                & ~(reads_before[rf[r2]] | reads_of[rf[r2]]) for r2 in rs)
-         for r1 in rs for r2 in rs
-         if r1 != r2 and hb(r1, r2)
-         and rf[r1] != rf[r2] and not mo_before(rf[r1], rf[r2])), None)
-    verdict.rules["mo3"] = next(
-        (witness(r1, w1) for obj, rs in reads_by_obj.items()
-         if any(hb_mask[w1] & read_mask[obj] & ~reads_before[w1]
-                for w1 in writes_by_obj.get(obj, ()))
-         for r1 in rs for w1 in writes_by_obj.get(obj, ())
-         if hb(r1, w1) and not mo_before(rf[r1], w1)), None)
-    verdict.rules["mo4"] = next(
-        (witness(w1, r1) for obj, rs in reads_by_obj.items()
-         if any(hb_mask[r1] & write_mask.get(obj, 0)
-                & ~(writes_before[rf[r1]] | 1 << rf[r1]) for r1 in rs)
-         for r1 in rs for w1 in writes_by_obj.get(obj, ())
-         if hb(w1, r1) and rf[r1] != w1 and not mo_before(w1, rf[r1])), None)
+    verdict.rules["mo1"] = first((
+        [(w2, hb_mask[w2] & ws & ~writes_before[w2]) for w2 in set_bits(ws)]
+        for ws in write_mask.values()), True)
+    verdict.rules["mo2"] = first((
+        [(r2, hb_mask[r2] & rs & ~(reads_before[rf[r2]] | reads_of[rf[r2]]))
+         for r2 in set_bits(rs)]
+        for rs in read_mask.values()), True)
+    verdict.rules["mo3"] = first((
+        [(w1, hb_mask[w1] & rs & ~reads_before[w1]) for w1 in set_bits(write_mask.get(obj, 0))]
+        for obj, rs in read_mask.items()), True)
+    verdict.rules["mo4"] = first((
+        [(r1, hb_mask[r1] & write_mask.get(obj, 0) & ~(writes_before[rf[r1]] | 1 << rf[r1]))
+         for r1 in set_bits(rs)]
+        for obj, rs in read_mask.items()), False)
 
     # some total order of the sc events extends hb and mo iff the closure
     # of their union orders no pair both ways
     sc = [p for p, _ in rels.sc_placed]
-    after = {a: sum(1 << b for b in sc if hb(a, b) or mo_before(a, b)) for a in sc}
+    after = {a: sum(1 << b for b in sc if (hb_mask[b] | writes_before[b]) >> a & 1)
+             for a in sc}
     for k in sc:
         for a in sc:
             if after[a] >> k & 1:
                 after[a] |= after[k]
     verdict.rules["to"] = next(
-        (witness(a, b) for i, a in enumerate(sc) for b in sc[i + 1:]
+        ((events[a], events[b]) for i, a in enumerate(sc) for b in sc[i + 1:]
          if after[a] >> b & 1 and after[b] >> a & 1), None)
 
     verdict.rules["co"] = None
@@ -393,7 +396,7 @@ def check_c11_oracle(rels: Relations) -> CoherenceVerdict:
         if not e.is_read_like:
             continue
         w = rf[r]
-        if w < 0 or hb(r, w):
-            verdict.rules["co"] = (e,) if w < 0 else witness(r, w)
+        if w < 0 or hb_mask[w] >> r & 1:
+            verdict.rules["co"] = (e,) if w < 0 else (e, events[w])
             break
     return verdict

@@ -68,7 +68,6 @@ from typing import Optional
 
 from .ir import (
     Act,
-    BinOp,
     Event,
     LocalRef,
     MO,
@@ -77,8 +76,8 @@ from .ir import (
     SharedRef,
     Store,
     UndefinedName,
-    UnOp,
     eval_expr,
+    expr_leaves,
     flatten,
     shadow_unit,
 )
@@ -278,20 +277,8 @@ class AssertOutcome:
 def bare_names(expr) -> tuple[str, ...]:
     """The bare names (``LocalRef``) of an assert predicate, left to right,
     each once."""
-    out: list[str] = []
-
-    def walk(e) -> None:
-        if isinstance(e, LocalRef):
-            if e.name not in out:
-                out.append(e.name)
-        elif isinstance(e, UnOp):
-            walk(e.operand)
-        elif isinstance(e, BinOp):
-            walk(e.left)
-            walk(e.right)
-
-    walk(expr)
-    return tuple(out)
+    return tuple(dict.fromkeys(leaf.name for leaf in expr_leaves(expr)
+                               if isinstance(leaf, LocalRef)))
 
 
 def check_asserts(program: Program, final: ExecState,

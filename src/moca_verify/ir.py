@@ -24,6 +24,7 @@ Example source::
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Iterator, Optional, Union
@@ -47,8 +48,6 @@ class MO(str, Enum):
 
 # Strictness ranks; acq and rel share a rank and are mutually incomparable.
 _MO_RANK = {MO.NA: 0, MO.RLX: 1, MO.ACQ: 2, MO.REL: 2, MO.ACQ_REL: 3, MO.SC: 4}
-
-ALL_ORDERS = tuple(MO)
 
 
 def ord_leq(a: MO, b: MO) -> bool:
@@ -202,14 +201,31 @@ class BinOp:
 Expr = Union[Const, LocalRef, SharedRef, QualifiedRef, UnOp, BinOp]
 
 
-def expr_locals(e: Expr) -> frozenset[str]:
-    if isinstance(e, LocalRef):
-        return frozenset([e.name])
+def expr_leaves(e: Expr) -> list[Expr]:
+    """The leaves of ``e`` (constants and references), left to right."""
     if isinstance(e, UnOp):
-        return expr_locals(e.operand)
+        return expr_leaves(e.operand)
     if isinstance(e, BinOp):
-        return expr_locals(e.left) | expr_locals(e.right)
-    return frozenset()
+        return expr_leaves(e.left) + expr_leaves(e.right)
+    return [e]
+
+
+def expr_locals(e: Expr) -> frozenset[str]:
+    return frozenset([leaf.name for leaf in expr_leaves(e) if isinstance(leaf, LocalRef)])
+
+
+# The binary operators: precedence (higher binds tighter; every operator is
+# left-associative) and, but for the short-circuit ``&&`` and ``||``, the
+# function it applies.  Comparisons give 1 or 0.
+_BINARY: dict[str, tuple[int, Optional[Callable[[int, int], int]]]] = {
+    "||": (1, None),
+    "&&": (2, None),
+    "==": (3, operator.eq), "!=": (3, operator.ne), "<": (3, operator.lt),
+    "<=": (3, operator.le), ">": (3, operator.gt), ">=": (3, operator.ge),
+    "+": (4, operator.add), "-": (4, operator.sub),
+    "*": (5, operator.mul),
+}
+_UNARY: dict[str, Callable[[int], int]] = {"-": operator.neg, "!": operator.not_}
 
 
 class UndefinedName(ExprError):
@@ -235,35 +251,14 @@ def eval_expr(e: Expr, env: dict[str, int],
             raise ExprError("shared reference outside assert context")
         return resolve(e)
     if isinstance(e, UnOp):
-        v = eval_expr(e.operand, env, resolve)
-        return -v if e.op == "-" else int(v == 0)
+        return int(_UNARY[e.op](eval_expr(e.operand, env, resolve)))
     if isinstance(e, BinOp):
-        if e.op == "&&":
-            return int(eval_expr(e.left, env, resolve) != 0
-                       and eval_expr(e.right, env, resolve) != 0)
-        if e.op == "||":
-            return int(eval_expr(e.left, env, resolve) != 0
-                       or eval_expr(e.right, env, resolve) != 0)
         lv = eval_expr(e.left, env, resolve)
-        rv = eval_expr(e.right, env, resolve)
-        if e.op == "+":
-            return lv + rv
-        if e.op == "-":
-            return lv - rv
-        if e.op == "*":
-            return lv * rv
-        if e.op == "==":
-            return int(lv == rv)
-        if e.op == "!=":
-            return int(lv != rv)
-        if e.op == "<":
-            return int(lv < rv)
-        if e.op == "<=":
-            return int(lv <= rv)
-        if e.op == ">":
-            return int(lv > rv)
-        if e.op == ">=":
-            return int(lv >= rv)
+        if e.op == "&&":
+            return int(lv != 0 and eval_expr(e.right, env, resolve) != 0)
+        if e.op == "||":
+            return int(lv != 0 or eval_expr(e.right, env, resolve) != 0)
+        return int(_BINARY[e.op][1](lv, eval_expr(e.right, env, resolve)))
     raise ExprError(f"bad expression node: {e!r}")
 
 
@@ -357,36 +352,41 @@ class IfBlock(StmtBase):
 Stmt = Union[Load, Store, Fadd, Cas, Fence, LocalAssign, IfBlock]
 
 
+# The access calls: each call's statement class and its fields in source
+# order.  ``local``, where present, is the target of ``local = call(...)``;
+# the rest are the call's arguments: ``obj`` an object name, ``mo`` a memory
+# order and any other an expression.
+_CALLS: dict[str, tuple[type, tuple[str, ...]]] = {
+    "store": (Store, ("obj", "value", "mo")),
+    "fence": (Fence, ("mo",)),
+    "load": (Load, ("local", "obj", "mo")),
+    "fadd": (Fadd, ("local", "obj", "delta", "mo")),
+    "cas": (Cas, ("local", "obj", "expect", "desired", "mo")),
+}
+
+# Every statement class: the name its fingerprint starts with and its own
+# fields, as above.
+_STMT_FIELDS: dict[type, tuple[str, tuple[str, ...]]] = {
+    **{cls: (name, fields) for name, (cls, fields) in _CALLS.items()},
+    LocalAssign: ("assign", ("local", "value")),
+    IfBlock: ("if", ("cond",)),
+}
+
+# each statement class's expression fields
+_EXPR_FIELDS = {cls: tuple(f for f in fields if f not in ("local", "obj", "mo"))
+                for cls, (_, fields) in _STMT_FIELDS.items()}
+
+
 def stmt_fingerprint(s: Stmt) -> tuple:
     """A statement's own fields, without uid, line or nested bodies."""
-    if isinstance(s, Store):
-        return ("store", s.obj, render_expr(s.value), s.mo)
-    if isinstance(s, Load):
-        return ("load", s.local, s.obj, s.mo)
-    if isinstance(s, Fadd):
-        return ("fadd", s.local, s.obj, render_expr(s.delta), s.mo)
-    if isinstance(s, Cas):
-        return ("cas", s.local, s.obj, render_expr(s.expect), render_expr(s.desired), s.mo)
-    if isinstance(s, Fence):
-        return ("fence", s.mo)
-    if isinstance(s, LocalAssign):
-        return ("assign", s.local, render_expr(s.value))
-    if isinstance(s, IfBlock):
-        return ("if", render_expr(s.cond))
-    raise TypeError(s)
+    name, fields = _STMT_FIELDS[type(s)]
+    return (name, *[v if isinstance(v, str) else render_expr(v)
+                    for v in map(s.__getattribute__, fields)])
 
 
 def stmt_exprs(s: Stmt) -> tuple[Expr, ...]:
     """The expressions a statement evaluates (an if's condition only)."""
-    if isinstance(s, (Store, LocalAssign)):
-        return (s.value,)
-    if isinstance(s, Fadd):
-        return (s.delta,)
-    if isinstance(s, Cas):
-        return (s.expect, s.desired)
-    if isinstance(s, IfBlock):
-        return (s.cond,)
-    return ()
+    return tuple(map(s.__getattribute__, _EXPR_FIELDS[type(s)]))
 
 
 def stmt_locals_read(s: Stmt) -> frozenset[str]:
@@ -394,17 +394,11 @@ def stmt_locals_read(s: Stmt) -> frozenset[str]:
 
 
 def stmt_locals_written(s: Stmt) -> frozenset[str]:
-    if isinstance(s, (Load, Fadd, Cas)):
-        return frozenset([s.local])
-    if isinstance(s, LocalAssign):
-        return frozenset([s.local])
-    return frozenset()
+    return frozenset([s.local]) if "local" in _STMT_FIELDS[type(s)][1] else frozenset()
 
 
 def stmt_objs(s: Stmt) -> frozenset[str]:
-    if isinstance(s, (Load, Store, Fadd, Cas)):
-        return frozenset([s.obj])
-    return frozenset()
+    return frozenset([s.obj]) if "obj" in _STMT_FIELDS[type(s)][1] else frozenset()
 
 
 def flatten(body: list[Stmt]) -> Iterator[Stmt]:
@@ -501,12 +495,15 @@ _LOOP_KEYWORDS = ("while", "for", "do", "goto", "loop")
 
 _ORDER_NAMES = {m.value: m for m in MO}
 
+# the calls written ``local = call(...)``
+_ASSIGNING_CALLS = frozenset(name for name, (_, fields) in _CALLS.items() if "local" in fields)
+
 
 class _Tokenizer:
     """Single-line tokenizer for statements and expressions."""
 
-    SYMBOLS = ("&&", "||", "==", "!=", "<=", ">=", "(", ")", ",", "+", "-",
-               "*", "<", ">", "!", "=", ":", ".")
+    SYMBOLS = frozenset(("&&", "||", "==", "!=", "<=", ">=", "(", ")", ",", "+", "-",
+                         "*", "<", ">", "!", "=", ":", "."))
 
     def __init__(self, text: str, line: int):
         self.text = text
@@ -540,13 +537,12 @@ class _Tokenizer:
                 self.tokens.append(("name", t[i:j], i))
                 i = j
                 continue
-            for sym in self.SYMBOLS:
-                if t.startswith(sym, i):
-                    self.tokens.append(("sym", sym, i))
-                    i += len(sym)
-                    break
-            else:
+            # the longest symbol: every symbol has one or two characters
+            sym = t[i:i + 2] if t[i:i + 2] in self.SYMBOLS else c
+            if sym not in self.SYMBOLS:
                 raise ParseError([Diagnostic(self.line, i + 1, f"unexpected character {c!r}")])
+            self.tokens.append(("sym", sym, i))
+            i += len(sym)
 
     def peek(self) -> Optional[tuple[str, str, int]]:
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -572,53 +568,19 @@ class _Tokenizer:
         return ParseError([Diagnostic(self.line, col, msg)])
 
 
-def _parse_expr(tz: _Tokenizer, allow_refs: bool = False) -> Expr:
-    return _parse_or(tz, allow_refs)
-
-
-def _parse_or(tz: _Tokenizer, refs: bool) -> Expr:
-    e = _parse_and(tz, refs)
-    while (tok := tz.peek()) and tok[1] == "||":
+def _parse_expr(tz: _Tokenizer, allow_refs: bool = False, min_prec: int = 1) -> Expr:
+    """The expression at ``tz`` whose binary operators bind at least as
+    tightly as ``min_prec``: precedence climbing over ``_BINARY``."""
+    e = _parse_unary(tz, allow_refs)
+    while (tok := tz.peek()) and (prec := _BINARY.get(tok[1], (0,))[0]) >= min_prec:
         tz.next()
-        e = BinOp("||", e, _parse_and(tz, refs))
-    return e
-
-
-def _parse_and(tz: _Tokenizer, refs: bool) -> Expr:
-    e = _parse_cmp(tz, refs)
-    while (tok := tz.peek()) and tok[1] == "&&":
-        tz.next()
-        e = BinOp("&&", e, _parse_cmp(tz, refs))
-    return e
-
-
-def _parse_cmp(tz: _Tokenizer, refs: bool) -> Expr:
-    e = _parse_add(tz, refs)
-    while (tok := tz.peek()) and tok[1] in ("==", "!=", "<", "<=", ">", ">="):
-        op = tz.next()[1]
-        e = BinOp(op, e, _parse_add(tz, refs))
-    return e
-
-
-def _parse_add(tz: _Tokenizer, refs: bool) -> Expr:
-    e = _parse_mul(tz, refs)
-    while (tok := tz.peek()) and tok[1] in ("+", "-"):
-        op = tz.next()[1]
-        e = BinOp(op, e, _parse_mul(tz, refs))
-    return e
-
-
-def _parse_mul(tz: _Tokenizer, refs: bool) -> Expr:
-    e = _parse_unary(tz, refs)
-    while (tok := tz.peek()) and tok[1] == "*":
-        tz.next()
-        e = BinOp("*", e, _parse_unary(tz, refs))
+        e = BinOp(tok[1], e, _parse_expr(tz, allow_refs, prec + 1))
     return e
 
 
 def _parse_unary(tz: _Tokenizer, refs: bool) -> Expr:
     tok = tz.peek()
-    if tok and tok[1] in ("-", "!"):
+    if tok and tok[1] in _UNARY:
         tz.next()
         return UnOp(tok[1], _parse_unary(tz, refs))
     return _parse_atom(tz, refs)
@@ -660,6 +622,22 @@ def _parse_object(tz: _Tokenizer) -> str:
     return tok[1]
 
 
+_ARG_PARSERS = {"obj": _parse_object, "mo": _parse_order}
+
+
+def _parse_call(tz: _Tokenizer, **fields) -> Stmt:
+    """The access call at ``tz``; ``fields`` holds the ``local`` it assigns,
+    if any."""
+    cls, names = _CALLS[tz.next()[1]]
+    tz.expect("(")
+    for i, name in enumerate(names[len(fields):]):
+        if i:
+            tz.expect(",")
+        fields[name] = _ARG_PARSERS.get(name, _parse_expr)(tz)
+    tz.expect(")")
+    return cls(**fields, line=tz.line)
+
+
 def _indent_of(raw: str) -> int:
     n = 0
     for ch in raw:
@@ -678,26 +656,11 @@ def _parse_statement(tz: _Tokenizer) -> Stmt:
     if tok is None:
         raise tz.fail("empty statement")
     kind, value, col = tok
-    for kw in _LOOP_KEYWORDS:
-        if value == kw:
-            raise ParseError([Diagnostic(line, col + 1,
-                                         f"loop construct {kw!r} is not allowed: thread bodies must be acyclic")])
-    if value == "store":
-        tz.next()
-        tz.expect("(")
-        obj = _parse_object(tz)
-        tz.expect(",")
-        val = _parse_expr(tz)
-        tz.expect(",")
-        mo = _parse_order(tz)
-        tz.expect(")")
-        return Store(obj=obj, value=val, mo=mo, line=line)
-    if value == "fence":
-        tz.next()
-        tz.expect("(")
-        mo = _parse_order(tz)
-        tz.expect(")")
-        return Fence(mo=mo, line=line)
+    if value in _LOOP_KEYWORDS:
+        raise ParseError([Diagnostic(line, col + 1,
+                                     f"loop construct {value!r} is not allowed: thread bodies must be acyclic")])
+    if value in _CALLS and value not in _ASSIGNING_CALLS:
+        return _parse_call(tz)
     if value == "if":
         tz.next()
         tz.expect("(")
@@ -710,36 +673,8 @@ def _parse_statement(tz: _Tokenizer) -> Stmt:
         local = tz.next()[1]
         tz.expect("=")
         nxt = tz.peek()
-        if nxt and nxt[1] == "load":
-            tz.next()
-            tz.expect("(")
-            obj = _parse_object(tz)
-            tz.expect(",")
-            mo = _parse_order(tz)
-            tz.expect(")")
-            return Load(local=local, obj=obj, mo=mo, line=line)
-        if nxt and nxt[1] == "fadd":
-            tz.next()
-            tz.expect("(")
-            obj = _parse_object(tz)
-            tz.expect(",")
-            delta = _parse_expr(tz)
-            tz.expect(",")
-            mo = _parse_order(tz)
-            tz.expect(")")
-            return Fadd(local=local, obj=obj, delta=delta, mo=mo, line=line)
-        if nxt and nxt[1] == "cas":
-            tz.next()
-            tz.expect("(")
-            obj = _parse_object(tz)
-            tz.expect(",")
-            expect = _parse_expr(tz)
-            tz.expect(",")
-            desired = _parse_expr(tz)
-            tz.expect(",")
-            mo = _parse_order(tz)
-            tz.expect(")")
-            return Cas(local=local, obj=obj, expect=expect, desired=desired, mo=mo, line=line)
+        if nxt and nxt[1] in _ASSIGNING_CALLS:
+            return _parse_call(tz, local=local)
         return LocalAssign(local=local, value=_parse_expr(tz), line=line)
     raise tz.fail(f"cannot parse statement starting with {value!r}")
 
@@ -817,6 +752,10 @@ def parse_program(text: str) -> Program:
                 tname = header[:-1].strip()
                 if not tname.isidentifier():
                     raise ParseError([Diagnostic(lineno, 1, f"bad thread name {tname!r}")])
+                if tname == INIT_THREAD or is_shadow_unit(tname):
+                    raise ParseError([Diagnostic(
+                        lineno, 1, f"reserved thread name {tname!r}: 'init' and names"
+                                   " starting with 'sth_' are the checker's own")])
                 if any(t.name == tname for t in threads):
                     raise ParseError([Diagnostic(lineno, 1, f"duplicate thread {tname!r}")])
                 cur_thread = ThreadBody(tname, [])
@@ -841,6 +780,9 @@ def parse_program(text: str) -> Program:
                 parts = body_text.replace("=", " = ").split()
                 if len(parts) != 4 or parts[1] != "traces" or parts[2] != "=":
                     raise ParseError([Diagnostic(lineno, 1, "expected: expect traces = N")])
+                if not parts[3].isdecimal():
+                    raise ParseError([Diagnostic(
+                        lineno, 1, f"expected a non-negative integer trace count, found {parts[3]!r}")])
                 expect_traces = int(parts[3])
                 continue
 
@@ -942,27 +884,21 @@ def validate(prog: Program) -> None:
 
 def _render_stmt(s: Stmt, indent: int, out: list[str]) -> None:
     pad = "  " * indent
-    if isinstance(s, Store):
-        out.append(f"{pad}store({s.obj}, {render_expr(s.value)}, {s.mo})")
-    elif isinstance(s, Load):
-        out.append(f"{pad}{s.local} = load({s.obj}, {s.mo})")
-    elif isinstance(s, Fadd):
-        out.append(f"{pad}{s.local} = fadd({s.obj}, {render_expr(s.delta)}, {s.mo})")
-    elif isinstance(s, Cas):
-        out.append(f"{pad}{s.local} = cas({s.obj}, {render_expr(s.expect)}, "
-                   f"{render_expr(s.desired)}, {s.mo})")
-    elif isinstance(s, Fence):
-        out.append(f"{pad}fence({s.mo})")
-    elif isinstance(s, LocalAssign):
-        out.append(f"{pad}{s.local} = {render_expr(s.value)}")
-    elif isinstance(s, IfBlock):
-        out.append(f"{pad}if ({render_expr(s.cond)}):")
+    name, *parts = stmt_fingerprint(s)
+    if name == "if":
+        out.append(f"{pad}if ({parts[0]}):")
         for inner in s.then_body:
             _render_stmt(inner, indent + 1, out)
         if s.else_body:
             out.append(f"{pad}else:")
             for inner in s.else_body:
                 _render_stmt(inner, indent + 1, out)
+        return
+    if "local" in _STMT_FIELDS[type(s)][1]:
+        local, *parts = parts
+        pad += f"{local} = "
+    out.append(f"{pad}{parts[0]}" if name == "assign"
+               else f"{pad}{name}({', '.join(map(str, parts))})")
 
 
 def pretty_print(prog: Program) -> str:

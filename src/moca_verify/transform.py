@@ -26,10 +26,8 @@ from copy import copy
 from dataclasses import dataclass, field, replace
 
 from .ir import (
-    BinOp,
     Cas,
     Const,
-    Expr,
     Fadd,
     Fence,
     IfBlock,
@@ -40,9 +38,9 @@ from .ir import (
     Stmt,
     Store,
     ThreadBody,
-    UnOp,
     at_least,
     eval_expr,
+    expr_leaves,
     flatten,
     stmt_exprs,
     stmt_fingerprint,
@@ -146,20 +144,9 @@ def _multiset(body: list[Stmt]) -> Counter:
 def _value_domain(program: Program) -> list[int]:
     values = {0, 1}
     values.update(program.objects.values())
-
-    def scan_expr(e: Expr) -> None:
-        if isinstance(e, Const):
-            values.add(e.value)
-        elif isinstance(e, UnOp):
-            scan_expr(e.operand)
-        elif isinstance(e, BinOp):
-            scan_expr(e.left)
-            scan_expr(e.right)
-
-    for t in program.threads:
-        for s in flatten(t.body):
-            for e in stmt_exprs(s):
-                scan_expr(e)
+    values.update(leaf.value for t in program.threads for s in flatten(t.body)
+                  for e in stmt_exprs(s) for leaf in expr_leaves(e)
+                  if isinstance(leaf, Const))
     return sorted(values)
 
 

@@ -123,6 +123,18 @@ class TestVerify:
         text = runner.invoke(main, ["verify", corpus("s-popl"), "--emit-transformed"])
         assert text.output.startswith(source)
 
+    def test_emit_transformed_prints_the_program_explored(self, runner):
+        # with --no-early-write the explored program is the source as
+        # written: T1's load stays ahead of its store
+        args = ["verify", corpus("s-popl"), "--no-early-write", "--emit-transformed"]
+        text = runner.invoke(main, args + ["--no-enforce-expect"])
+        source = runner.invoke(main, args + ["--json", "--no-enforce-expect"])
+        payload = json.loads(source.output)
+        assert payload["sequences_explored"] == 3
+        assert payload["transformed"].splitlines()[2:4] == [
+            "thread T1:", "  r1 = load(x, rlx)"]
+        assert text.output.startswith(payload["transformed"])
+
     def test_dump_trace_prints_store_snapshots(self, runner):
         result = runner.invoke(main, ["verify", corpus("mp"), "--dump-trace"])
         assert "shadow-write" in result.output
@@ -204,6 +216,21 @@ class TestVerify:
         assert result.exit_code == 1
         assert "assert diagnostic: assert 0: undefined reference q" in result.stdout
 
+    @pytest.mark.parametrize("name", ["init", "sth_x"])
+    def test_reserved_thread_name_exits_two(self, runner, tmp_path, name):
+        f = tmp_path / "reserved.lit"
+        f.write_text(f"program r\ninit x = 0\nthread {name}:\n  store(x, 1, rlx)\n")
+        result = runner.invoke(main, ["verify", str(f)])
+        assert result.exit_code == 2
+        assert f"reserved.lit:3:1: reserved thread name {name!r}" in result.stderr
+
+    def test_malformed_expect_exits_two(self, runner, tmp_path):
+        f = tmp_path / "expect.lit"
+        f.write_text("program e\ninit x = 0\nexpect traces = x\n")
+        result = runner.invoke(main, ["verify", str(f)])
+        assert result.exit_code == 2
+        assert "expect.lit:3:1: expected a non-negative integer trace count" in result.stderr
+
     def test_usage_errors_keep_their_exit_codes(self, runner):
         result = runner.invoke(main, ["verify", corpus("mp"), "--max-seqs", "x"])
         assert result.exit_code == 2
@@ -273,6 +300,19 @@ class TestReplay:
             main, ["verify", corpus("luc10"), "--replay", str(sched)])
         assert result.exit_code == 1
         assert "violated: assert never" in result.output
+
+    @pytest.mark.parametrize("flag", [
+        ["--json"], ["--emit-transformed"], ["--dump-relations"],
+        ["--no-enforce-expect"], ["--max-seqs", "5"], ["--max-depth", "10000"]])
+    def test_replay_refuses_flags_it_ignores(self, runner, tmp_path, flag):
+        # --max-depth at its default value still counts as set
+        sched = tmp_path / "sched.json"
+        sched.write_text(json.dumps(["T1"]))
+        result = runner.invoke(
+            main, ["verify", corpus("mp"), "--replay", str(sched), *flag])
+        assert result.exit_code == 2
+        assert f"{flag[0]} has no effect with --replay" in result.output
+        assert "trace_id:" not in result.output
 
     def test_replay_bad_schedule_exits_two(self, runner, tmp_path):
         sched = tmp_path / "sched.json"

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -20,9 +23,11 @@ from moca_verify.ir import (
     pretty_print,
     shadow_unit,
     stmt_dep,
+    stmt_fingerprint,
 )
 
-from conftest import structurally_equal
+from conftest import CORPUS, structurally_equal
+from test_properties import random_program_source
 
 ALL = list(MO)
 
@@ -204,6 +209,98 @@ expect traces = 15
         assert p.expect_traces == 15
         stmts = list(flatten(p.threads[0].body))
         assert len(stmts) == 8
+
+
+    @pytest.mark.parametrize("name", ["init", "sth_x"])
+    def test_reserved_thread_names(self, name):
+        # init names the init events' thread and sth_ the shadow-threads
+        src = f"program bad\ninit x = 0\nthread {name}:\n  store(x, 1, rlx)\n"
+        with pytest.raises(ParseError) as exc:
+            parse_program(src)
+        d = exc.value.diagnostics[0]
+        assert (d.line, d.col) == (3, 1)
+        assert f"reserved thread name {name!r}" in d.message
+
+    @pytest.mark.parametrize("count", ["x", "-3", "+3", "4b", "3.0"])
+    def test_expect_traces_takes_a_non_negative_integer(self, count):
+        src = f"program bad\ninit x = 0\nexpect traces = {count}\n"
+        with pytest.raises(ParseError) as exc:
+            parse_program(src)
+        [d] = exc.value.diagnostics
+        assert (d.line, d.col) == (3, 1)
+        assert f"non-negative integer trace count, found {count!r}" in d.message
+
+    def test_expect_traces_zero(self):
+        assert parse_program("program z\nexpect traces = 0\n").expect_traces == 0
+
+
+MUTANT_CHARS = "abcdefrstxyzT0123456789_ -+*=!<>&|(),:.#\t"
+
+
+def corpus_mutants(n: int, seed: int) -> list[str]:
+    """``n`` corpus sources, each with one line edited once: a character
+    inserted, deleted or replaced, or the line cut short."""
+    rng = random.Random(seed)
+    sources = [p.read_text().splitlines() for p in sorted(CORPUS.glob("*.lit"))]
+    out = []
+    for _ in range(n):
+        lines = list(rng.choice(sources))
+        i = rng.randrange(len(lines))
+        line, k = lines[i], rng.randrange(len(lines[i]) + 1)
+        edit = rng.randrange(4)
+        if edit == 0:
+            line = line[:k] + rng.choice(MUTANT_CHARS) + line[k:]
+        elif edit == 1:
+            line = line[:k] + line[k + 1:]
+        elif edit == 2:
+            line = line[:k] + rng.choice(MUTANT_CHARS) + line[k + 1:]
+        else:
+            line = line[:k]
+        lines[i] = line
+        out.append("\n".join(lines) + "\n")
+    return out
+
+
+def front_end_outcome(source: str) -> str:
+    """What the front end makes of ``source``: the printed program and each
+    statement's fingerprint and line, or every diagnostic."""
+    try:
+        prog = parse_program(source)
+    except ParseError as pe:
+        return "error\n" + "\n".join(map(str, pe.diagnostics))
+    stmts = [[stmt_fingerprint(s), s.line] for t in prog.threads for s in flatten(t.body)]
+    return "ok\n" + pretty_print(prog) + json.dumps(stmts)
+
+
+class TestFrontEndDigest:
+    """The parser, printer and fingerprints against values recorded from the
+    hand-written front end that the syntax tables replaced."""
+
+    # mutants on which that front end raised ValueError, from int() on an
+    # ``expect traces`` line, instead of a ParseError
+    RAISED_VALUE_ERROR = (168, 380, 422, 479, 610, 805, 812, 860, 887, 904, 1187,
+                          1226, 1295, 2330, 2344, 2612, 2639, 2880, 3994, 4197,
+                          4239, 4790, 4824)
+    DIGEST = "7f0f6b5c61886bf4ba912392ff2f776e1168483e41116db5f65169e901099388"
+
+    def test_outcomes_match_the_recorded_digest(self):
+        rng = random.Random(5)
+        mutants = corpus_mutants(5000, 5)
+        skip = set(self.RAISED_VALUE_ERROR)
+        sources = ([p.read_text() for p in sorted(CORPUS.glob("*.lit"))]
+                   + [random_program_source(rng) for _ in range(1000)]
+                   + [m for i, m in enumerate(mutants) if i not in skip])
+        digest = hashlib.sha256()
+        for source in sources:
+            digest.update(front_end_outcome(source).encode())
+            digest.update(b"\0")
+        assert digest.hexdigest() == self.DIGEST
+
+    def test_mutants_raise_only_parse_errors(self):
+        for i, source in enumerate(corpus_mutants(5000, 5)):
+            outcome = front_end_outcome(source)
+            if i in self.RAISED_VALUE_ERROR:
+                assert "non-negative integer trace count" in outcome, source
 
 
 class TestRoundTrip:

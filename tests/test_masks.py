@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from conftest import corpus_names, corpus_program
 from test_coherence import CORR2
 from test_properties import random_program_source
@@ -31,7 +33,7 @@ from moca_verify.coherence import (
     flush_before,
     shto_order,
 )
-from moca_verify.engine import initial_state
+from moca_verify.engine import initial_state, run_sequence
 from moca_verify.explorer import _estimate_events, conflict_mask, conflicts
 from moca_verify.ir import Act, MO, at_least
 from moca_verify.relations import compute_relations, rf_pairs, set_bits
@@ -297,6 +299,49 @@ def test_masks_match_pairwise_references():
             failed.update(axiom for axiom, w in rules.items() if w is not None)
     assert children > 10_000
     assert {"mo1", "mo2", "mo3", "mo4", "to", "shto"} <= failed
+
+
+# Per axiom, two violating pairs that the two scan orders take in turn:
+# ``mo1``..``mo3`` scan the pair's first event first, ``mo4`` the read.  A
+# case is a source, a schedule, the modification order imposed on its
+# relations (by write event) and the witness of the pairwise scan.
+SCAN_ORDER_CASES = [
+    ("mo1", "init y = 0\nthread T1:\n  store(y, 1, rlx)\n  store(y, 2, rlx)\n"
+            "thread T2:\n  store(y, 3, rlx)\n  store(y, 4, rlx)\n",
+     ["T1", "T2", "T2", "T1"],
+     ["init#0:write(y)na", "T2#1:write(y)rlx", "T2#0:write(y)rlx",
+      "T1#1:write(y)rlx", "T1#0:write(y)rlx"],
+     ["T1#0:write(y)rlx", "T1#1:write(y)rlx"]),
+    ("mo2", "init u = 0\nthread T1:\n  a = load(u, rlx)\n  b = load(u, rlx)\n"
+            "thread T2:\n  c = load(u, rlx)\n  d = load(u, rlx)\n"
+            "thread T3:\n  store(u, 1, rlx)\n",
+     ["T1", "T2", "T3", "sth_u(T3)", "T2", "T1"],
+     ["T3#0:write(u)rlx", "init#0:write(u)na"],
+     ["T1#0:read(u)rlx", "T1#1:read(u)rlx"]),
+    ("mo3", "init z = 0\nthread T1:\n  a = load(z, rlx)\n  store(z, 1, rlx)\n"
+            "thread T2:\n  b = load(z, rlx)\n  store(z, 2, rlx)\n",
+     ["T1", "T2", "T2", "T1"],
+     ["T2#1:write(z)rlx", "T1#1:write(z)rlx", "init#0:write(z)na"],
+     ["T1#0:read(z)rlx", "T1#1:write(z)rlx"]),
+    ("mo4", "init x = 0\nthread T1:\n  store(x, 1, rlx)\n  r = load(x, rlx)\n"
+            "thread T2:\n  store(x, 2, rlx)\n  s = load(x, rlx)\n"
+            "thread T3:\n  store(x, 3, rlx)\n",
+     ["T1", "T2", "sth_x(T2)", "sth_x(T1)", "T2", "T3", "sth_x(T3)", "T1"],
+     ["init#0:write(x)na", "T3#0:write(x)rlx", "T1#0:write(x)rlx", "T2#0:write(x)rlx"],
+     ["T2#0:write(x)rlx", "T2#1:read(x)rlx"]),
+]
+
+
+@pytest.mark.parametrize("axiom,source,schedule,mo,witness", SCAN_ORDER_CASES)
+def test_c11_witness_is_the_pairwise_scans_first(axiom, source, schedule, mo, witness):
+    program = parse_program(f"program {axiom}\n{source}")
+    rels = compute_relations(run_sequence(program, schedule).sequence())
+    pos = {e.pretty(): p for p, e in enumerate(rels.events)}
+    obj = rels.events[pos[mo[0]]].obj_written
+    rels.mo = {**rels.mo, obj: [pos[w] for w in mo]}
+    rules = check_c11_oracle(rels).rules
+    assert rules == reference_c11_oracle(rels)
+    assert [e.pretty() for e in rules[axiom]] == witness
 
 
 def reference_lookups(st):
