@@ -59,7 +59,6 @@ fails) that ``shmo3`` instance.  Hence both relation classes keep ``readers``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .ir import Act, Event, MO
@@ -68,9 +67,11 @@ from .relations import LiveRelations, Relations, set_bits
 Witness = tuple[Event, ...]
 
 
-@dataclass
 class CoherenceVerdict:
-    rules: dict[str, Optional[Witness]] = field(default_factory=dict)
+    __slots__ = ("rules",)
+
+    def __init__(self, rules: Optional[dict[str, Optional[Witness]]] = None) -> None:
+        self.rules = {} if rules is None else rules
 
     @property
     def ok(self) -> bool:

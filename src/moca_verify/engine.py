@@ -27,7 +27,6 @@ one.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .ir import (
@@ -60,7 +59,6 @@ class ReplayError(Exception):
         super().__init__(f"step {step_index}: cannot schedule {unit!r}: {reason}")
 
 
-@dataclass
 class Sequence:
     """The raw facts of an executed sequence, all ``compute_relations``
     reads: events, the deterministic rf, each flushed write's store-update
@@ -68,12 +66,16 @@ class Sequence:
     facts are lists indexed by position, as on ``LiveRelations``; ``pos``
     maps an event to its position."""
 
-    events: list[Event]
-    rf: list[int]           # read -> source position, else -1
-    pos: dict[Event, int]
-    flush_pos: list[int]    # write/rmw -> position of its store update, else -1
-    origin_of: list[int]    # shadow-write -> position of its write, else -1
-    init_len: int
+    __slots__ = ("events", "rf", "pos", "flush_pos", "origin_of", "init_len")
+
+    def __init__(self, events: list[Event], rf: list[int], pos: dict[Event, int],
+                 flush_pos: list[int], origin_of: list[int], init_len: int) -> None:
+        self.events = events
+        self.rf = rf                # read -> source position, else -1
+        self.pos = pos
+        self.flush_pos = flush_pos  # write/rmw -> position of its store update, else -1
+        self.origin_of = origin_of  # shadow-write -> position of its write, else -1
+        self.init_len = init_len
 
 
 class ExecState:

@@ -62,8 +62,6 @@ trace-id set.
 from __future__ import annotations
 
 import hashlib
-import json
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .ir import (
@@ -234,6 +232,7 @@ def canonical_trace_id(rels: Relations) -> str:
     payload = (f'{{"events": {_json_strings(names)}, "hb": {_json_strings(hb)}, '
                f'"mo": {{{mo_items}}}, "rf": {_json_strings(rf)}}}')
     if not payload.isascii():
+        import json
         payload = json.dumps({"events": names, "rf": rf, "mo": mo, "hb": hb},
                              sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
@@ -268,10 +267,14 @@ def detect_na_races(rels: Relations) -> list[tuple[Event, Event]]:
     return races
 
 
-@dataclass
 class AssertOutcome:
-    violations: list[int] = field(default_factory=list)   # indices into program.asserts
-    diagnostics: list[str] = field(default_factory=list)
+    __slots__ = ("violations", "diagnostics")
+
+    def __init__(self, violations: Optional[list[int]] = None,
+                 diagnostics: Optional[list[str]] = None) -> None:
+        # indices into program.asserts
+        self.violations = [] if violations is None else violations
+        self.diagnostics = [] if diagnostics is None else diagnostics
 
 
 def bare_names(expr) -> tuple[str, ...]:
@@ -330,29 +333,43 @@ def check_asserts(program: Program, final: ExecState,
 # Reports
 # ---------------------------------------------------------------------------
 
-@dataclass
 class TraceSummary:
-    trace_id: str
-    schedule: list[str]
-    final_shared: dict[str, int]
-    final_locals: dict[str, dict[str, int]]
-    rf: list[tuple[str, str]]
-    racy: bool
+    __slots__ = ("trace_id", "schedule", "final_shared", "final_locals", "rf", "racy")
+
+    def __init__(self, trace_id: str, schedule: list[str], final_shared: dict[str, int],
+                 final_locals: dict[str, dict[str, int]], rf: list[tuple[str, str]],
+                 racy: bool) -> None:
+        self.trace_id = trace_id
+        self.schedule = schedule
+        self.final_shared = final_shared
+        self.final_locals = final_locals
+        self.rf = rf
+        self.racy = racy
 
 
-@dataclass
 class ExplorationReport:
-    program: str
-    sequences_explored: int = 0
-    distinct_traces: int = 0
-    non_mca_sequences: int = 0
-    violations: list[dict] = field(default_factory=list)
-    na_races: list[dict] = field(default_factory=list)
-    racy_sequence_count: int = 0
-    traces: list[TraceSummary] = field(default_factory=list)
-    assert_diagnostics: list[str] = field(default_factory=list)  # distinct, first seen first
-    budget_exhausted: bool = False
-    c11_oracle_failures: int = 0
+    __slots__ = ("program", "sequences_explored", "distinct_traces", "non_mca_sequences",
+                 "violations", "na_races", "racy_sequence_count", "traces",
+                 "assert_diagnostics", "budget_exhausted", "c11_oracle_failures")
+
+    def __init__(self, program: str, sequences_explored: int = 0, distinct_traces: int = 0,
+                 non_mca_sequences: int = 0, violations: Optional[list[dict]] = None,
+                 na_races: Optional[list[dict]] = None, racy_sequence_count: int = 0,
+                 traces: Optional[list[TraceSummary]] = None,
+                 assert_diagnostics: Optional[list[str]] = None,
+                 budget_exhausted: bool = False, c11_oracle_failures: int = 0) -> None:
+        self.program = program
+        self.sequences_explored = sequences_explored
+        self.distinct_traces = distinct_traces
+        self.non_mca_sequences = non_mca_sequences
+        self.violations = [] if violations is None else violations
+        self.na_races = [] if na_races is None else na_races
+        self.racy_sequence_count = racy_sequence_count
+        self.traces = [] if traces is None else traces
+        # distinct, first seen first
+        self.assert_diagnostics = [] if assert_diagnostics is None else assert_diagnostics
+        self.budget_exhausted = budget_exhausted
+        self.c11_oracle_failures = c11_oracle_failures
 
     @property
     def trace_ids(self) -> set[str]:

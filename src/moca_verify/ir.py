@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Iterator, Optional, Union
 
@@ -86,8 +85,45 @@ def is_shadow_unit(unit: str) -> bool:
     return unit.startswith("sth_")
 
 
-@dataclass(frozen=True, eq=False)
-class Event:
+class _Value:
+    """Base of the immutable value classes (``Event``, the expression nodes,
+    ``Diagnostic``): equality, hash and repr go by the fields ``_fields``
+    names, and assigning an attribute after ``__init__`` raises.
+
+    The package writes its records by hand instead of with ``dataclasses``,
+    so importing it neither loads that module (and ``inspect`` with it) nor
+    generates methods at run time; ``tests/test_startup.py`` checks this."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self._fields))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+# sets an attribute of a ``_Value`` in its ``__init__``
+_set = object.__setattr__
+
+
+class Event(_Value):
     """One shared-memory action: ``(thr, act, obj, ord, idx)``.
 
     ``obj`` is a tuple: empty for fences, a singleton for plain accesses, and
@@ -102,16 +138,14 @@ class Event:
     display strings (``name``, ``pretty()``) are fixed once at construction.
     """
 
-    thr: str
-    act: Act
-    obj: tuple[str, ...]
-    ord: MO
-    idx: int
-    stmt: Optional["Stmt"] = field(default=None, repr=False)
+    _fields = ("thr", "act", "obj", "ord", "idx")
+    __slots__ = (*_fields, "stmt", "_identity", "_hash", "key", "objects", "obj_read",
+                 "obj_written", "is_write_like", "is_read_like", "is_init",
+                 "is_store_update", "parent_thr", "name", "_pretty")
 
-    def __post_init__(self) -> None:
-        thr, act, obj = self.thr, self.act, self.obj
-        fields = (thr, act, obj, self.ord, self.idx)
+    def __init__(self, thr: str, act: Act, obj: tuple[str, ...], ord: MO, idx: int,
+                 stmt: Optional["Stmt"] = None) -> None:
+        identity = (thr, act, obj, ord, idx)
         reads = act is Act.READ or act is Act.RMW
         if act is Act.WRITE or act is Act.SHADOW:
             written = obj[0]
@@ -119,33 +153,35 @@ class Event:
             written = obj[-1]
         else:
             written = None
-        attrs = self.__dict__
-        attrs["_fields"] = fields
-        attrs["_hash"] = hash(fields)
-        attrs["key"] = (thr, self.idx)
-        attrs["objects"] = frozenset(obj)
-        attrs["obj_read"] = obj[0] if reads else None
-        attrs["obj_written"] = written
+        for name, value in zip(self._fields, identity):
+            _set(self, name, value)
+        _set(self, "stmt", stmt)
+        _set(self, "_identity", identity)
+        _set(self, "_hash", hash(identity))
+        _set(self, "key", (thr, idx))
+        _set(self, "objects", frozenset(obj))
+        _set(self, "obj_read", obj[0] if reads else None)
+        _set(self, "obj_written", written)
         # member of the write category: issues a store (write or rmw)
-        attrs["is_write_like"] = act is Act.WRITE or act is Act.RMW
-        attrs["is_read_like"] = reads
-        attrs["is_init"] = thr == INIT_THREAD or thr.endswith(f"({INIT_THREAD})")
+        _set(self, "is_write_like", act is Act.WRITE or act is Act.RMW)
+        _set(self, "is_read_like", reads)
+        _set(self, "is_init", thr == INIT_THREAD or thr.endswith(f"({INIT_THREAD})"))
         # updates the shared store: a shadow-write or an atomic rmw
-        attrs["is_store_update"] = act is Act.SHADOW or act is Act.RMW
+        _set(self, "is_store_update", act is Act.SHADOW or act is Act.RMW)
         # program thread the event acts for: a shadow-write acts for the
         # thread of the write it flushes
-        attrs["parent_thr"] = thr[thr.index("(") + 1:-1] if act is Act.SHADOW else thr
-        objs, act_s, ord_s = ",".join(obj), act.value, self.ord.value
+        _set(self, "parent_thr", thr[thr.index("(") + 1:-1] if act is Act.SHADOW else thr)
+        objs, act_s, ord_s = ",".join(obj), act.value, ord.value
         # the identity the trace id hashes
-        attrs["name"] = f"{thr}#{self.idx}:{act_s}:{objs}:{ord_s}"
-        attrs["_pretty"] = f"{thr}#{self.idx}:{act_s}({objs}){ord_s}"
+        _set(self, "name", f"{thr}#{idx}:{act_s}:{objs}:{ord_s}")
+        _set(self, "_pretty", f"{thr}#{idx}:{act_s}({objs}){ord_s}")
 
     def __eq__(self, other: object) -> bool:
         if self is other:
             return True
         if other.__class__ is not Event:
             return NotImplemented
-        return self._hash == other._hash and self._fields == other._fields
+        return self._hash == other._hash and self._identity == other._identity
 
     def __hash__(self) -> int:
         return self._hash
@@ -162,40 +198,52 @@ class ExprError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Const:
-    value: int
+class Const(_Value):
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: int) -> None:
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True)
-class LocalRef:
-    name: str
+class LocalRef(_Value):
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str) -> None:
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True)
-class SharedRef:
+class SharedRef(_Value):
     """Final value of a shared object; valid only inside assert predicates."""
-    obj: str
+    __slots__ = _fields = ("obj",)
+
+    def __init__(self, obj: str) -> None:
+        _set(self, "obj", obj)
 
 
-@dataclass(frozen=True)
-class QualifiedRef:
+class QualifiedRef(_Value):
     """``Thread.local`` reference; valid only inside assert predicates."""
-    thread: str
-    local: str
+    __slots__ = _fields = ("thread", "local")
+
+    def __init__(self, thread: str, local: str) -> None:
+        _set(self, "thread", thread)
+        _set(self, "local", local)
 
 
-@dataclass(frozen=True)
-class UnOp:
-    op: str  # '-' or '!'
-    operand: "Expr"
+class UnOp(_Value):
+    __slots__ = _fields = ("op", "operand")
+
+    def __init__(self, op: str, operand: "Expr") -> None:
+        _set(self, "op", op)  # '-' or '!'
+        _set(self, "operand", operand)
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str
-    left: "Expr"
-    right: "Expr"
+class BinOp(_Value):
+    __slots__ = _fields = ("op", "left", "right")
+
+    def __init__(self, op: str, left: "Expr", right: "Expr") -> None:
+        _set(self, "op", op)
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
 Expr = Union[Const, LocalRef, SharedRef, QualifiedRef, UnOp, BinOp]
@@ -285,68 +333,86 @@ def render_expr(e: Expr) -> str:
 _uid_counter = itertools.count()
 
 
-@dataclass
 class StmtBase:
-    line: int = field(default=0, kw_only=True)
-    uid: int = field(default_factory=lambda: next(_uid_counter), kw_only=True)
-    # uids of earlier statements this one depends on (data via locals, control
-    # via enclosing branch conditions); filled in by validation.
-    influences: frozenset[int] = field(default=frozenset(), kw_only=True)
+    """Fields every statement has, passed by keyword: its source line, a
+    uid unique in the process, and ``influences``, the uids of earlier
+    statements it depends on (data via locals, control via enclosing branch
+    conditions), filled in by validation.  Statements compare by identity."""
+
+    __slots__ = ("line", "uid", "influences")
+
+    def __init__(self, *, line: int = 0, uid: Optional[int] = None,
+                 influences: frozenset[int] = frozenset()) -> None:
+        self.line = line
+        self.uid = next(_uid_counter) if uid is None else uid
+        self.influences = influences
 
 
-@dataclass
 class Load(StmtBase):
-    local: str
-    obj: str
-    mo: MO
+    __slots__ = ("local", "obj", "mo")
+
+    def __init__(self, local: str, obj: str, mo: MO, **base) -> None:
+        super().__init__(**base)
+        self.local, self.obj, self.mo = local, obj, mo
 
 
-@dataclass
 class Store(StmtBase):
-    obj: str
-    value: Expr
-    mo: MO
+    __slots__ = ("obj", "value", "mo")
+
+    def __init__(self, obj: str, value: Expr, mo: MO, **base) -> None:
+        super().__init__(**base)
+        self.obj, self.value, self.mo = obj, value, mo
 
 
-@dataclass
 class Fadd(StmtBase):
     """``local = fadd(obj, delta, ord)``; local receives the old value."""
-    local: str
-    obj: str
-    delta: Expr
-    mo: MO
+    __slots__ = ("local", "obj", "delta", "mo")
+
+    def __init__(self, local: str, obj: str, delta: Expr, mo: MO, **base) -> None:
+        super().__init__(**base)
+        self.local, self.obj, self.delta, self.mo = local, obj, delta, mo
 
 
-@dataclass
 class Cas(StmtBase):
     """``local = cas(obj, expect, desired, ord)``; local receives the old value.
 
     The store happens only when the old value equals ``expect``; a failed cas
     is a plain read event.
     """
-    local: str
-    obj: str
-    expect: Expr
-    desired: Expr
-    mo: MO
+    __slots__ = ("local", "obj", "expect", "desired", "mo")
+
+    def __init__(self, local: str, obj: str, expect: Expr, desired: Expr, mo: MO,
+                 **base) -> None:
+        super().__init__(**base)
+        self.local, self.obj, self.expect, self.desired, self.mo = (
+            local, obj, expect, desired, mo)
 
 
-@dataclass
 class Fence(StmtBase):
-    mo: MO
+    __slots__ = ("mo",)
+
+    def __init__(self, mo: MO, **base) -> None:
+        super().__init__(**base)
+        self.mo = mo
 
 
-@dataclass
 class LocalAssign(StmtBase):
-    local: str
-    value: Expr
+    __slots__ = ("local", "value")
+
+    def __init__(self, local: str, value: Expr, **base) -> None:
+        super().__init__(**base)
+        self.local, self.value = local, value
 
 
-@dataclass
 class IfBlock(StmtBase):
-    cond: Expr
-    then_body: list["Stmt"] = field(default_factory=list)
-    else_body: list["Stmt"] = field(default_factory=list)
+    __slots__ = ("cond", "then_body", "else_body")
+
+    def __init__(self, cond: Expr, then_body: Optional[list["Stmt"]] = None,
+                 else_body: Optional[list["Stmt"]] = None, **base) -> None:
+        super().__init__(**base)
+        self.cond = cond
+        self.then_body = [] if then_body is None else then_body
+        self.else_body = [] if else_body is None else else_body
 
 
 Stmt = Union[Load, Store, Fadd, Cas, Fence, LocalAssign, IfBlock]
@@ -413,26 +479,29 @@ def flatten(body: list[Stmt]) -> Iterator[Stmt]:
 # Program
 # ---------------------------------------------------------------------------
 
-@dataclass
 class ThreadBody:
-    name: str
-    body: list[Stmt]
+    __slots__ = ("name", "body")
+
+    def __init__(self, name: str, body: list[Stmt]) -> None:
+        self.name, self.body = name, body
 
 
-@dataclass
 class AssertNever:
-    text: str
-    expr: Expr
-    line: int = 0
+    __slots__ = ("text", "expr", "line")
+
+    def __init__(self, text: str, expr: Expr, line: int = 0) -> None:
+        self.text, self.expr, self.line = text, expr, line
 
 
-@dataclass
 class Program:
-    name: str
-    objects: dict[str, int]
-    threads: list[ThreadBody]
-    asserts: list[AssertNever] = field(default_factory=list)
-    expect_traces: Optional[int] = None
+    __slots__ = ("name", "objects", "threads", "asserts", "expect_traces")
+
+    def __init__(self, name: str, objects: dict[str, int], threads: list[ThreadBody],
+                 asserts: Optional[list[AssertNever]] = None,
+                 expect_traces: Optional[int] = None) -> None:
+        self.name, self.objects, self.threads = name, objects, threads
+        self.asserts = [] if asserts is None else asserts
+        self.expect_traces = expect_traces
 
     def thread(self, name: str) -> ThreadBody:
         for t in self.threads:
@@ -475,11 +544,13 @@ def dep(e_earlier: Event, e_later: Event) -> bool:
 # Parsing
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Diagnostic:
-    line: int
-    col: int
-    message: str
+class Diagnostic(_Value):
+    __slots__ = _fields = ("line", "col", "message")
+
+    def __init__(self, line: int, col: int, message: str) -> None:
+        _set(self, "line", line)
+        _set(self, "col", col)
+        _set(self, "message", message)
 
     def __str__(self) -> str:
         return f"{self.line}:{self.col}: {self.message}"
@@ -492,6 +563,13 @@ class ParseError(Exception):
 
 
 _LOOP_KEYWORDS = ("while", "for", "do", "goto", "loop")
+
+# The deepest nesting the parser accepts: of operators in an expression (a
+# flat sum of n terms nests n - 1 deep), of parentheses, and of ``if``
+# blocks.  The parser, validation, printer and evaluator recurse once or a
+# few times per level, so the bound keeps them well inside Python's
+# recursion limit.  The printed form of an accepted program is accepted.
+MAX_NESTING = 100
 
 _ORDER_NAMES = {m.value: m for m in MO}
 
@@ -568,33 +646,52 @@ class _Tokenizer:
         return ParseError([Diagnostic(self.line, col, msg)])
 
 
-def _parse_expr(tz: _Tokenizer, allow_refs: bool = False, min_prec: int = 1) -> Expr:
+def _too_deep(tz: _Tokenizer, col: int, what: str) -> ParseError:
+    return ParseError([Diagnostic(tz.line, col + 1, f"{what} nested deeper than {MAX_NESTING}")])
+
+
+def _parse_expr(tz: _Tokenizer, allow_refs: bool = False) -> Expr:
+    return _parse_binary(tz, allow_refs, 1, MAX_NESTING, MAX_NESTING)[0]
+
+
+def _parse_binary(tz: _Tokenizer, refs: bool, min_prec: int, room: int,
+                  parens: int) -> tuple[Expr, int]:
     """The expression at ``tz`` whose binary operators bind at least as
-    tightly as ``min_prec``: precedence climbing over ``_BINARY``."""
-    e = _parse_unary(tz, allow_refs)
+    tightly as ``min_prec`` (precedence climbing over ``_BINARY``), and its
+    depth, the operators above its deepest leaf: at most ``room``.  At most
+    ``parens`` more parentheses may open in it."""
+    e, depth = _parse_unary(tz, refs, room, parens)
     while (tok := tz.peek()) and (prec := _BINARY.get(tok[1], (0,))[0]) >= min_prec:
         tz.next()
-        e = BinOp(tok[1], e, _parse_expr(tz, allow_refs, prec + 1))
-    return e
+        right, right_depth = _parse_binary(tz, refs, prec + 1, room - 1, parens)
+        e, depth = BinOp(tok[1], e, right), max(depth, right_depth) + 1
+        if depth > room:
+            raise _too_deep(tz, tok[2], "operators")
+    return e, depth
 
 
-def _parse_unary(tz: _Tokenizer, refs: bool) -> Expr:
+def _parse_unary(tz: _Tokenizer, refs: bool, room: int, parens: int) -> tuple[Expr, int]:
     tok = tz.peek()
     if tok and tok[1] in _UNARY:
+        if not room:
+            raise _too_deep(tz, tok[2], "operators")
         tz.next()
-        return UnOp(tok[1], _parse_unary(tz, refs))
-    return _parse_atom(tz, refs)
+        operand, depth = _parse_unary(tz, refs, room - 1, parens)
+        return UnOp(tok[1], operand), depth + 1
+    return _parse_atom(tz, refs, room, parens)
 
 
-def _parse_atom(tz: _Tokenizer, refs: bool) -> Expr:
+def _parse_atom(tz: _Tokenizer, refs: bool, room: int, parens: int) -> tuple[Expr, int]:
     tok = tz.next()
     kind, value, col = tok
     if kind == "int":
-        return Const(int(value))
+        return Const(int(value)), 0
     if value == "(":
-        e = _parse_expr(tz, refs)
+        if not parens:
+            raise _too_deep(tz, col, "parentheses")
+        inner = _parse_binary(tz, refs, 1, room, parens - 1)
         tz.expect(")")
-        return e
+        return inner
     if kind == "name":
         nxt = tz.peek()
         if refs and nxt and nxt[1] == ".":
@@ -602,8 +699,8 @@ def _parse_atom(tz: _Tokenizer, refs: bool) -> Expr:
             member = tz.next()
             if member[0] != "name":
                 raise ParseError([Diagnostic(tz.line, member[2] + 1, "expected local name after '.'")])
-            return QualifiedRef(value, member[1])
-        return LocalRef(value)
+            return QualifiedRef(value, member[1]), 0
+        return LocalRef(value), 0
     raise ParseError([Diagnostic(tz.line, col + 1, f"unexpected token {value!r} in expression")])
 
 
@@ -694,14 +791,18 @@ def parse_program(text: str) -> Program:
     # body its statements go to); the thread body itself sits at indent -1
     block_stack: list[tuple[int, list[Stmt]]] = []
     last_if: dict[int, IfBlock] = {}  # indent -> most recent IfBlock at that indent
+    # the indent of a rejected thread header (-1) or if: the statement lines
+    # indented deeper, its body, are skipped
+    skip_above: Optional[int] = None
 
     def close_thread() -> None:
-        nonlocal cur_thread
+        nonlocal cur_thread, skip_above
         if cur_thread is not None:
             threads.append(cur_thread)
             cur_thread = None
         block_stack.clear()
         last_if.clear()
+        skip_above = None
 
     for lineno, raw in enumerate(lines, start=1):
         stripped = raw.split("#", 1)[0].rstrip()
@@ -710,7 +811,8 @@ def parse_program(text: str) -> Program:
         try:
             indent = _indent_of(raw)
         except ParseError as pe:
-            diagnostics.append(replace(pe.diagnostics[0], line=lineno))
+            d = pe.diagnostics[0]
+            diagnostics.append(Diagnostic(lineno, d.col, d.message))
             continue
         body_text = stripped.strip()
 
@@ -746,6 +848,7 @@ def parse_program(text: str) -> Program:
                 continue
             if indent == 0 and body_text.startswith("thread"):
                 close_thread()
+                skip_above = -1
                 header = body_text[len("thread"):].strip()
                 if not header.endswith(":"):
                     raise ParseError([Diagnostic(lineno, 1, "expected: thread NAME:")])
@@ -759,9 +862,8 @@ def parse_program(text: str) -> Program:
                 if any(t.name == tname for t in threads):
                     raise ParseError([Diagnostic(lineno, 1, f"duplicate thread {tname!r}")])
                 cur_thread = ThreadBody(tname, [])
-                block_stack.clear()
                 block_stack.append((-1, cur_thread.body))
-                last_if.clear()
+                skip_above = None
                 continue
             if indent == 0 and body_text.startswith("assert"):
                 close_thread()
@@ -787,6 +889,10 @@ def parse_program(text: str) -> Program:
                 continue
 
             # statement line inside a thread
+            if skip_above is not None:
+                if indent > skip_above:
+                    continue
+                skip_above = None
             if cur_thread is None:
                 raise ParseError([Diagnostic(lineno, 1, f"statement outside a thread: {body_text!r}")])
             while block_stack and indent <= block_stack[-1][0]:
@@ -808,6 +914,11 @@ def parse_program(text: str) -> Program:
             stmt = _parse_statement(tz)
             if not tz.at_end():
                 raise tz.fail("trailing tokens after statement")
+            # block_stack holds the thread body and the blocks open around stmt
+            if isinstance(stmt, IfBlock) and len(block_stack) > MAX_NESTING:
+                last_if[indent] = stmt  # an else of it attaches to it, out of the program
+                skip_above = indent
+                raise _too_deep(tz, indent, "if blocks")
             block_stack[-1][1].append(stmt)
             if isinstance(stmt, IfBlock):
                 last_if[indent] = stmt

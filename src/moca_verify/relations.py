@@ -74,7 +74,6 @@ induced by shadow-write order, and the placements of the sc events.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, TYPE_CHECKING
 
 from .ir import Act, ContractViolation, Event, MO, at_least
@@ -418,25 +417,33 @@ class LiveRelations:
 # Post-hoc reference
 # ---------------------------------------------------------------------------
 
-@dataclass
 class RelationSet:
     """Relations of one finished sequence, rebuilt from scratch; per-event
     fields are lists indexed by position, as on ``LiveRelations``."""
 
-    events: list[Event]
-    pos: dict[Event, int]
-    rf: list[int]                           # source position, or -1
-    readers: list[int]                      # mask of each write's reads
-    flush_pos: list[int]                    # store-update position, or -1
-    mo: dict[str, list[int]]
-    sc_placed: list[tuple[int, int]]
-    sw: list[int]                           # mask of each event's sw sources
-    dob: list[int]                          # mask of each event's dob sources
-    hb_mask: list[int]                      # positions of strict hb predecessors
-    init_len: int
-    unit_mask: dict[str, int]               # positions of each unit's events
-    obj_read_mask: dict[str, int]           # positions of each object's reads
-    obj_write_mask: dict[str, int]          # positions of each object's writes
+    __slots__ = ("events", "pos", "rf", "readers", "flush_pos", "mo", "sc_placed",
+                 "sw", "dob", "hb_mask", "init_len", "unit_mask", "obj_read_mask",
+                 "obj_write_mask")
+
+    def __init__(self, events: list[Event], pos: dict[Event, int], rf: list[int],
+                 readers: list[int], flush_pos: list[int], mo: dict[str, list[int]],
+                 sc_placed: list[tuple[int, int]], sw: list[int], dob: list[int],
+                 hb_mask: list[int], init_len: int, unit_mask: dict[str, int],
+                 obj_read_mask: dict[str, int], obj_write_mask: dict[str, int]) -> None:
+        self.events = events
+        self.pos = pos
+        self.rf = rf                            # source position, or -1
+        self.readers = readers                  # mask of each write's reads
+        self.flush_pos = flush_pos              # store-update position, or -1
+        self.mo = mo
+        self.sc_placed = sc_placed
+        self.sw = sw                            # mask of each event's sw sources
+        self.dob = dob                          # mask of each event's dob sources
+        self.hb_mask = hb_mask                  # positions of strict hb predecessors
+        self.init_len = init_len
+        self.unit_mask = unit_mask              # positions of each unit's events
+        self.obj_read_mask = obj_read_mask      # positions of each object's reads
+        self.obj_write_mask = obj_write_mask    # positions of each object's writes
 
     def hb(self, a: Event, b: Event) -> bool:
         return bool(self.hb_mask[self.pos[b]] >> self.pos[a] & 1)

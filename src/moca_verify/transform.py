@@ -23,9 +23,9 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from copy import copy
-from dataclasses import dataclass, field, replace
 
 from .ir import (
+    AssertNever,
     Cas,
     Const,
     Fadd,
@@ -113,10 +113,10 @@ def early_write_transform(program: Program) -> Program:
     thread is unchanged.  ``program`` is left as it was: the result holds
     copies of its statements, threads and containers.
     """
-    clone = replace(program, objects=dict(program.objects),
-                    threads=[ThreadBody(t.name, _transform_block(t.body))
-                             for t in program.threads],
-                    asserts=[copy(a) for a in program.asserts])
+    clone = Program(program.name, dict(program.objects),
+                    [ThreadBody(t.name, _transform_block(t.body)) for t in program.threads],
+                    [AssertNever(a.text, a.expr, a.line) for a in program.asserts],
+                    program.expect_traces)
     validate(clone)
     return clone
 
@@ -125,12 +125,11 @@ def early_write_transform(program: Program) -> Program:
 # Preservation oracle
 # ---------------------------------------------------------------------------
 
-@dataclass
 class SprVerdict:
-    spr1: bool
-    spr2: bool
-    spr3: bool
-    detail: str = ""
+    __slots__ = ("spr1", "spr2", "spr3", "detail")
+
+    def __init__(self, spr1: bool, spr2: bool, spr3: bool, detail: str = "") -> None:
+        self.spr1, self.spr2, self.spr3, self.detail = spr1, spr2, spr3, detail
 
     @property
     def ok(self) -> bool:
@@ -150,15 +149,17 @@ def _value_domain(program: Program) -> list[int]:
     return sorted(values)
 
 
-@dataclass
 class _SeqRun:
     """One sequential execution of a thread under an input valuation."""
-    # per shared read: (fingerprint, ordinal) -> previous same-thread write
-    # key, or None when the value came from outside the thread
-    read_sources: dict[tuple, object] = field(default_factory=dict)
-    # per object: ordered access keys (reads and writes)
-    access_order: dict[str, list[tuple]] = field(default_factory=dict)
-    locals_final: dict[str, int] = field(default_factory=dict)
+    __slots__ = ("read_sources", "access_order", "locals_final")
+
+    def __init__(self) -> None:
+        # per shared read: (fingerprint, ordinal) -> previous same-thread
+        # write key, or None when the value came from outside the thread
+        self.read_sources: dict[tuple, object] = {}
+        # per object: ordered access keys (reads and writes)
+        self.access_order: dict[str, list[tuple]] = {}
+        self.locals_final: dict[str, int] = {}
 
 
 def _read_slots(body: list[Stmt]) -> list[tuple]:

@@ -224,6 +224,16 @@ class TestVerify:
         assert result.exit_code == 2
         assert f"reserved.lit:3:1: reserved thread name {name!r}" in result.stderr
 
+    @pytest.mark.parametrize("expr", ["(" * 400 + "1" + ")" * 400, "-" * 1200 + "1",
+                                      " + ".join(["1"] * 2000)],
+                             ids=["parentheses", "minus", "sum"])
+    def test_deep_expression_exits_two(self, runner, tmp_path, expr):
+        f = tmp_path / "deep.lit"
+        f.write_text(f"program d\ninit x = 0\nthread T1:\n  r = {expr}\n")
+        result = runner.invoke(main, ["verify", str(f)])
+        assert result.exit_code == 2
+        assert "deep.lit:4:" in result.stderr and "nested deeper than" in result.stderr
+
     def test_malformed_expect_exits_two(self, runner, tmp_path):
         f = tmp_path / "expect.lit"
         f.write_text("program e\ninit x = 0\nexpect traces = x\n")

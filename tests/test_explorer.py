@@ -224,10 +224,10 @@ class TestAsserts:
         names = [bare_names(a.expr) for a in target.asserts]
         outcomes = set()
         for st in maximal_states(program, monkeypatch)[1]:
-            got = check_asserts(target, st, names)
-            assert check_asserts(target, st) == got
-            assert got == reference_check_asserts(target, st)
-            outcomes.add((tuple(got.violations), tuple(got.diagnostics)))
+            got = outcome(check_asserts(target, st, names))
+            assert outcome(check_asserts(target, st)) == got
+            assert got == outcome(reference_check_asserts(target, st))
+            outcomes.add(got)
         # the sequences differ in which asserts fire and which are undefined
         assert len(outcomes) > 1
         assert any(d.endswith("T9.r") for _, ds in outcomes for d in ds)
@@ -348,6 +348,11 @@ def reference_trace_id(rels):
     payload = json.dumps({"events": events, "rf": rf, "mo": mo, "hb": hb},
                          sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+
+def outcome(o: AssertOutcome) -> tuple:
+    """What an assert outcome holds: the violated asserts and the diagnostics."""
+    return tuple(o.violations), tuple(o.diagnostics)
 
 
 def reference_check_asserts(program, final) -> AssertOutcome:
@@ -517,11 +522,11 @@ def test_stepping_counts(name, monkeypatch):
     clones except the last one of each expanded node."""
     built: list[tuple] = []
     counts = {"clone": 0, "advance": 0, "_candidates": 0}
-    post_init = Event.__post_init__
+    init = Event.__init__
 
-    def counting_post_init(self):
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
         built.append((self.thr, self.act, self.obj, self.ord, self.idx, id(self.stmt)))
-        post_init(self)
 
     def counted(cls, attr):
         original = getattr(cls, attr)
@@ -531,7 +536,7 @@ def test_stepping_counts(name, monkeypatch):
             return original(*args, **kwargs)
         monkeypatch.setattr(cls, attr, wrapper)
 
-    monkeypatch.setattr(Event, "__post_init__", counting_post_init)
+    monkeypatch.setattr(Event, "__init__", counting_init)
     counted(ExecState, "clone")
     counted(ExecState, "advance")
     counted(_Explorer, "_candidates")

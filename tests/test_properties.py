@@ -156,6 +156,9 @@ def check_hb_validity(source: str, rng: random.Random,
     program = parse_program(source)
     target = early_write_transform(program)
     report = explore(program)
+    # every recorded sequence passes the post-hoc rules and the C11 oracle
+    assert report.non_mca_sequences == 0, source
+    assert report.c11_oracle_failures == 0, source
 
     # exploration never under-approximates the brute-force oracle
     try:

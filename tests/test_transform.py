@@ -15,17 +15,23 @@ def statements(program):
     return [s for t in program.threads for s in flatten(t.body)]
 
 
+def record_fields(record):
+    """Every field of a record: the ``__slots__`` of its class and bases."""
+    return {name: getattr(record, name) for cls in type(record).__mro__
+            for name in getattr(cls, "__slots__", ())}
+
+
 def program_snapshot(program):
     """Every field of ``program`` and of its statements, nested bodies
     included."""
     def block(body):
-        return [(type(s).__name__, dict(vars(s), then_body=None, else_body=None))
+        return [(type(s).__name__, dict(record_fields(s), then_body=None, else_body=None))
                 + ((block(s.then_body), block(s.else_body))
                    if isinstance(s, IfBlock) else ())
                 for s in body]
     return (program.name, dict(program.objects),
             [(t.name, block(t.body)) for t in program.threads],
-            [vars(a).copy() for a in program.asserts], program.expect_traces)
+            [record_fields(a) for a in program.asserts], program.expect_traces)
 
 
 def thread_kinds(program, name="T1"):
