@@ -8,13 +8,12 @@ from .ir import (
     MO,
     ParseError,
     Program,
-    dep,
     ord_leq,
     parse_program,
     pretty_print,
 )
 from .engine import ExecState, Sequence, initial_state, run_sequence
-from .relations import RelationSet, compute_relations, release_sequence
+from .relations import RelationSet, compute_relations
 from .coherence import check_c11_oracle, check_moca
 from .transform import check_spr, early_write_transform
 from .explorer import (
@@ -27,9 +26,9 @@ from .explorer import (
 )
 
 __all__ = [
-    "Act", "Event", "MO", "ParseError", "Program", "dep", "ord_leq",
+    "Act", "Event", "MO", "ParseError", "Program", "ord_leq",
     "parse_program", "pretty_print", "ExecState", "Sequence", "initial_state",
-    "run_sequence", "RelationSet", "compute_relations", "release_sequence",
+    "run_sequence", "RelationSet", "compute_relations",
     "check_c11_oracle", "check_moca", "check_spr",
     "early_write_transform", "ExplorationReport", "canonical_trace_id",
     "check_asserts", "detect_na_races", "enumerate_all", "explore",

@@ -2,8 +2,8 @@
 
 Two rule families are implemented:
 
-* the shadow-order rules (``shco``, ``shmo1``..``shmo3``, ``shrmo``,
-  ``shto``) that decide which interleavings the explorer may keep, and
+* the shadow-order rules (``shmo1``..``shmo3``, ``shrmo``, ``shto``) that
+  decide which interleavings the explorer may keep, and
 * the classic per-location coherence axioms (``mo1``..``mo4``, ``co``) and
   the sc axiom ``to`` (some total order of the sc events extends hb and
   mo), evaluated over (hb, rf, mo) as a post-hoc validation oracle.
@@ -17,6 +17,17 @@ are visited in sequence order, so both give the same first witness.
 The base rule ``shmo`` (the modification order of each object is the order
 of its shared-store updates) holds by construction and has no check: ``mo``
 *is* the flush order, in both relation implementations.
+
+The rule ``shco`` (a read's source is before the read, not hb-after it,
+and flushed before it if foreign) holds by construction too, by read
+resolution (``ExecState.resolve_rf``, which ``advance`` calls for a read or
+rmw at position ``r``).  The source is the object's latest flushed write
+``lw``, whose flush is already in the sequence (``lw <= flush_pos[lw] < r``;
+an rmw flushes at its own position), or the reader's own write issued after
+that flush, an earlier event of its thread; so a foreign source is ``lw``.
+Either way the source is before ``r``, and hb edges point forward.
+``compute_relations`` raises ``ContractViolation`` on a sequence that
+breaks this.
 
 Rules are evaluated with three-valued semantics so they apply to prefixes:
 an ordering constraint between two shadow-writes that are both still pending
@@ -52,9 +63,10 @@ report.
 
 A flush step cannot check only ``shto``: in ``T1: store(b,1,rel);
 r0 = load(b,acq) / T2: store(b,2,rel)`` after ``T2 T1 T1``, T1's read takes
-its own pending write and T2's write is dob-before it, and ``shco`` places
-only foreign sources' flushes, so only the flush ``sth_b(T1)`` decides (and
-fails) that ``shmo3`` instance.  Hence both relation classes keep ``readers``.
+its own pending write and T2's write is dob-before it, and read resolution
+places only a foreign source's flush before its read, so only the flush
+``sth_b(T1)`` decides (and fails) that ``shmo3`` instance.  Hence both
+relation classes keep ``readers``.
 """
 
 from __future__ import annotations
@@ -102,21 +114,6 @@ def flush_before(rels: Relations, a: int, b: int) -> Optional[bool]:
 # Shadow-order rules
 # ---------------------------------------------------------------------------
 
-def _rule_shco(rels: Relations, at: Optional[int] = None) -> Optional[Witness]:
-    events, rf = rels.events, rels.rf
-    for r in range(len(rf)) if at is None else (at,):
-        src = rf[r]
-        if src < 0:     # not a read
-            continue
-        if src >= r or rels.hb_mask[src] >> r & 1:
-            return (events[r], events[src])
-        if events[src].thr != events[r].thr:
-            f = rels.flush_pos[src]
-            if f < 0 or f >= r:
-                return (events[r], events[src])
-    return None
-
-
 def _shmo1_triggered(rels: Relations, e: int) -> int:
     """Positions of the writes whose flush the event at ``e`` must follow:
     the write-like mhb-predecessors of ``e`` and the sources of its
@@ -126,7 +123,12 @@ def _shmo1_triggered(rels: Relations, e: int) -> int:
     e's own unit and the init prefix are skipped.  An init write flushes in
     the prefix, so it can never fail the rule.  A write of e's own thread
     never triggers it; a read of e's own unit triggers only a foreign
-    source, whose flush ``shco`` already placed before that read.
+    source, whose flush read resolution already placed before that read.
+
+    The read-source half decides: in ``T1: store(x,1,rel); r1 =
+    load(x,rlx); store(x,2,rel) / T2: store(x,3,rel); r3 = load(x,acq)``
+    after ``T1 T1 T1 T2 T2``, both of T1's writes are direct dob sources of
+    T2's read, so only T1's read triggers its source ``T1#0``, still pending.
     """
     events, rf = rels.events, rels.rf
     skip = (1 << rels.init_len) - 1 | rels.unit_mask[events[e].thr]
@@ -270,8 +272,8 @@ def shto_order(rels: Relations) -> Optional[list[int]]:
 
 
 # in report order; ``check_step`` reports the first failure in this order
-_RULES = (("shco", _rule_shco), ("shmo1", _rule_shmo1), ("shmo2", _rule_shmo2),
-          ("shmo3", _rule_shmo3), ("shrmo", _rule_shrmo), ("shto", _rule_shto))
+_RULES = (("shmo1", _rule_shmo1), ("shmo2", _rule_shmo2), ("shmo3", _rule_shmo3),
+          ("shrmo", _rule_shrmo), ("shto", _rule_shto))
 
 
 def check_moca(rels: Relations) -> CoherenceVerdict:

@@ -4,8 +4,7 @@ A litmus program is a finite set of acyclic thread bodies over a fixed set of
 shared integer objects.  Shared accesses (``load``/``store``/``fadd``/``cas``/
 ``fence``) are the only statements that become schedulable events; local
 assignments and branches are folded into the next event.  Branch conditions may
-read locals only, so every shared access is a distinct event and data/control
-dependences are computable from def-use chains.
+read locals only, so every shared access is a distinct event.
 
 Example source::
 
@@ -23,7 +22,6 @@ Example source::
 
 from __future__ import annotations
 
-import itertools
 import operator
 from enum import Enum
 from typing import Callable, Iterator, Optional, Union
@@ -330,22 +328,14 @@ def render_expr(e: Expr) -> str:
 # Statements
 # ---------------------------------------------------------------------------
 
-_uid_counter = itertools.count()
-
-
 class StmtBase:
-    """Fields every statement has, passed by keyword: its source line, a
-    uid unique in the process, and ``influences``, the uids of earlier
-    statements it depends on (data via locals, control via enclosing branch
-    conditions), filled in by validation.  Statements compare by identity."""
+    """The field every statement has, passed by keyword: its source line.
+    Statements compare by identity."""
 
-    __slots__ = ("line", "uid", "influences")
+    __slots__ = ("line",)
 
-    def __init__(self, *, line: int = 0, uid: Optional[int] = None,
-                 influences: frozenset[int] = frozenset()) -> None:
+    def __init__(self, *, line: int = 0) -> None:
         self.line = line
-        self.uid = next(_uid_counter) if uid is None else uid
-        self.influences = influences
 
 
 class Load(StmtBase):
@@ -444,7 +434,7 @@ _EXPR_FIELDS = {cls: tuple(f for f in fields if f not in ("local", "obj", "mo"))
 
 
 def stmt_fingerprint(s: Stmt) -> tuple:
-    """A statement's own fields, without uid, line or nested bodies."""
+    """A statement's own fields, without line or nested bodies."""
     name, fields = _STMT_FIELDS[type(s)]
     return (name, *[v if isinstance(v, str) else render_expr(v)
                     for v in map(s.__getattribute__, fields)])
@@ -519,25 +509,6 @@ def release_class_objects(program: Program) -> frozenset[str]:
 
 class ContractViolation(Exception):
     pass
-
-
-def stmt_dep(earlier: Stmt, later: Stmt) -> bool:
-    """Program dependence: ``later`` depends on ``earlier`` through data flow
-    over locals or control flow.  Address dependence is vacuous in this DSL
-    (object names are static) and intentionally absent.
-    """
-    return earlier.uid in later.influences
-
-
-def dep(e_earlier: Event, e_later: Event) -> bool:
-    """Event-level dependence; requires same-thread events in idx order."""
-    if e_earlier.thr != e_later.thr:
-        raise ContractViolation("dep is defined on same-thread events only")
-    if e_earlier.idx >= e_later.idx:
-        raise ContractViolation("dep requires idx(earlier) < idx(later)")
-    if e_earlier.stmt is None or e_later.stmt is None:
-        raise ContractViolation("dep requires statement-backed events")
-    return stmt_dep(e_earlier.stmt, e_later.stmt)
 
 
 # ---------------------------------------------------------------------------
@@ -937,18 +908,16 @@ def parse_program(text: str) -> Program:
 
 
 # ---------------------------------------------------------------------------
-# Validation and dependence analysis
+# Validation
 # ---------------------------------------------------------------------------
 
 def validate(prog: Program) -> None:
-    """Check object declarations and local def-before-use; compute the
-    per-statement influence sets used by the dependence predicate."""
+    """Check object declarations and local def-before-use."""
     diagnostics: list[Diagnostic] = []
 
     for t in prog.threads:
 
-        def walk(body: list[Stmt], ctrl: frozenset[int],
-                 defined: set[str], taint: dict[str, frozenset[int]]) -> None:
+        def walk(body: list[Stmt], defined: set[str]) -> None:
             for s in body:
                 reads = stmt_locals_read(s)
                 for loc in reads:
@@ -964,26 +933,19 @@ def validate(prog: Program) -> None:
                     if obj not in prog.objects:
                         diagnostics.append(Diagnostic(
                             s.line, 1, f"thread {t.name}: undeclared object {obj!r}"))
-                data = frozenset().union(*(taint.get(l, frozenset()) for l in reads)) \
-                    if reads else frozenset()
-                s.influences = data | ctrl
                 if isinstance(s, IfBlock):
-                    inner_ctrl = ctrl | data | {s.uid}
-                    def_then, taint_then = set(defined), dict(taint)
-                    walk(s.then_body, inner_ctrl, def_then, taint_then)
-                    def_else, taint_else = set(defined), dict(taint)
-                    walk(s.else_body, inner_ctrl, def_else, taint_else)
+                    def_then = set(defined)
+                    walk(s.then_body, def_then)
+                    def_else = set(defined)
+                    walk(s.else_body, def_else)
                     # a local is defined after the branch iff defined on both arms
                     defined.clear()
                     defined.update(def_then & def_else)
-                    for l in def_then & def_else:
-                        taint[l] = taint_then.get(l, frozenset()) | taint_else.get(l, frozenset())
                 else:
                     for loc in stmt_locals_written(s):
                         defined.add(loc)
-                        taint[loc] = frozenset([s.uid]) | data | ctrl
 
-        walk(t.body, frozenset(), set(), {})
+        walk(t.body, set())
 
     if diagnostics:
         raise ParseError(diagnostics)

@@ -14,7 +14,8 @@ Two implementations are kept deliberately separate:
   then happens-before in one forward pass over the events: each event's
   predecessors are final when it is reached because every po, sw and dob
   edge points forward in the sequence (a backward sync edge is a
-  ``ContractViolation``).
+  ``ContractViolation``, as are an unresolved read, a source after its
+  read and a foreign source not flushed before it).
 
 Within one sequence an event's position is its id: every per-event table is
 a list indexed by position, and every reference to another event is a
@@ -489,14 +490,6 @@ def rf_pairs(rels: Relations | "Sequence") -> list[tuple[Event, Event]]:
     return [(events[r], events[w]) for r, w in enumerate(rels.rf) if w >= 0]
 
 
-def release_sequence(seq: "Sequence", head: Event) -> list[Event]:
-    """Release sequence headed by ``head`` within ``seq`` (issue order)."""
-    obj = head.obj_written
-    issue = [e for e in seq.events
-             if e.is_write_like and e.obj_written == obj]
-    return release_sequence_members(issue, head)
-
-
 def compute_relations(seq: "Sequence") -> RelationSet:
     events = seq.events
     n = len(events)
@@ -599,6 +592,16 @@ def compute_relations(seq: "Sequence") -> RelationSet:
         else:
             hb_mask[b] = po | via | init_mask
     unit_mask = {thr: po_mask[p] | 1 << p for thr, p in unit_last.items()}
+
+    # read resolution's guarantee (the ``coherence`` docstring): each source
+    # is before its read, and a foreign one has flushed before it
+    for r in reads:
+        w = rf[r]
+        if w >= r:
+            raise ContractViolation(f"read before its source: {events[r]} reads {events[w]}")
+        if events[w].thr != events[r].thr and not 0 <= flush_pos[w] < r:
+            raise ContractViolation(
+                f"read of a foreign write not yet flushed: {events[r]} reads {events[w]}")
 
     return RelationSet(
         events=list(events), pos=dict(seq.pos), rf=rf, readers=readers,

@@ -86,8 +86,8 @@ def _may_hoist_above(prev: Stmt, w: Stmt) -> bool:
 
 def _transform_block(body: list[Stmt]) -> list[Stmt]:
     """The hoisted block, of shallow copies of ``body``'s statements: the
-    copies get their own bodies and ``influences``, while the frozen
-    expression trees are shared."""
+    copies get their own bodies, while the frozen expression trees are
+    shared."""
     out: list[Stmt] = []
     for s in body:
         s = copy(s)

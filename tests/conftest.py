@@ -29,7 +29,7 @@ def w_rwr():
 
 
 def structurally_equal(a: Program, b: Program) -> bool:
-    """Structural identity ignoring statement uids and line numbers."""
+    """Structural identity ignoring line numbers."""
     def canon(body: list[Stmt]) -> tuple:
         return tuple(stmt_fingerprint(s) + ((canon(s.then_body), canon(s.else_body))
                                             if isinstance(s, IfBlock) else ())

@@ -178,7 +178,7 @@ class TestVerify:
         # every explored sequence passed the incremental filter, so an oracle
         # that rejects one means the checker contradicts itself
         monkeypatch.setattr(explorer, oracle,
-                            lambda rels: CoherenceVerdict({"shco": ()}))
+                            lambda rels: CoherenceVerdict({"shmo1": ()}))
         result = runner.invoke(main, ["verify", corpus("mp")])
         assert result.exit_code == 4
         lines = result.stdout.splitlines()

@@ -2,12 +2,15 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from conftest import corpus_names, corpus_program
 from test_properties import random_program_source
 
 from moca_verify import parse_program, run_sequence
 from moca_verify.coherence import check_c11_oracle, check_moca, check_step
 from moca_verify.engine import initial_state
+from moca_verify.ir import ContractViolation
 from moca_verify.relations import compute_relations
 from moca_verify.transform import early_write_transform
 from moca_verify.explorer import _estimate_events, enumerate_all, explore
@@ -38,11 +41,29 @@ thread T2:
   store(b, 2, rel)
 """
 
+# T2's acquire read takes its own write, and T1's release writes head release
+# sequences that contain it (``test_read_source_half_of_shmo1_decides``)
+SHMO1_READ_SOURCE = """
+program shmo1-read-source
+init x = 0
+thread T1:
+  store(x, 1, rel)
+  r1 = load(x, rlx)
+  store(x, 2, rel)
+thread T2:
+  store(x, 3, rel)
+  r3 = load(x, acq)
+"""
+
 
 def run(program, schedule):
     st = run_sequence(program, schedule)
     seq = st.sequence()
     return st, seq, compute_relations(seq)
+
+
+def by_key(rels, thr, idx):
+    return next(e for e in rels.events if e.key == (thr, idx))
 
 
 class TestCheckMoca:
@@ -70,19 +91,35 @@ class TestCheckMoca:
         r1, r2 = verdict.failures["shmo2"]
         assert (r1.key, r2.key) == (("T1", 1), ("T1", 2))
 
-    def test_read_before_its_source_fails_shco(self):
+    def test_read_source_faults_raise_contract_violation(self):
+        # read resolution places every source before its read, and a foreign
+        # source's flush too; the rebuild refuses a sequence that breaks this
         p = parse_program("""
-program shco
+program late-source
 init x = 0
 thread T1:
   r = load(x, rlx)
   store(x, 1, rlx)
 """)
-        st, seq, rels = run(p, ["T1", "T1", "sth_x(T1)"])
-        r = next(e for e in seq.events if e.key == ("T1", 0))
-        w = next(e for e in seq.events if e.key == ("T1", 1))
-        rels.rf[rels.pos[r]] = rels.pos[w]  # deliberately corrupted: source is po-after the read
-        assert check_moca(rels).failures == {"shco": (r, w)}
+        seq = run_sequence(p, ["T1", "T1", "sth_x(T1)"]).sequence()
+        r, w = (seq.pos[by_key(seq, "T1", i)] for i in (0, 1))
+        seq.rf[r] = w   # deliberately corrupted: the source is po-after the read
+        with pytest.raises(ContractViolation, match="read before its source"):
+            compute_relations(seq)
+
+        p = parse_program("""
+program unflushed-source
+init x = 0
+thread T1:
+  store(x, 1, rlx)
+thread T2:
+  r = load(x, rlx)
+""")
+        seq = run_sequence(p, ["T1", "T2", "sth_x(T1)"]).sequence()
+        r, w = (seq.pos[by_key(seq, t, 0)] for t in ("T2", "T1"))
+        seq.rf[r] = w   # deliberately corrupted: T1's write flushes after the read
+        with pytest.raises(ContractViolation, match="not yet flushed"):
+            compute_relations(seq)
 
     def test_explored_sequences_all_pass(self):
         for name in corpus_names():
@@ -145,6 +182,27 @@ class TestIncrementalAgainstPostHoc:
         rep = explore(p)
         assert {t.trace_id for t in rep.traces} == set(enumerate_all(p, cap=12))
         assert rep.distinct_traces == 4
+        assert rep.non_mca_sequences == 0
+
+    def test_read_source_half_of_shmo1_decides(self):
+        # both of T1's writes are direct dob sources of T2's acquire read, so
+        # shmo1's write half skips them; only T1's read, which takes T1's
+        # first write, makes that write's pending flush fail the rule
+        p = parse_program(SHMO1_READ_SOURCE)
+        st = initial_state(p)
+        for unit in ["T1", "T1", "T1", "T2"]:
+            st = st.step(unit)
+            assert check_step(st.rels) is None
+        st = st.step("T2")
+        read = len(st.rels.events) - 1
+        writes = [st.rels.pos[by_key(st.rels, "T1", i)] for i in (0, 2)]
+        assert st.rels.dob[read] == sum(1 << w for w in writes)
+        rule, witness = check_step(st.rels)
+        assert rule == "shmo1"
+        assert [e.pretty() for e in witness] == ["T1#0:write(x)rel", "T2#1:read(x)acq"]
+        rep = explore(p)
+        assert {t.trace_id for t in rep.traces} == set(enumerate_all(p, cap=12))
+        assert rep.distinct_traces == 12
         assert rep.non_mca_sequences == 0
 
     def test_step_filter_is_first_post_hoc_failure(self):

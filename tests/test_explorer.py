@@ -15,7 +15,7 @@ from test_properties import random_program_source
 from moca_verify import explorer as explorer_module
 from moca_verify import parse_program, run_sequence
 from moca_verify.cli import main
-from moca_verify.coherence import check_moca
+from moca_verify.coherence import _RULES, check_moca
 from moca_verify.engine import ExecState
 from moca_verify.explorer import (
     RECORD_BATCH,
@@ -573,15 +573,21 @@ def test_event_hashing_stays_off_the_hot_path(monkeypatch):
     assert calls["hash"] <= 200
 
 
+def bench_spans():
+    """``bench/spans.py``, loaded from its file without changing it."""
+    path = CORPUS.parent / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
+
+
 def test_every_name_the_benchmark_spans_wrap_is_importable():
     """``bench/spans.py`` times each layer by wrapping names it looks up on
     ``moca_verify.explorer``; a name that moved would read as a zero span.
     The file is only read here: every name must resolve, none may be
     reported absent, and each span must see calls during one ``explore``."""
-    path = CORPUS.parent / "bench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("bench_spans", path)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = bench_spans()
     assert {"ExecState.step", "ExecState.sequence"} <= set(spans.WRAPPED.values())
     for attr in spans.WRAPPED.values():
         owner = explorer_module
@@ -595,6 +601,12 @@ def test_every_name_the_benchmark_spans_wrap_is_importable():
         explorer_module.explore(program)
     assert tracer.absent == []
     assert {name for name in spans.WRAPPED if not tracer.calls[name]} == set()
+
+
+def test_every_rule_has_a_benchmark_prune_counter():
+    """The benchmark counts ``check_step``'s prunes per rule it names in
+    ``PRUNE_RULES``; a rule missing there would be pruned uncounted."""
+    assert {name for name, _ in _RULES} <= set(bench_spans().PRUNE_RULES)
 
 
 # ---------------------------------------------------------------------------

@@ -13,20 +13,17 @@ from moca_verify.ir import (
     Act,
     BinOp,
     Const,
-    ContractViolation,
     Diagnostic,
     Event,
     INIT_THREAD,
     MAX_NESTING,
     ParseError,
     at_least,
-    dep,
     flatten,
     ord_leq,
     parse_program,
     pretty_print,
     shadow_unit,
-    stmt_dep,
     stmt_fingerprint,
 )
 
@@ -364,57 +361,6 @@ class TestRoundTrip:
             p1 = parse_program(path.read_text())
             p2 = parse_program(pretty_print(p1))
             assert structurally_equal(p1, p2), path.name
-
-
-class TestDep:
-    def _thread(self, body_src: str):
-        return parse_program(f"program t\ninit x = 0, y = 0\n{body_src}").threads[0]
-
-    def test_control_dependence(self):
-        t = self._thread(
-            "thread T1:\n  r1 = load(x, rlx)\n  if (r1 == 1):\n    store(y, 1, rlx)\n")
-        load, iff = t.body
-        store = iff.then_body[0]
-        assert stmt_dep(load, store)
-
-    def test_disjoint_stores_independent(self):
-        t = self._thread("thread T1:\n  store(x, 1, rlx)\n  store(y, 1, rlx)\n")
-        s1, s2 = t.body
-        assert not stmt_dep(s1, s2)
-
-    def test_def_use_chain(self):
-        t = self._thread(
-            "thread T1:\n  r1 = load(x, rlx)\n  r2 = r1 + 1\n  store(y, r2, rlx)\n")
-        load, assign, store = t.body
-        # independent oracle: walk the def-use chain over the statement list
-        def chain_reaches(src, dst, stmts):
-            tainted = set()
-            for s in stmts:
-                from moca_verify.ir import stmt_locals_read, stmt_locals_written
-                reads = stmt_locals_read(s)
-                hit = s is src or bool(reads & tainted)
-                if hit:
-                    tainted |= stmt_locals_written(s)
-                if s is dst:
-                    return hit
-            return False
-
-        assert chain_reaches(load, store, t.body)
-        assert stmt_dep(load, store)
-
-    def test_dep_irreflexive_and_same_thread_only(self):
-        t = self._thread(
-            "thread T1:\n  r1 = load(x, rlx)\n  store(y, r1, rlx)\n")
-        load, store = t.body
-        assert not stmt_dep(load, load)
-        assert not stmt_dep(store, store)
-        e1 = Event("T1", Act.READ, ("x",), MO.RLX, 0, stmt=load)
-        e2 = Event("T1", Act.WRITE, ("y",), MO.RLX, 1, stmt=store)
-        assert dep(e1, e2)
-        with pytest.raises(ContractViolation):
-            dep(Event("T2", Act.READ, ("x",), MO.RLX, 0, stmt=load), e2)
-        with pytest.raises(ContractViolation):
-            dep(e2, e1)
 
 
 def property_definitions(e: Event) -> dict:

@@ -8,7 +8,9 @@
 pairwise scans they replaced are kept here as references and compared,
 witnesses included, on every prefix of an unreduced walk.  So are the
 lookups ``LiveRelations`` reads off its position masks instead of storing
-them (last events, last rmw, sw sources, flush events, next idx).
+them (last events, last rmw, sw sources, flush events, next idx).  The same
+walk checks the read resolution that makes ``shco`` hold by construction
+(the ``coherence`` docstring).
 """
 
 from __future__ import annotations
@@ -253,7 +255,8 @@ def walk_programs():
 
 
 def unreduced_children(program, limit=1500):
-    """Every child of every coherent prefix, depth first, at most ``limit``."""
+    """Every child of every coherent prefix, depth first, at most ``limit``,
+    as ``(parent, child)``."""
     stack = [initial_state(early_write_transform(program))]
     n = 0
     while stack and n < limit:
@@ -261,7 +264,7 @@ def unreduced_children(program, limit=1500):
         for unit in st.enabled_units():
             child = st.step(unit)
             n += 1
-            yield child
+            yield st, child
             if check_step(child.rels) is None:
                 stack.append(child)
 
@@ -270,7 +273,7 @@ def test_masks_match_pairwise_references():
     failed = set()
     children = 0
     for program in walk_programs():
-        for child in unreduced_children(program):
+        for _, child in unreduced_children(program):
             children += 1
             live = child.rels
             new = len(live.events) - 1
@@ -394,7 +397,7 @@ def test_derived_lookups_match_event_scans():
     children = 0
     shown = set()   # lookups seen to return more than their empty default
     for program in walk_programs():
-        for child in unreduced_children(program):
+        for _, child in unreduced_children(program):
             children += 1
             where = (program.name, child.schedule_so_far())
             for name, derived, scanned, nontrivial in reference_lookups(child):
@@ -404,3 +407,28 @@ def test_derived_lookups_match_event_scans():
     assert children > 10_000
     assert shown == {"last_of_unit", "last_write", "last_rmw", "sw_sources",
                      "release_fences", "flush_event", "next_idx"}
+
+
+def test_read_resolution_places_every_source_before_its_read():
+    """``shco``'s property on the engine: every read-like event's source is
+    before it and not hb-after it, a foreign source has flushed before it,
+    and an own-thread source is the one ``resolve_rf`` gives."""
+    seen = {"own": 0, "foreign": 0, "rmw": 0}
+    for program in walk_programs():
+        for parent, child in unreduced_children(program):
+            rels = child.rels
+            r = len(rels.events) - 1
+            e = rels.events[r]
+            if not e.is_read_like:
+                continue
+            where = (program.name, child.schedule_so_far())
+            src = rels.rf[r]
+            assert 0 <= src < r and not rels.hb_mask[src] >> r & 1, where
+            if rels.events[src].thr != e.thr:
+                assert 0 <= rels.flush_pos[src] < r, where
+                seen["foreign"] += 1
+            else:
+                assert src == parent.resolve_rf(e.thr, e.obj_read), where
+                seen["own"] += 1
+            seen["rmw"] += e.act is Act.RMW
+    assert min(seen.values()) > 100, seen

@@ -16,7 +16,6 @@ from moca_verify.engine import Sequence
 from moca_verify.relations import (
     compute_relations,
     mask_edges,
-    release_sequence,
     release_sequence_members,
     rf_pairs,
     set_bits,
@@ -81,20 +80,26 @@ def by_key(seq, thr, idx):
     raise KeyError((thr, idx))
 
 
+def issue_order(seq, obj):
+    """The writes of ``obj`` in ``seq``, in issue order."""
+    return [e for e in seq.events if e.is_write_like and e.obj_written == obj]
+
+
 class TestReleaseSequence:
     def test_same_thread_continuation(self):
         p = parse_program(
             "program rs\ninit x = 0\nthread T1:\n  store(x, 1, rel)\n  store(x, 2, rlx)\n")
         _, seq, _ = run(p, ["T1", "T1", "sth_x(T1)", "sth_x(T1)"])
         head = by_key(seq, "T1", 0)
-        rs = release_sequence(seq, head)
+        rs = release_sequence_members(issue_order(seq, "x"), head)
         assert [e.key for e in rs] == [("T1", 0), ("T1", 1)]
 
     def test_singleton(self):
         p = parse_program("program rs\ninit x = 0\nthread T1:\n  store(x, 1, rel)\n")
         _, seq, _ = run(p, ["T1", "sth_x(T1)"])
         head = by_key(seq, "T1", 0)
-        assert [e.key for e in release_sequence(seq, head)] == [("T1", 0)]
+        rs = release_sequence_members(issue_order(seq, "x"), head)
+        assert [e.key for e in rs] == [("T1", 0)]
 
     def test_foreign_relaxed_store_cuts(self):
         p = parse_program(
@@ -104,7 +109,8 @@ class TestReleaseSequence:
         _, seq, _ = run(p, ["T1", "T2", "T1",
                             "sth_x(T1)", "sth_x(T2)", "sth_x(T1)"])
         head = by_key(seq, "T1", 0)
-        assert [e.key for e in release_sequence(seq, head)] == [("T1", 0)]
+        rs = release_sequence_members(issue_order(seq, "x"), head)
+        assert [e.key for e in rs] == [("T1", 0)]
 
     def test_foreign_rmw_continues(self):
         p = parse_program(
@@ -112,13 +118,14 @@ class TestReleaseSequence:
             "thread T2:\n  r = fadd(x, 1, rlx)\n")
         _, seq, _ = run(p, ["T1", "sth_x(T1)", "T2"])
         head = by_key(seq, "T1", 0)
-        assert [e.key for e in release_sequence(seq, head)] == [("T1", 0), ("T2", 0)]
+        rs = release_sequence_members(issue_order(seq, "x"), head)
+        assert [e.key for e in rs] == [("T1", 0), ("T2", 0)]
 
     def test_requires_release_class_head(self):
         p = parse_program("program rs\ninit x = 0\nthread T1:\n  store(x, 1, rlx)\n")
         _, seq, _ = run(p, ["T1", "sth_x(T1)"])
         with pytest.raises(ContractViolation):
-            release_sequence(seq, by_key(seq, "T1", 0))
+            release_sequence_members(issue_order(seq, "x"), by_key(seq, "T1", 0))
 
 
 class TestComputeRelations:

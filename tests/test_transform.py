@@ -117,7 +117,7 @@ class TestHoisting:
 
     def test_input_program_is_left_unchanged(self):
         """The result holds copies of the statements (the frozen expressions
-        are shared); the input, ``influences`` included, stays as it was."""
+        are shared); the input stays as it was."""
         rng = random.Random(20261019)
         programs = [corpus_program(n) for n in corpus_names()]
         programs += [parse_program(random_program_source(rng)) for _ in range(200)]
