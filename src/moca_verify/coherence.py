@@ -71,10 +71,12 @@ relation classes keep ``readers``.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
-
 from .ir import Act, Event, MO
 from .relations import LiveRelations, Relations, set_bits
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Iterable, Optional
 
 Witness = tuple[Event, ...]
 

@@ -27,7 +27,6 @@ one.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterator, Optional
 
 from .ir import (
     Act,
@@ -49,6 +48,10 @@ from .ir import (
     shadow_unit,
 )
 from .relations import LiveRelations
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Iterator, Optional
 
 
 class ReplayError(Exception):

@@ -61,8 +61,14 @@ trace-id set.
 
 from __future__ import annotations
 
-import hashlib
-from typing import Optional
+# CPython's built-in SHA-256: hashlib maps OpenSSL's libcrypto, 3.6 MB of RSS
+try:
+    from _sha2 import sha256            # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256      # CPython 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256      # a build without built-in hashes
 
 from .ir import (
     Act,
@@ -89,6 +95,10 @@ from .relations import (
 )
 from .coherence import check_moca, check_c11_oracle, check_step, overdue_write
 from .transform import early_write_transform
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Optional
 
 
 # maximal sequences recorded per batch (CHANGES.md has the sweep)
@@ -235,7 +245,7 @@ def canonical_trace_id(rels: Relations) -> str:
         import json
         payload = json.dumps({"events": names, "rf": rf, "mo": mo, "hb": hb},
                              sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+    return sha256(payload.encode()).hexdigest()[:16]
 
 
 # ---------------------------------------------------------------------------

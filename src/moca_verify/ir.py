@@ -24,7 +24,10 @@ from __future__ import annotations
 
 import operator
 from enum import Enum
-from typing import Callable, Iterator, Optional, Union
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Callable, Iterator, Optional
 
 
 # ---------------------------------------------------------------------------
@@ -244,16 +247,22 @@ class BinOp(_Value):
         _set(self, "right", right)
 
 
-Expr = Union[Const, LocalRef, SharedRef, QualifiedRef, UnOp, BinOp]
+Expr = Const | LocalRef | SharedRef | QualifiedRef | UnOp | BinOp
 
 
 def expr_leaves(e: Expr) -> list[Expr]:
     """The leaves of ``e`` (constants and references), left to right."""
-    if isinstance(e, UnOp):
-        return expr_leaves(e.operand)
-    if isinstance(e, BinOp):
-        return expr_leaves(e.left) + expr_leaves(e.right)
-    return [e]
+    leaves: list[Expr] = []
+    stack = [e]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, UnOp):
+            stack.append(e.operand)
+        elif isinstance(e, BinOp):
+            stack += e.right, e.left
+        else:
+            leaves.append(e)
+    return leaves
 
 
 def expr_locals(e: Expr) -> frozenset[str]:
@@ -405,7 +414,7 @@ class IfBlock(StmtBase):
         self.else_body = [] if else_body is None else else_body
 
 
-Stmt = Union[Load, Store, Fadd, Cas, Fence, LocalAssign, IfBlock]
+Stmt = Load | Store | Fadd | Cas | Fence | LocalAssign | IfBlock
 
 
 # The access calls: each call's statement class and its fields in source

@@ -75,11 +75,12 @@ induced by shadow-write order, and the placements of the sc events.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, TYPE_CHECKING
-
 from .ir import Act, ContractViolation, Event, MO, at_least
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from typing import Iterable, Iterator, Optional
+
     from .engine import Sequence
 
 

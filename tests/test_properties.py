@@ -32,7 +32,18 @@ from moca_verify.explorer import (
     enumerate_all,
     explore,
 )
-from moca_verify.ir import Fadd, Store, flatten, release_class_objects, stmt_objs
+from moca_verify.ir import (
+    Cas,
+    Fadd,
+    IfBlock,
+    Load,
+    LocalAssign,
+    Store,
+    eval_expr,
+    flatten,
+    release_class_objects,
+    stmt_objs,
+)
 from moca_verify.relations import compute_relations, rf_pairs
 from moca_verify.transform import early_write_transform
 
@@ -43,9 +54,11 @@ FENCE_ORDERS = ["acq", "rel", "acq_rel", "sc"]
 
 
 def random_program_source(rng: random.Random, store_orders=STORE_ORDERS,
-                          rmw_orders=RMW_ORDERS) -> str:
-    """A random program over objects ``a`` and ``b``; stores and fadds draw
-    their orders from ``store_orders`` and ``rmw_orders``."""
+                          rmw_orders=RMW_ORDERS, load_orders=LOAD_ORDERS,
+                          fence_orders=FENCE_ORDERS) -> str:
+    """A random program over objects ``a`` and ``b``; stores, fadds, loads
+    and fences draw their orders from ``store_orders``, ``rmw_orders``,
+    ``load_orders`` and ``fence_orders``."""
     objects = ["a", "b"]
     n_threads = rng.randint(1, 3)
     budget = rng.randint(2, 6)
@@ -68,7 +81,7 @@ def random_program_source(rng: random.Random, store_orders=STORE_ORDERS,
             counter += 1
             if top_level:
                 locals_of[t].append(name)
-            per_thread[t].append(f"{indent}{name} = load({obj}, {rng.choice(LOAD_ORDERS)})")
+            per_thread[t].append(f"{indent}{name} = load({obj}, {rng.choice(load_orders)})")
         elif kind == "fadd":
             name = f"r{t}_{counter}"
             counter += 1
@@ -76,7 +89,7 @@ def random_program_source(rng: random.Random, store_orders=STORE_ORDERS,
                 locals_of[t].append(name)
             per_thread[t].append(f"{indent}{name} = fadd({obj}, 1, {rng.choice(rmw_orders)})")
         else:
-            per_thread[t].append(f"{indent}fence({rng.choice(FENCE_ORDERS)})")
+            per_thread[t].append(f"{indent}fence({rng.choice(fence_orders)})")
 
     remaining = budget
     while remaining > 0:
@@ -447,3 +460,70 @@ def test_plain_write_programs_match_enumeration():
         if any(_written_by_threads(target, obj) >= 2 for obj in target.objects):
             shared_plain += 1
     assert shared_plain >= 10
+
+
+def _outcome(shared: dict[str, int], locals_of: dict[str, dict[str, int]]) -> tuple:
+    return (tuple(sorted(shared.items())),
+            tuple((t, tuple(sorted(env.items()))) for t, env in sorted(locals_of.items())))
+
+
+def sc_outcomes(program) -> set[tuple]:
+    """The final shared values and locals of every interleaving of whole
+    statements over one shared store: sequential consistency, computed
+    without the engine, the relations or the coherence rules."""
+    names = [t.name for t in program.threads]
+    outcomes: set[tuple] = set()
+
+    def run(store: dict[str, int], conts: tuple, envs: tuple) -> None:
+        live = [i for i, cont in enumerate(conts) if cont]
+        if not live:
+            outcomes.add(_outcome(store, dict(zip(names, envs))))
+        for i in live:
+            s, rest = conts[i][0], conts[i][1:]
+            after, env = dict(store), dict(envs[i])
+            if isinstance(s, IfBlock):
+                branch = s.then_body if eval_expr(s.cond, env) != 0 else s.else_body
+                rest = tuple(branch) + rest
+            elif isinstance(s, LocalAssign):
+                env[s.local] = eval_expr(s.value, env)
+            elif isinstance(s, Store):
+                after[s.obj] = eval_expr(s.value, env)
+            elif isinstance(s, Fadd):
+                after[s.obj] = store[s.obj] + eval_expr(s.delta, env)
+            elif isinstance(s, Cas) and store[s.obj] == eval_expr(s.expect, env):
+                after[s.obj] = eval_expr(s.desired, env)
+            if isinstance(s, (Load, Fadd, Cas)):
+                env[s.local] = store[s.obj]
+            # a fence orders nothing that one store does not already order
+            run(after, conts[:i] + (rest,) + conts[i + 1:], envs[:i] + (env,) + envs[i + 1:])
+
+    run(dict(program.objects), tuple(tuple(t.body) for t in program.threads),
+        tuple({} for _ in names))
+    return outcomes
+
+
+def _explored_outcomes(program) -> set[tuple]:
+    return {_outcome(t.final_shared, t.final_locals) for t in explore(program).traces}
+
+
+class TestScInterpreter:
+    """Two program classes whose C11 outcomes are exactly the interleavings'
+    (so ``sc_outcomes``), an oracle that shares no code with the rules."""
+
+    def test_all_sc_programs_match_interleavings(self):
+        # every access and fence ``sc``: C11 gives sequential consistency
+        rng = random.Random(31)
+        for _ in range(300):
+            source = random_program_source(rng, store_orders=("sc",), rmw_orders=("sc",),
+                                           load_orders=("sc",), fence_orders=("sc",))
+            program = parse_program(source)
+            assert _explored_outcomes(program) == sc_outcomes(program), source
+
+    def test_single_object_programs_match_interleavings(self):
+        # one object and no ``na``: coherence makes each object SC
+        rng = random.Random(41)
+        for _ in range(1000):
+            source = random_program_source(
+                rng, store_orders=STORE_ORDERS[1:], load_orders=LOAD_ORDERS[1:])
+            program = parse_program(source.replace("(b,", "(a,"))
+            assert _explored_outcomes(program) == sc_outcomes(program), source
