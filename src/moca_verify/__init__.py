@@ -12,7 +12,7 @@ from .ir import (
     parse_program,
     pretty_print,
 )
-from .engine import ExecState, Sequence, initial_state, run_sequence
+from .engine import ExecState, Sequence, run_sequence
 from .relations import RelationSet, compute_relations
 from .coherence import check_c11_oracle, check_moca
 from .transform import check_spr, early_write_transform
@@ -27,7 +27,7 @@ from .explorer import (
 
 __all__ = [
     "Act", "Event", "MO", "ParseError", "Program", "ord_leq",
-    "parse_program", "pretty_print", "ExecState", "Sequence", "initial_state",
+    "parse_program", "pretty_print", "ExecState", "Sequence",
     "run_sequence", "RelationSet", "compute_relations",
     "check_c11_oracle", "check_moca", "check_spr",
     "early_write_transform", "ExplorationReport", "canonical_trace_id",

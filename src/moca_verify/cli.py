@@ -18,7 +18,7 @@ import click
 from click.core import ParameterSource
 
 from .ir import ParseError, parse_program, pretty_print
-from .engine import ReplayError, initial_state, replay, run_sequence, walk_trace
+from .engine import ExecState, ReplayError, replay, run_sequence, walk_trace
 from .relations import compute_relations, hb_pairs, mask_edges, rf_pairs
 from .coherence import check_c11_oracle, check_moca, shto_order
 from .explorer import (
@@ -241,7 +241,7 @@ def _replay(program, replay_file: str, use_early_write: bool, dump_trace: bool) 
         click.echo(f"error: cannot read schedule {replay_file}: {e}", err=True)
         sys.exit(EXIT_USAGE)
     target = early_write_transform(program) if use_early_write else program
-    state = initial_state(target)
+    state = ExecState(target)
     lines = []
     try:
         for state in replay(state, schedule):

@@ -2,7 +2,7 @@
 
 Two rule families are implemented:
 
-* the shadow-order rules (``shmo1``..``shmo3``, ``shrmo``, ``shto``) that
+* the shadow-order rules (``shmo1``, ``shmo3``, ``shrmo``, ``shto``) that
   decide which interleavings the explorer may keep, and
 * the classic per-location coherence axioms (``mo1``..``mo4``, ``co``) and
   the sc axiom ``to`` (some total order of the sc events extends hb and
@@ -29,6 +29,20 @@ Either way the source is before ``r``, and hb edges point forward.
 ``compute_relations`` raises ``ContractViolation`` on a sequence that
 breaks this.
 
+The rule ``shmo2`` (for reads ``r1`` hb ``r2`` of one object, ``r1``'s
+source ``src1`` does not flush after ``r2``'s source ``src2``) is implied by
+``shmo3``, instance by instance.  Take ``src1 != src2`` with
+``flush_before(src1, src2) is False``.  If ``src1`` is of another thread
+than ``r1``, read resolution made it the latest flushed write at ``r1``, so
+``src2`` flushed before it, and before ``r2``; at ``r2`` the latest flushed
+write is ``src1`` or a later one, so ``src2`` is neither that write nor a
+write of ``r2``'s thread issued after that write's flush, and ``r2`` cannot
+read it.  So ``src1`` is an earlier write of ``r1``'s thread: it is in
+``hb_mask[r1]``, hence in ``hb_mask[r2]``, and ``(src1, r2)`` fails
+``shmo3`` on the same condition.  ``shmo3`` judges the reads a ``shmo2`` instance would be judged
+at (``_reads``), so the same ``check_step`` call prunes, and ``check_moca``
+fails, whenever ``shmo2`` would.
+
 Rules are evaluated with three-valued semantics so they apply to prefixes:
 an ordering constraint between two shadow-writes that are both still pending
 in different queues is *unknown* and passes; once one side flushes the
@@ -39,7 +53,7 @@ post-hoc checker is the reference the incremental filter is tested against.
 The rules quantify over happens-before predecessors by walking the set bits
 of ``hb_mask``, intersected with a position mask where one applies:
 ``shmo1`` walks each target's predecessors outside its own unit and the init
-prefix, ``shmo2``/``shmo3`` those among the read's object's reads/writes.
+prefix, ``shmo3`` those among the read's object's writes.
 Set bits come in position order, so the first witness is the one a scan of
 events in sequence order finds.
 
@@ -160,23 +174,11 @@ def _rule_shmo1(rels: Relations, at: Optional[int] = None) -> Optional[Witness]:
 
 
 def _reads(rels: Relations, at: Optional[int]) -> Iterable[int]:
-    """The reads whose ``shmo2``/``shmo3`` instances ``at`` decides: its own
-    read, or the reads of the write it flushes; every read, by object, for
-    ``None``."""
+    """The reads whose ``shmo3`` instances ``at`` decides: its own read, or
+    the reads of the write it flushes; every read, by object, for ``None``."""
     if at is None:
         return (r for rs in rels.obj_read_mask.values() for r in set_bits(rs))
     return (at,) if rels.events[at].is_read_like else set_bits(rels.readers[at])
-
-
-def _rule_shmo2(rels: Relations, at: Optional[int] = None) -> Optional[Witness]:
-    events, rf = rels.events, rels.rf
-    for r2 in _reads(rels, at):
-        src2 = rf[r2]
-        for r1 in set_bits(rels.hb_mask[r2] & rels.obj_read_mask[events[r2].obj_read]):
-            src1 = rf[r1]
-            if src1 != src2 and flush_before(rels, src1, src2) is False:
-                return (events[r1], events[r2])
-    return None
 
 
 def _rule_shmo3(rels: Relations, at: Optional[int] = None) -> Optional[Witness]:
@@ -274,8 +276,8 @@ def shto_order(rels: Relations) -> Optional[list[int]]:
 
 
 # in report order; ``check_step`` reports the first failure in this order
-_RULES = (("shmo1", _rule_shmo1), ("shmo2", _rule_shmo2), ("shmo3", _rule_shmo3),
-          ("shrmo", _rule_shrmo), ("shto", _rule_shto))
+_RULES = (("shmo1", _rule_shmo1), ("shmo3", _rule_shmo3), ("shrmo", _rule_shrmo),
+          ("shto", _rule_shto))
 
 
 def check_moca(rels: Relations) -> CoherenceVerdict:
@@ -306,8 +308,6 @@ def overdue_write(rels: Relations, rule: str, witness: Witness) -> Optional[Even
     blames, or None: flushing it is the direct repair."""
     if rule in ("shmo1", "shmo3"):
         w = rels.pos[witness[0]]
-    elif rule == "shmo2":
-        w = rels.rf[rels.pos[witness[0]]]
     elif rule == "shrmo":
         w = rels.pos[witness[1]]
     else:

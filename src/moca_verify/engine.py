@@ -11,6 +11,8 @@ Reads resolve deterministically from the interleaving: a read takes its value
 from the write whose shadow-write most recently updated the shared store,
 unless a later write of the same object from the reader's own thread sits
 between that update and the read, in which case it reads that pending write.
+The shared store is kept nowhere else: an object's modification order is
+the order of its store updates, so its value is its mo-last write's.
 
 Initialization is a virtual ``init`` thread whose non-atomic writes and
 shadow-writes occupy a fixed prefix of every sequence (in object order) and
@@ -82,7 +84,9 @@ class Sequence:
 
 
 class ExecState:
-    """Shared store, per-thread locals and cursors, and pending-write queues.
+    """Per-thread locals and cursors, pending-write queues, and the live
+    relations, which hold the shared store: ``shr`` reads each object's
+    value off its mo-last write.
 
     ``advance`` steps the state in place; ``step`` steps a clone and leaves
     the state as it was.  ``pending`` queues each shadow-thread's writes as
@@ -94,7 +98,6 @@ class ExecState:
     def __init__(self, program: Program):
         self.program = program
         self.table: dict[tuple, Event] = {}
-        self.shr: dict[str, int] = dict(program.objects)
         self.lcl: dict[str, dict[str, int]] = {t.name: {} for t in program.threads}
         # cursor per thread: stack of (statement list, next index)
         self.cursors: dict[str, list[tuple[list[Stmt], int]]] = {
@@ -120,7 +123,6 @@ class ExecState:
         other = object.__new__(ExecState)
         other.program = self.program
         other.table = self.table
-        other.shr = dict(self.shr)
         other.lcl = {t: dict(env) for t, env in self.lcl.items()}
         other.cursors = {t: list(frames) for t, frames in self.cursors.items()}
         other.pending = {u: deque(q) for u, q in self.pending.items()}
@@ -215,8 +217,6 @@ class ExecState:
             ew = rels.events[w]
             obj = ew.obj_written
             rels.append_flush(self._event(unit, idx, ew.stmt, Act.SHADOW, (obj,), ew.ord), w)
-            self.shr[obj] = rels.value_of[w]
-            self._check_store_consistency()
             return self
         stmt = self._current_stmt(unit)
         env = self.lcl[unit]
@@ -240,7 +240,6 @@ class ExecState:
             else:
                 ev = self._event(unit, idx, stmt, Act.RMW, (stmt.obj, stmt.obj), stmt.mo)
                 rels.append_rmw(ev, src, new)
-                self.shr[stmt.obj] = new
             env[stmt.local] = old
         else:
             raise AssertionError(f"unexpected statement {stmt!r}")
@@ -248,18 +247,16 @@ class ExecState:
         body, i = frames[-1]
         frames[-1] = (body, i + 1)
         self._normalize(unit)
-        self._check_store_consistency()
         return self
 
-    def _check_store_consistency(self) -> None:
-        # shr must equal init values overwritten by flushes in sequence order
-        for obj in self.program.objects:
-            expect = self.rels.value_of[self.latest_visible_write(obj)]
-            if self.shr[obj] != expect:
-                raise AssertionError(
-                    f"store inconsistency on {obj}: shr={self.shr[obj]} expected {expect}")
-
     # -- views ---------------------------------------------------------------
+
+    @property
+    def shr(self) -> dict[str, int]:
+        """The shared store: each object's value, in declaration order, is
+        that of its mo-last write (the latest shared-store update)."""
+        rels = self.rels
+        return {obj: rels.value_of[rels.mo[obj][-1]] for obj in self.program.objects}
 
     def sequence(self) -> Sequence:
         r = self.rels
@@ -283,10 +280,6 @@ class ExecState:
 # Driver API
 # ---------------------------------------------------------------------------
 
-def initial_state(program: Program) -> ExecState:
-    return ExecState(program)
-
-
 def replay(state: ExecState, schedule: list[str]) -> Iterator[ExecState]:
     """Step ``state`` through ``schedule``, yielding each successor state.
     A unit that is not enabled raises ``ReplayError`` naming its step."""
@@ -297,7 +290,7 @@ def replay(state: ExecState, schedule: list[str]) -> Iterator[ExecState]:
 
 def run_sequence(program: Program, schedule: list[str]) -> ExecState:
     """Deterministic replay: identical schedules yield identical states."""
-    state = initial_state(program)
+    state = ExecState(program)
     for state in replay(state, schedule):
         pass
     return state
@@ -305,5 +298,5 @@ def run_sequence(program: Program, schedule: list[str]) -> ExecState:
 
 def walk_trace(program: Program, schedule: list[str]) -> Iterator[tuple[Event, dict[str, int]]]:
     """Yield (event, shared-store snapshot) after each replayed step."""
-    for state in replay(initial_state(program), schedule):
-        yield state.rels.events[-1], dict(state.shr)
+    for state in replay(ExecState(program), schedule):
+        yield state.rels.events[-1], state.shr

@@ -85,7 +85,7 @@ from .ir import (
     flatten,
     shadow_unit,
 )
-from .engine import ExecState, initial_state
+from .engine import ExecState
 from .relations import (
     LiveRelations,
     Relations,
@@ -621,7 +621,7 @@ class _Explorer:
         top node either explores its next backtrack unit or is popped, and
         the unit it explored joins its sleep set once the search returns."""
         try:
-            self._push(initial_state(self.program), 0)
+            self._push(ExecState(self.program), 0)
             while self.nodes:
                 node = self.nodes[-1]
                 node.sleep |= node.unit
@@ -742,5 +742,5 @@ def enumerate_all(program: Program, *, cap: int = 12, use_early_write: bool = Tr
                 continue
             dfs(child)
 
-    dfs(initial_state(target))
+    dfs(ExecState(target))
     return results

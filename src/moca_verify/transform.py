@@ -50,6 +50,9 @@ from .ir import (
     validate,
 )
 
+# ``check_spr`` tries at most this many input valuations per thread
+MAX_VALUATIONS = 4096
+
 
 def _is_hoistable(s: Stmt) -> bool:
     return isinstance(s, (Store, Fadd, Cas))
@@ -239,13 +242,13 @@ def _run_thread(body: list[Stmt], valuation: dict[tuple, int]) -> _SeqRun:
     return run
 
 
-def check_spr(original: Program, transformed: Program,
-              max_valuations: int = 4096) -> SprVerdict:
+def check_spr(original: Program, transformed: Program) -> SprVerdict:
     """Per-thread preservation verdict for a statement reordering.
 
     spr1: statement multisets are unchanged.
-    spr2: under every input valuation in the bounded value domain, each read
-          resolves to the same same-thread previous write (thread semantics).
+    spr2: under every input valuation in the bounded value domain (the first
+          ``MAX_VALUATIONS`` of them), each read resolves to the same
+          same-thread previous write (thread semantics).
     spr3: per object, the thread's access order is unchanged
           (coherence-per-location).
     """
@@ -261,11 +264,8 @@ def check_spr(original: Program, transformed: Program,
             detail.append(f"{t_orig.name}: statement multiset changed")
             continue
         slots = sorted(set(_read_slots(t_orig.body)) | set(_read_slots(t_new.body)))
-        checked = 0
-        for values in itertools.product(domain, repeat=len(slots)):
-            if checked >= max_valuations:
-                break
-            checked += 1
+        for values in itertools.islice(itertools.product(domain, repeat=len(slots)),
+                                       MAX_VALUATIONS):
             valuation = dict(zip(slots, values))
             run_a = _run_thread(t_orig.body, valuation)
             run_b = _run_thread(t_new.body, valuation)

@@ -6,7 +6,7 @@ import pytest
 from conftest import corpus_names, corpus_program
 
 from moca_verify import early_write_transform, explore, parse_program, run_sequence
-from moca_verify.engine import ReplayError, initial_state, walk_trace
+from moca_verify.engine import ExecState, ReplayError, walk_trace
 from moca_verify.ir import Act, Event
 from moca_verify.relations import LiveRelations, rf_pairs
 
@@ -21,13 +21,13 @@ class TestWorkedExample:
         assert snapshots == [0, 1, 1, 1, 1, 2]
 
     def test_flush_updates_store(self, w_rwr):
-        st = initial_state(w_rwr).step("T1")
+        st = ExecState(w_rwr).step("T1")
         assert st.shr["x"] == 0  # issued but not visible
         st = st.step("sth_x(T1)")
         assert st.shr["x"] == 1
 
     def test_latest_visible_write(self, w_rwr):
-        st = initial_state(w_rwr).step("T1").step("sth_x(T1)")
+        st = ExecState(w_rwr).step("T1").step("sth_x(T1)")
         assert st.rels.events[st.latest_visible_write("x")].key == ("T1", 0)
         st = st.step("T2").step("T2")  # read, then overwrite issued
         # overwrite not flushed yet
@@ -45,7 +45,7 @@ class TestWorkedExample:
         assert st.shr["x"] == 2
 
     def test_read_from_init(self, w_rwr):
-        st = initial_state(w_rwr)
+        st = ExecState(w_rwr)
         assert st.rels.events[st.latest_visible_write("x")].thr == "init"
         src = st.rels.events[st.resolve_rf("T2", "x")]
         assert src.thr == "init"
@@ -60,13 +60,13 @@ def enabled_events(state) -> set:
 
 class TestEnabled:
     def test_initial_two_threads(self, mp):
-        st = initial_state(mp)
+        st = ExecState(mp)
         evs = enabled_events(st)
         assert {e.thr for e in evs} == {"T1", "T2"}
         assert all(e.act is not Act.SHADOW for e in evs)
 
     def test_shadow_enabled_after_store(self, mp):
-        st = initial_state(mp).step("T1")
+        st = ExecState(mp).step("T1")
         units = st.enabled_units()
         assert "sth_x(T1)" in units and "T1" in units and "T2" in units
 
@@ -88,7 +88,7 @@ class TestEnabled:
     def test_fence_changes_nothing_but_sequence(self):
         p = parse_program(
             "program f\ninit x = 0\nthread T1:\n  fence(sc)\n  store(x, 1, rlx)\n")
-        st = initial_state(p)
+        st = ExecState(p)
         before = dict(st.shr)
         st2 = st.step("T1")
         assert st2.shr == before
@@ -118,7 +118,7 @@ class TestRmw:
     def test_fadd_atomic_flush(self):
         p = parse_program(
             "program a\ninit c = 0\nthread T1:\n  r1 = fadd(c, 5, acq_rel)\n")
-        st = initial_state(p).step("T1")
+        st = ExecState(p).step("T1")
         assert st.shr["c"] == 5          # visible immediately
         assert st.lcl["T1"]["r1"] == 0   # local receives the old value
         assert st.enabled_units() == []  # no shadow queued
@@ -126,7 +126,7 @@ class TestRmw:
     def test_failed_cas_is_plain_read(self):
         p = parse_program(
             "program c\ninit l = 7\nthread T1:\n  r = cas(l, 0, 1, sc)\n")
-        st = initial_state(p).step("T1")
+        st = ExecState(p).step("T1")
         ev = st.rels.events[-1]
         assert ev.act is Act.READ
         assert st.shr["l"] == 7
@@ -135,7 +135,7 @@ class TestRmw:
     def test_successful_cas(self):
         p = parse_program(
             "program c\ninit l = 0\nthread T1:\n  r = cas(l, 0, 9, sc)\n")
-        st = initial_state(p).step("T1")
+        st = ExecState(p).step("T1")
         ev = st.rels.events[-1]
         assert ev.act is Act.RMW
         assert st.shr["l"] == 9
@@ -145,7 +145,7 @@ class TestRmw:
 class TestStoreConsistency:
     def test_shared_store_matches_flushes(self, w_rwr):
         # invariant is machine-checked inside step; walk a few interleavings
-        st = initial_state(w_rwr)
+        st = ExecState(w_rwr)
         for unit in ["T2", "T1", "T2", "sth_x(T2)", "T2", "sth_x(T1)"]:
             st = st.step(unit)
         assert st.shr["x"] == 1  # T1's flush landed last
@@ -194,7 +194,7 @@ class TestClone:
             p = corpus_program(name)
             target = early_write_transform(p)
             for t in explore(p).traces:
-                st = initial_state(target)
+                st = ExecState(target)
                 for unit in [None] + t.schedule:
                     if unit is not None:
                         st = st.step(unit)

@@ -1,6 +1,6 @@
 """The mask-based hot paths against their pairwise definitions.
 
-``_rule_shmo1``..``_rule_shmo3`` walk happens-before predecessor bits,
+``_rule_shmo1`` and ``_rule_shmo3`` walk happens-before predecessor bits,
 ``_rule_shto`` and ``shto_order`` search the sc graph by predecessor masks,
 ``check_c11_oracle`` tests ``mo1``..``mo4`` with one mask per event and
 ``to`` with a closure over masks, and race detection visits only the events
@@ -8,14 +8,17 @@
 pairwise scans they replaced are kept here as references and compared,
 witnesses included, on every prefix of an unreduced walk.  So are the
 lookups ``LiveRelations`` reads off its position masks instead of storing
-them (last events, last rmw, sw sources, flush events, next idx).  The same
-walk checks the read resolution that makes ``shco`` hold by construction
-(the ``coherence`` docstring).
+them (last events, last rmw, sw sources, flush events, next idx), and the
+shared store ``ExecState.shr`` reads off the modification order.  The same
+walk checks the read resolution that makes ``shco`` hold by construction,
+and that ``shmo3`` fails wherever the pairwise ``shmo2`` does (the
+``coherence`` docstring).
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -26,7 +29,6 @@ from test_properties import random_program_source
 from moca_verify import parse_program
 from moca_verify.coherence import (
     _rule_shmo1,
-    _rule_shmo2,
     _rule_shmo3,
     _rule_shto,
     _reads,
@@ -35,7 +37,7 @@ from moca_verify.coherence import (
     flush_before,
     shto_order,
 )
-from moca_verify.engine import initial_state, run_sequence
+from moca_verify.engine import ExecState, run_sequence
 from moca_verify.explorer import _estimate_events, conflict_mask, conflicts
 from moca_verify.ir import Act, MO, at_least
 from moca_verify.relations import compute_relations, rf_pairs, set_bits
@@ -74,6 +76,8 @@ def reference_shmo1(rels, at=None):
 
 
 def reference_shmo2(rels, at=None):
+    """CoRR: reads ``r1`` hb ``r2`` of one object whose sources flush in
+    the opposite order.  Not a rule: ``shmo3`` implies it."""
     events = rels.events
     for r2 in _reads(rels, at):
         src2 = rels.rf[r2]
@@ -166,8 +170,8 @@ def reference_shto_order(rels):
     return order
 
 
-RULES = ((_rule_shmo1, reference_shmo1), (_rule_shmo2, reference_shmo2),
-         (_rule_shmo3, reference_shmo3), (_rule_shto, reference_shto))
+RULES = ((_rule_shmo1, reference_shmo1), (_rule_shmo3, reference_shmo3),
+         (_rule_shto, reference_shto))
 
 
 def reference_c11_oracle(rels):
@@ -254,10 +258,10 @@ def walk_programs():
     return programs
 
 
-def unreduced_children(program, limit=1500):
-    """Every child of every coherent prefix, depth first, at most ``limit``,
-    as ``(parent, child)``."""
-    stack = [initial_state(early_write_transform(program))]
+def unreduced_children(program, limit=1500, prune=True):
+    """Every child of every coherent prefix (of every prefix, unless
+    ``prune``), depth first, at most ``limit``, as ``(parent, child)``."""
+    stack = [ExecState(early_write_transform(program))]
     n = 0
     while stack and n < limit:
         st = stack.pop()
@@ -265,7 +269,7 @@ def unreduced_children(program, limit=1500):
             child = st.step(unit)
             n += 1
             yield st, child
-            if check_step(child.rels) is None:
+            if not prune or check_step(child.rels) is None:
                 stack.append(child)
 
 
@@ -432,3 +436,55 @@ def test_read_resolution_places_every_source_before_its_read():
                 seen["own"] += 1
             seen["rmw"] += e.act is Act.RMW
     assert min(seen.values()) > 100, seen
+
+
+def test_shmo3_fails_wherever_shmo2_does():
+    """The ``coherence`` docstring's proof, on every child of the unreduced
+    walk and, for more failing instances, of the unpruned one (the proof
+    uses only read resolution): a failing ``shmo2`` instance comes with a
+    failing ``shmo3`` one, at the step that decides it and post hoc, on
+    live and rebuilt relations."""
+    failing = Counter()     # (prune, "step" or "post hoc") -> shmo2 failures
+    for prune in (True, False):
+        for program in walk_programs():
+            for _, child in unreduced_children(program, prune=prune):
+                live = child.rels
+                new = len(live.events) - 1
+                act = live.events[new].act
+                where = (program.name, child.schedule_so_far())
+                if act is not Act.WRITE:
+                    at = live.origin_of[new] if act is Act.SHADOW else new
+                    if reference_shmo2(live, at) is not None:
+                        assert _rule_shmo3(live, at) is not None, where
+                        failing[prune, "step"] += 1
+                if reference_shmo2(live) is not None:
+                    assert _rule_shmo3(live) is not None, where
+                    rebuilt = compute_relations(child.sequence())
+                    assert reference_shmo2(rebuilt) is not None, where
+                    assert _rule_shmo3(rebuilt) is not None, where
+                    failing[prune, "post hoc"] += 1
+    assert len(failing) == 4 and sum(failing.values()) > 100, failing
+
+
+def reference_store(program, rels):
+    """The shared store replayed from the events: the initial values,
+    overwritten in position order by each shadow-write's write value and
+    each rmw's value."""
+    store = dict(program.objects)
+    for p, e in enumerate(rels.events):
+        if e.act is Act.SHADOW:
+            store[e.obj[0]] = rels.value_of[rels.origin_of[p]]
+        elif e.act is Act.RMW:
+            store[e.obj_written] = rels.value_of[p]
+    return store
+
+
+def test_shared_store_matches_event_replay():
+    updates = 0
+    for program in walk_programs():
+        for _, child in unreduced_children(program):
+            where = (program.name, child.schedule_so_far())
+            expect = reference_store(child.program, child.rels)
+            assert list(child.shr.items()) == list(expect.items()), where
+            updates += child.rels.events[-1].act in (Act.SHADOW, Act.RMW)
+    assert updates > 1000, updates

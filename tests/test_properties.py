@@ -24,7 +24,7 @@ from __future__ import annotations
 import random
 
 from moca_verify import parse_program
-from moca_verify.engine import initial_state, run_sequence
+from moca_verify.engine import ExecState, run_sequence
 from moca_verify.explorer import (
     EnumerationCapExceeded,
     canonical_trace_id,
@@ -274,7 +274,7 @@ def check_interposition(source: str, traces) -> None:
     commuting with ``e2`` (``conflicts``), as the reduction assumes."""
     target = early_write_transform(parse_program(source))
     for trace in traces:
-        state = initial_state(target)
+        state = ExecState(target)
         release_objs = state.rels.release_objs
         for i, unit in enumerate(trace.schedule[:-1]):
             s1 = state.step(unit)

@@ -9,7 +9,7 @@ from test_properties import random_program_source
 
 from moca_verify import explore, parse_program, run_sequence
 from moca_verify.coherence import check_c11_oracle, check_moca, shto_order
-from moca_verify.engine import initial_state
+from moca_verify.engine import ExecState
 from moca_verify.explorer import _Explorer, canonical_trace_id
 from moca_verify.ir import Act, ContractViolation, MO, at_least
 from moca_verify.engine import Sequence
@@ -253,7 +253,7 @@ class TestLiveMatchesReference:
             rep = explore(p)
             target = early_write_transform(p)
             for t in rep.traces[:3]:
-                st = initial_state(target)
+                st = ExecState(target)
                 for u in t.schedule:
                     st = st.step(u)
                     seq = st.sequence()
