@@ -18,7 +18,7 @@ import click
 from click.core import ParameterSource
 
 from .ir import ParseError, parse_program, pretty_print
-from .engine import ExecState, ReplayError, replay, run_sequence, walk_trace
+from .engine import ExecState, ReplayError, run_sequence
 from .relations import compute_relations, hb_pairs, mask_edges, rf_pairs
 from .coherence import check_c11_oracle, check_moca, shto_order
 from .explorer import (
@@ -155,7 +155,8 @@ _EXPLORE_ONLY = frozenset({"as_json", "max_seqs", "max_depth", "no_enforce_expec
                    "or as written with --no-early-write (with --json, under the "
                    "report's \"transformed\" key)")
 @click.option("--dump-relations", is_flag=True,
-              help="include per-trace relation edge lists in the JSON report")
+              help="include per-trace relation edge lists in the JSON report "
+                   "(needs --json)")
 @click.option("--dump-trace", is_flag=True,
               help="print per-step shared-store snapshots of each distinct trace "
                    "(with --json, under each trace's \"snapshots\" key)")
@@ -172,6 +173,8 @@ def verify(path, as_json, max_seqs, max_depth, no_early_write, no_enforce_expect
                 raise click.UsageError(f"{param.opts[0]} has no effect with --replay", ctx)
         _replay(_load(path), replay_file, not no_early_write, dump_trace)
         return
+    if dump_relations and not as_json:
+        raise click.UsageError("--dump-relations needs --json")
 
     program = _load(path)
 
@@ -188,7 +191,9 @@ def verify(path, as_json, max_seqs, max_depth, no_early_write, no_enforce_expect
             entry["relations"] = _relation_dump(target, entry["schedule"])
     if dump_trace:
         for entry in payload["traces"]:
-            snapshots = walk_trace(target, entry["schedule"])
+            state = ExecState(target)
+            snapshots = [(state.advance(unit).rels.events[-1], state.shr)
+                         for unit in entry["schedule"]]
             if as_json:
                 entry["snapshots"] = [{"event": ev.pretty(), "shared": shr}
                                       for ev, shr in snapshots]
@@ -244,7 +249,8 @@ def _replay(program, replay_file: str, use_early_write: bool, dump_trace: bool) 
     state = ExecState(target)
     lines = []
     try:
-        for state in replay(state, schedule):
+        for unit in schedule:
+            state.advance(unit)
             if dump_trace:
                 lines.append(_trace_line(state.rels.events[-1], state.shr))
     except ReplayError as e:

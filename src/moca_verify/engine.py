@@ -20,10 +20,11 @@ are minimal elements of every relation.
 
 ``advance`` executes a unit's next event in place: a shadow-thread flushes
 its oldest pending write, and each statement type builds its event and
-applies it in one branch.  ``step`` is ``clone().advance``: ``replay`` and
-the oracles stay functional, while the explorer advances a node's state in
-place for its last candidate, once it has cloned the state for every other
-one.
+applies it in one branch.  ``step`` is ``clone().advance``, for a state
+that still has other successors to take: the explorer steps a clone of a
+node's state for every candidate but the last, which advances the state in
+place.  ``run_sequence`` and the CLI's replay advance one state through a
+whole schedule.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from .relations import LiveRelations
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from typing import Iterator, Optional
+    from typing import Optional
 
 
 class ReplayError(Exception):
@@ -280,23 +281,10 @@ class ExecState:
 # Driver API
 # ---------------------------------------------------------------------------
 
-def replay(state: ExecState, schedule: list[str]) -> Iterator[ExecState]:
-    """Step ``state`` through ``schedule``, yielding each successor state.
-    A unit that is not enabled raises ``ReplayError`` naming its step."""
-    for unit in schedule:
-        state = state.step(unit)
-        yield state
-
-
 def run_sequence(program: Program, schedule: list[str]) -> ExecState:
-    """Deterministic replay: identical schedules yield identical states."""
+    """Deterministic replay: identical schedules yield identical states.
+    A unit that is not enabled raises ``ReplayError`` naming its step."""
     state = ExecState(program)
-    for state in replay(state, schedule):
-        pass
+    for unit in schedule:
+        state.advance(unit)
     return state
-
-
-def walk_trace(program: Program, schedule: list[str]) -> Iterator[tuple[Event, dict[str, int]]]:
-    """Yield (event, shared-store snapshot) after each replayed step."""
-    for state in replay(ExecState(program), schedule):
-        yield state.rels.events[-1], state.shr

@@ -77,7 +77,6 @@ from .ir import (
     MO,
     Program,
     QualifiedRef,
-    SharedRef,
     Store,
     UndefinedName,
     eval_expr,
@@ -280,11 +279,9 @@ def detect_na_races(rels: Relations) -> list[tuple[Event, Event]]:
 class AssertOutcome:
     __slots__ = ("violations", "diagnostics")
 
-    def __init__(self, violations: Optional[list[int]] = None,
-                 diagnostics: Optional[list[str]] = None) -> None:
-        # indices into program.asserts
-        self.violations = [] if violations is None else violations
-        self.diagnostics = [] if diagnostics is None else diagnostics
+    def __init__(self) -> None:
+        self.violations: list[int] = []     # indices into program.asserts
+        self.diagnostics: list[str] = []
 
 
 def bare_names(expr) -> tuple[str, ...]:
@@ -309,15 +306,11 @@ def check_asserts(program: Program, final: ExecState,
     out = AssertOutcome()
     shr, lcl, objects = final.shr, final.lcl, program.objects
 
-    def resolve(ref) -> int:
-        if isinstance(ref, SharedRef):
-            return shr[ref.obj]
-        if isinstance(ref, QualifiedRef):
-            env = lcl.get(ref.thread)
-            if env is None or ref.local not in env:
-                raise UndefinedName(f"{ref.thread}.{ref.local}")
-            return env[ref.local]
-        raise UndefinedName(str(ref))
+    def resolve(ref: QualifiedRef) -> int:
+        env = lcl.get(ref.thread)
+        if env is None or ref.local not in env:
+            raise UndefinedName(f"{ref.thread}.{ref.local}")
+        return env[ref.local]
 
     for i, (a, bare) in enumerate(zip(program.asserts, names)):
         env: dict[str, int] = {}
@@ -362,24 +355,19 @@ class ExplorationReport:
                  "violations", "na_races", "racy_sequence_count", "traces",
                  "assert_diagnostics", "budget_exhausted", "c11_oracle_failures")
 
-    def __init__(self, program: str, sequences_explored: int = 0, distinct_traces: int = 0,
-                 non_mca_sequences: int = 0, violations: Optional[list[dict]] = None,
-                 na_races: Optional[list[dict]] = None, racy_sequence_count: int = 0,
-                 traces: Optional[list[TraceSummary]] = None,
-                 assert_diagnostics: Optional[list[str]] = None,
-                 budget_exhausted: bool = False, c11_oracle_failures: int = 0) -> None:
+    def __init__(self, program: str) -> None:
         self.program = program
-        self.sequences_explored = sequences_explored
-        self.distinct_traces = distinct_traces
-        self.non_mca_sequences = non_mca_sequences
-        self.violations = [] if violations is None else violations
-        self.na_races = [] if na_races is None else na_races
-        self.racy_sequence_count = racy_sequence_count
-        self.traces = [] if traces is None else traces
+        self.sequences_explored = 0
+        self.distinct_traces = 0
+        self.non_mca_sequences = 0
+        self.violations: list[dict] = []
+        self.na_races: list[dict] = []
+        self.racy_sequence_count = 0
+        self.traces: list[TraceSummary] = []
         # distinct, first seen first
-        self.assert_diagnostics = [] if assert_diagnostics is None else assert_diagnostics
-        self.budget_exhausted = budget_exhausted
-        self.c11_oracle_failures = c11_oracle_failures
+        self.assert_diagnostics: list[str] = []
+        self.budget_exhausted = False
+        self.c11_oracle_failures = 0
 
     @property
     def trace_ids(self) -> set[str]:
@@ -727,20 +715,21 @@ def enumerate_all(program: Program, *, cap: int = 12, use_early_write: bool = Tr
         raise EnumerationCapExceeded(estimate, cap)
 
     results: dict[str, list[str]] = {}
-
-    def dfs(state: ExecState) -> None:
+    # depth first with an explicit stack: children are pushed last unit
+    # first, so leaves are reached in the order of a recursive walk
+    stack = [ExecState(target)]
+    while stack:
+        state = stack.pop()
         units = state.enabled_units()
         if not units:
             rels = compute_relations(state.sequence())
             if check_moca(rels).ok:
                 tid = canonical_trace_id(rels)
                 results.setdefault(tid, state.schedule_so_far())
-            return
-        for unit in units:
+            continue
+        for unit in reversed(units):
             child = state.step(unit)
             if prefilter and check_step(child.rels) is not None:
                 continue
-            dfs(child)
-
-    dfs(ExecState(target))
+            stack.append(child)
     return results

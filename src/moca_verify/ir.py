@@ -213,14 +213,6 @@ class LocalRef(_Value):
         _set(self, "name", name)
 
 
-class SharedRef(_Value):
-    """Final value of a shared object; valid only inside assert predicates."""
-    __slots__ = _fields = ("obj",)
-
-    def __init__(self, obj: str) -> None:
-        _set(self, "obj", obj)
-
-
 class QualifiedRef(_Value):
     """``Thread.local`` reference; valid only inside assert predicates."""
     __slots__ = _fields = ("thread", "local")
@@ -247,7 +239,7 @@ class BinOp(_Value):
         _set(self, "right", right)
 
 
-Expr = Const | LocalRef | SharedRef | QualifiedRef | UnOp | BinOp
+Expr = Const | LocalRef | QualifiedRef | UnOp | BinOp
 
 
 def expr_leaves(e: Expr) -> list[Expr]:
@@ -293,7 +285,7 @@ def eval_expr(e: Expr, env: dict[str, int],
               resolve: Optional[Callable[[Expr], int]] = None) -> int:
     """Evaluate over locals in ``env``; booleans are 1/0.
 
-    ``resolve`` handles SharedRef/QualifiedRef nodes (assert evaluation).
+    ``resolve`` handles QualifiedRef nodes (assert evaluation).
     """
     if isinstance(e, Const):
         return e.value
@@ -301,9 +293,9 @@ def eval_expr(e: Expr, env: dict[str, int],
         if e.name not in env:
             raise UndefinedName(e.name)
         return env[e.name]
-    if isinstance(e, (SharedRef, QualifiedRef)):
+    if isinstance(e, QualifiedRef):
         if resolve is None:
-            raise ExprError("shared reference outside assert context")
+            raise ExprError("qualified reference outside assert context")
         return resolve(e)
     if isinstance(e, UnOp):
         return int(_UNARY[e.op](eval_expr(e.operand, env, resolve)))
@@ -322,8 +314,6 @@ def render_expr(e: Expr) -> str:
         return str(e.value)
     if isinstance(e, LocalRef):
         return e.name
-    if isinstance(e, SharedRef):
-        return e.obj
     if isinstance(e, QualifiedRef):
         return f"{e.thread}.{e.local}"
     if isinstance(e, UnOp):

@@ -79,7 +79,7 @@ from .ir import Act, ContractViolation, Event, MO, at_least
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from typing import Iterable, Iterator, Optional
+    from typing import Iterator, Optional
 
     from .engine import Sequence
 
@@ -87,30 +87,6 @@ if TYPE_CHECKING:
 def _is_weak(w: Event) -> bool:
     """A non-rmw write strictly weaker than release."""
     return w.act is not Act.RMW and w.ord in (MO.NA, MO.RLX)
-
-
-def _is_cutting(w: Event, head: Event) -> bool:
-    """A release sequence is cut by a foreign-thread weak write."""
-    return w.thr != head.thr and _is_weak(w)
-
-
-def release_sequence_members(issue_order: Iterable[Event], head: Event) -> list[Event]:
-    """Writes of head's object forming the release sequence headed by `head`,
-    in issue order."""
-    if not (head.is_write_like and at_least(head.ord, MO.REL)):
-        raise ContractViolation("release sequence head must be a release-class write")
-    members = [head]
-    seen_head = False
-    for w in issue_order:
-        if w == head:
-            seen_head = True
-            continue
-        if not seen_head:
-            continue
-        if _is_cutting(w, head):
-            break
-        members.append(w)
-    return members
 
 
 def release_heads(events: list[Event], src: int, earlier: int) -> int:
@@ -121,7 +97,8 @@ def release_heads(events: list[Event], src: int, earlier: int) -> int:
     One walk down its bits from the source: a head qualifies while every
     weak write after it, ``src`` included, is of the head's own thread, so
     the walk ends at the second thread with a weak write.
-    ``release_sequence_members`` is the per-head reference.
+    ``release_sequence_members`` in ``tests/oracles.py`` is the per-head
+    reference.
     """
     heads = 0
     s = events[src]

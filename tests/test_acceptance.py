@@ -11,9 +11,10 @@ import time
 import pytest
 
 from conftest import corpus_names, corpus_program
+from oracles import check_spr
 
 from moca_verify.explorer import EnumerationCapExceeded, enumerate_all, explore
-from moca_verify.transform import check_spr, early_write_transform
+from moca_verify.transform import early_write_transform
 
 from test_properties import run_hb_validity_suite
 

@@ -158,6 +158,11 @@ class TestVerify:
         assert rel["schema"] == "moca-verify-relations/1"
         assert set(rel) >= {"rf", "sw", "dob", "hb", "mo", "to"}
 
+    def test_dump_relations_needs_json(self, runner):
+        result = runner.invoke(main, ["verify", corpus("mp"), "--dump-relations"])
+        assert result.exit_code == 2
+        assert "--dump-relations needs --json" in result.output
+
     def test_internal_error_exits_four(self, runner, monkeypatch):
         def crash(*args, **kwargs):
             raise RecursionError("maximum recursion depth exceeded\nin _explore")
@@ -342,6 +347,16 @@ class TestEnumerate:
         result = runner.invoke(main, ["enumerate", corpus("ww-rr"), "--cap", "4"])
         assert result.exit_code == 2
         assert "schedulable events" in result.output
+
+    def test_deep_single_thread_enumerates(self, runner, tmp_path):
+        # 1100 loads put 1100 events on the one schedule: the walk needs no
+        # recursion, and only --cap bounds it
+        deep = tmp_path / "deep.lit"
+        deep.write_text("program deep\ninit x = 0\nthread T1:\n"
+                        + "".join(f"  r{i} = load(x, rlx)\n" for i in range(1100)))
+        result = runner.invoke(main, ["enumerate", str(deep), "--cap", "2000"])
+        assert result.exit_code == 0, result.output
+        assert "distinct_traces: 1" in result.output
 
 
 class TestTransform:

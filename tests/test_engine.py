@@ -6,7 +6,7 @@ import pytest
 from conftest import corpus_names, corpus_program
 
 from moca_verify import early_write_transform, explore, parse_program, run_sequence
-from moca_verify.engine import ExecState, ReplayError, walk_trace
+from moca_verify.engine import ExecState, ReplayError
 from moca_verify.ir import Act, Event
 from moca_verify.relations import LiveRelations, rf_pairs
 
@@ -17,7 +17,8 @@ class TestWorkedExample:
     """Two-thread single-object run: issue, flush, read, overwrite, re-read."""
 
     def test_memory_snapshots(self, w_rwr):
-        snapshots = [snap["x"] for _, snap in walk_trace(w_rwr, W_RWR_SCHEDULE)]
+        state = ExecState(w_rwr)
+        snapshots = [state.advance(unit).shr["x"] for unit in W_RWR_SCHEDULE]
         assert snapshots == [0, 1, 1, 1, 1, 2]
 
     def test_flush_updates_store(self, w_rwr):

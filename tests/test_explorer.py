@@ -32,11 +32,11 @@ from moca_verify.explorer import (
 from moca_verify.ir import (
     Act,
     BinOp,
+    Const,
     ContractViolation,
     Event,
     LocalRef,
     QualifiedRef,
-    SharedRef,
     UndefinedName,
     UnOp,
     eval_expr,
@@ -60,6 +60,11 @@ class TestTraceCounts:
     def test_distinct_traces(self, name, expected):
         rep = explore(corpus_program(name))
         assert rep.distinct_traces == expected
+
+    @pytest.mark.parametrize("name", corpus_names())
+    def test_corpus_expect_traces_hold(self, name):
+        program = corpus_program(name)
+        assert explore(program).distinct_traces == program.expect_traces
 
     @pytest.mark.parametrize("name,sequences,traces", [
         # plain write issues of different threads commute on objects no
@@ -356,14 +361,13 @@ def outcome(o: AssertOutcome) -> tuple:
 
 
 def reference_check_asserts(program, final) -> AssertOutcome:
-    """``check_asserts`` as first written: every bare name is rewritten to a
-    shared or thread-qualified reference, then the tree is evaluated."""
+    """``check_asserts`` as first written: every bare name is rewritten to an
+    object's final value or a thread-qualified reference, then the tree is
+    evaluated."""
     out = AssertOutcome()
     locals_by_thread = final.final_locals()
 
     def resolve(ref) -> int:
-        if isinstance(ref, SharedRef):
-            return final.shr[ref.obj]
         env = locals_by_thread.get(ref.thread)
         if env is None or ref.local not in env:
             raise UndefinedName(f"{ref.thread}.{ref.local}")
@@ -372,7 +376,7 @@ def reference_check_asserts(program, final) -> AssertOutcome:
     def rewrite(e):
         if isinstance(e, LocalRef):
             if e.name in final.program.objects:
-                return SharedRef(e.name)
+                return Const(final.shr[e.name])
             owners = [t for t, ls in locals_by_thread.items() if e.name in ls]
             if len(owners) == 1:
                 return QualifiedRef(owners[0], e.name)

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from conftest import corpus_names, corpus_program
+from oracles import release_sequence_members
 from test_properties import random_program_source
 
 from moca_verify import explore, parse_program, run_sequence
@@ -16,7 +17,6 @@ from moca_verify.engine import Sequence
 from moca_verify.relations import (
     compute_relations,
     mask_edges,
-    release_sequence_members,
     rf_pairs,
     set_bits,
 )

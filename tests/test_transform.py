@@ -4,11 +4,12 @@ from conftest import corpus_names, corpus_program, structurally_equal
 
 import random
 
+from oracles import check_spr
 from test_properties import random_program_source
 
 from moca_verify import parse_program, pretty_print
-from moca_verify.ir import IfBlock, Load, Store, flatten
-from moca_verify.transform import check_spr, early_write_transform
+from moca_verify.ir import IfBlock, Load, Store, flatten, validate
+from moca_verify.transform import early_write_transform
 
 
 def statements(program):
@@ -129,6 +130,15 @@ class TestHoisting:
             assert not {id(s) for s in statements(p)} & {id(s) for s in statements(q)}
             hoisted += not structurally_equal(p, q)
         assert hoisted >= 10
+
+    def test_output_is_valid(self):
+        """Hoisting never moves a statement across one that shares a local,
+        so ``early_write_transform`` needs no ``validate`` of its own."""
+        rng = random.Random(20261020)
+        programs = [corpus_program(n) for n in corpus_names()]
+        programs += [parse_program(random_program_source(rng)) for _ in range(300)]
+        for p in programs:
+            validate(early_write_transform(p))
 
     def test_idempotent_on_corpus(self):
         for name in corpus_names():
