@@ -245,6 +245,10 @@ def _replay(program, replay_file: str, use_early_write: bool, dump_trace: bool) 
     except (OSError, json.JSONDecodeError) as e:
         click.echo(f"error: cannot read schedule {replay_file}: {e}", err=True)
         sys.exit(EXIT_USAGE)
+    if not (isinstance(schedule, list) and all(isinstance(u, str) for u in schedule)):
+        click.echo(f"error: cannot read schedule {replay_file}: "
+                   "not a JSON list of unit names", err=True)
+        sys.exit(EXIT_USAGE)
     target = early_write_transform(program) if use_early_write else program
     state = ExecState(target)
     lines = []

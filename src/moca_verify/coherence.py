@@ -85,12 +85,12 @@ relation classes keep ``readers``.
 
 from __future__ import annotations
 
-from .ir import Act, Event, MO
-from .relations import LiveRelations, Relations, set_bits
+from .ir import RMW, SC, SHADOW, WRITE, Event
+from .relations import LiveRelations, Relations
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from typing import Iterable, Optional
+    from typing import Optional
 
 Witness = tuple[Event, ...]
 
@@ -149,46 +149,63 @@ def _shmo1_triggered(rels: Relations, e: int) -> int:
     events, rf = rels.events, rels.rf
     skip = (1 << rels.init_len) - 1 | rels.unit_mask[events[e].thr]
     out = 0
-    for p in set_bits(rels.hb_mask[e] & ~(skip | rels.sw[e] | rels.dob[e])):
-        x = events[p]
+    preds = rels.hb_mask[e] & ~(skip | rels.sw[e] | rels.dob[e])
+    while preds:
+        low = preds & -preds
+        x = events[low.bit_length() - 1]
         if x.is_write_like:
-            out |= 1 << p
+            out |= low
         if x.is_read_like:
-            out |= 1 << rf[p]
+            out |= 1 << rf[low.bit_length() - 1]
+        preds ^= low
     return out & ~skip
 
 
 def _rule_shmo1(rels: Relations, at: Optional[int] = None) -> Optional[Witness]:
-    events = rels.events
+    """Each write that ``_shmo1_triggered`` gives for ``e`` flushes before
+    ``e``, or before e's own flush if ``e`` is write-like: there
+    ``flush_before`` is False iff ``e`` has flushed and the write has not
+    flushed before it."""
+    events, flush_pos = rels.events, rels.flush_pos
     for e in range(rels.init_len, len(events)) if at is None else (at,):
         ev = events[e]
-        for p in set_bits(_shmo1_triggered(rels, e)):
-            if ev.is_write_like:
-                if flush_before(rels, p, e) is False:
-                    return (events[p], ev)
-            else:
-                f = rels.flush_pos[p]
-                if f < 0 or f >= e:
-                    return (events[p], ev)
+        bound = flush_pos[e] if ev.is_write_like else e
+        if bound < 0:
+            continue
+        triggered = _shmo1_triggered(rels, e)
+        while triggered:
+            low = triggered & -triggered
+            p = low.bit_length() - 1
+            if not 0 <= flush_pos[p] < bound:
+                return (events[p], ev)
+            triggered ^= low
     return None
 
 
-def _reads(rels: Relations, at: Optional[int]) -> Iterable[int]:
+def _reads(rels: Relations, at: Optional[int]) -> list[int]:
     """The reads whose ``shmo3`` instances ``at`` decides: its own read, or
     the reads of the write it flushes; every read, by object, for ``None``."""
-    if at is None:
-        return (r for rs in rels.obj_read_mask.values() for r in set_bits(rs))
-    return (at,) if rels.events[at].is_read_like else set_bits(rels.readers[at])
+    if at is not None and rels.events[at].is_read_like:
+        return [at]
+    out = []
+    for reads in rels.obj_read_mask.values() if at is None else (rels.readers[at],):
+        while reads:
+            low = reads & -reads
+            out.append(low.bit_length() - 1)
+            reads ^= low
+    return out
 
 
 def _rule_shmo3(rels: Relations, at: Optional[int] = None) -> Optional[Witness]:
-    events = rels.events
+    events, rf, hb_mask, writes = rels.events, rels.rf, rels.hb_mask, rels.obj_write_mask
     for r in _reads(rels, at):
-        src = rels.rf[r]
-        obj = events[r].obj_read
-        for w1 in set_bits(rels.hb_mask[r] & rels.obj_write_mask.get(obj, 0)):
-            if w1 != src and flush_before(rels, w1, src) is False:
-                return (events[w1], events[r])
+        src = rf[r]
+        w1s = hb_mask[r] & writes.get(events[r].obj_read, 0) & ~(1 << src)
+        while w1s:
+            low = w1s & -w1s
+            if flush_before(rels, low.bit_length() - 1, src) is False:
+                return (events[low.bit_length() - 1], events[r])
+            w1s ^= low
     return None
 
 
@@ -196,7 +213,7 @@ def _rule_shrmo(rels: Relations, at: Optional[int] = None) -> Optional[Witness]:
     events = rels.events
     for e in range(len(events)) if at is None else (at,):
         ev = events[e]
-        if ev.act is not Act.RMW:
+        if ev.act is not RMW:
             continue
         src = rels.rf[e]
         order = rels.mo[ev.obj_read]
@@ -247,7 +264,7 @@ def _rule_shto(rels: Relations, at: Optional[int] = None) -> Optional[Witness]:
     earliest-placed event on any cycle, in placement order.  An edge is
     fixed once both its events are placed, so on a prefix whose proper
     prefixes passed, every cycle passes through ``at``."""
-    if at is not None and rels.events[at].ord is not MO.SC:
+    if at is not None and rels.events[at].ord is not SC:
         return None
     nodes, preds = _sc_graph(rels)
     for a in nodes if at is None else (at,):
@@ -293,9 +310,9 @@ def check_step(rels: LiveRelations) -> Optional[tuple[str, Witness]]:
     """
     new = len(rels.events) - 1
     act = rels.events[new].act
-    if act is Act.WRITE:
+    if act is WRITE:
         return None
-    at = rels.origin_of[new] if act is Act.SHADOW else new
+    at = rels.origin_of[new] if act is SHADOW else new
     for name, rule in _RULES:
         w = rule(rels, at)
         if w is not None:
@@ -319,6 +336,24 @@ def overdue_write(rels: Relations, rule: str, witness: Witness) -> Optional[Even
 # Per-location coherence oracle
 # ---------------------------------------------------------------------------
 
+def _least_pair(events: list[Event], hb_mask: list[int], ps: int, target: int,
+                excluded: list[int], via: Optional[list[int]] = None) -> Optional[Witness]:
+    """``(events[q], events[p])`` for the least q, then the least p, where
+    p is a set bit of ``ps`` and q one of ``hb_mask[p] & target &
+    ~excluded[x]``, x being ``via[p]`` if ``via`` is given, else p; None
+    if there is none.  p ascends, so a later p wins only with a lower q,
+    and a p whose mask holds the least q has it as its lowest bit."""
+    least = best = 0
+    while ps:
+        low = ps & -ps
+        p = low.bit_length() - 1
+        m = hb_mask[p] & target & ~excluded[p if via is None else via[p]]
+        if m and (not least or m & (least - 1)):
+            least, best = m & -m, p
+        ps ^= low
+    return (events[least.bit_length() - 1], events[best]) if least else None
+
+
 def check_c11_oracle(rels: Relations) -> CoherenceVerdict:
     """Validate (hb, rf, mo) against the per-location coherence axioms
     and the sc total-order axiom; violations are verdicts, not exceptions.
@@ -339,49 +374,44 @@ def check_c11_oracle(rels: Relations) -> CoherenceVerdict:
     reads_of = rels.readers     # reads by source write
     writes_before = [0] * n     # writes mo-before each write
     reads_before = [0] * n      # reads of writes mo-before it
+    reads_through = list(reads_of)  # ... and its own reads
     for ws in rels.mo.values():
         w_mask = r_mask = 0
         for w in ws:
             writes_before[w], reads_before[w] = w_mask, r_mask
             w_mask |= 1 << w
             r_mask |= reads_of[w]
+            reads_through[w] = r_mask
 
-    def first(per_obj: Iterable[list[tuple[int, int]]], by_mask: bool) -> Optional[Witness]:
-        """The first ``(events[q], events[p])``, q a set bit of p's mask,
-        over each object's ``(p, mask)`` pairs in position order: ordered
-        by q, then p if ``by_mask``, else by p, then q."""
-        for pairs in per_obj:
-            if by_mask:
-                union = 0
-                for _, m in pairs:
-                    union |= m
-                if not union:
-                    continue
-                q = (union & -union).bit_length() - 1
-                p = next(p for p, m in pairs if m >> q & 1)
-            else:
-                p, m = next(((p, m) for p, m in pairs if m), (0, 0))
-                if not m:
-                    continue
-                q = (m & -m).bit_length() - 1
-            return (events[q], events[p])
-        return None
-
-    verdict = CoherenceVerdict()
-    verdict.rules["mo1"] = first((
-        [(w2, hb_mask[w2] & ws & ~writes_before[w2]) for w2 in set_bits(ws)]
-        for ws in write_mask.values()), True)
-    verdict.rules["mo2"] = first((
-        [(r2, hb_mask[r2] & rs & ~(reads_before[rf[r2]] | reads_of[rf[r2]]))
-         for r2 in set_bits(rs)]
-        for rs in read_mask.values()), True)
-    verdict.rules["mo3"] = first((
-        [(w1, hb_mask[w1] & rs & ~reads_before[w1]) for w1 in set_bits(write_mask.get(obj, 0))]
-        for obj, rs in read_mask.items()), True)
-    verdict.rules["mo4"] = first((
-        [(r1, hb_mask[r1] & write_mask.get(obj, 0) & ~(writes_before[rf[r1]] | 1 << rf[r1]))
-         for r1 in set_bits(rs)]
-        for obj, rs in read_mask.items()), False)
+    verdict = CoherenceVerdict(dict.fromkeys(("mo1", "mo2", "mo3", "mo4", "to", "co")))
+    rules = verdict.rules
+    for ws in write_mask.values():
+        rules["mo1"] = _least_pair(events, hb_mask, ws, ws, writes_before)
+        if rules["mo1"]:
+            break
+    for rs in read_mask.values():
+        rules["mo2"] = _least_pair(events, hb_mask, rs, rs, reads_through, rf)
+        if rules["mo2"]:
+            break
+    for obj, rs in read_mask.items():
+        rules["mo3"] = _least_pair(events, hb_mask, write_mask.get(obj, 0), rs,
+                                   reads_before)
+        if rules["mo3"]:
+            break
+    # mo4: in the first object with a violation, the least p, then its
+    # least q
+    for obj, rs in read_mask.items():
+        ws = write_mask.get(obj, 0)
+        while rs:
+            low = rs & -rs
+            r1 = low.bit_length() - 1
+            m = hb_mask[r1] & ws & ~(writes_before[rf[r1]] | 1 << rf[r1])
+            if m:
+                rules["mo4"] = (events[(m & -m).bit_length() - 1], events[r1])
+                break
+            rs ^= low
+        if rules["mo4"]:
+            break
 
     # some total order of the sc events extends hb and mo iff the closure
     # of their union orders no pair both ways
@@ -392,16 +422,15 @@ def check_c11_oracle(rels: Relations) -> CoherenceVerdict:
         for a in sc:
             if after[a] >> k & 1:
                 after[a] |= after[k]
-    verdict.rules["to"] = next(
+    rules["to"] = next(
         ((events[a], events[b]) for i, a in enumerate(sc) for b in sc[i + 1:]
          if after[a] >> b & 1 and after[b] >> a & 1), None)
 
-    verdict.rules["co"] = None
     for r, e in enumerate(events):
         if not e.is_read_like:
             continue
         w = rf[r]
         if w < 0 or hb_mask[w] >> r & 1:
-            verdict.rules["co"] = (e,) if w < 0 else (e, events[w])
+            rules["co"] = (e,) if w < 0 else (e, events[w])
             break
     return verdict

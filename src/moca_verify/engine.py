@@ -32,6 +32,12 @@ from __future__ import annotations
 from collections import deque
 
 from .ir import (
+    FENCE,
+    NA,
+    READ,
+    RMW,
+    SHADOW,
+    WRITE,
     Act,
     Cas,
     Event,
@@ -41,20 +47,13 @@ from .ir import (
     INIT_THREAD,
     Load,
     LocalAssign,
-    MO,
     Program,
     Stmt,
     Store,
     eval_expr,
-    is_shadow_unit,
     release_class_objects,
-    shadow_unit,
 )
 from .relations import LiveRelations
-
-TYPE_CHECKING = False
-if TYPE_CHECKING:
-    from typing import Optional
 
 
 class ReplayError(Exception):
@@ -114,9 +113,9 @@ class ExecState:
 
     def _seed_init_events(self) -> None:
         for i, (obj, val) in enumerate(sorted(self.program.objects.items())):
-            w = Event(thr=INIT_THREAD, act=Act.WRITE, obj=(obj,), ord=MO.NA, idx=i)
-            sh = Event(thr=shadow_unit(INIT_THREAD, obj), act=Act.SHADOW,
-                       obj=(obj,), ord=MO.NA, idx=0)
+            w = Event(thr=INIT_THREAD, act=WRITE, obj=(obj,), ord=NA, idx=i)
+            sh = Event(thr=w.flush_unit, act=SHADOW,
+                       obj=(obj,), ord=NA, idx=0)
             self.rels.append_init(w, sh, val)
         self.rels.seal_init()
 
@@ -156,18 +155,12 @@ class ExecState:
                 continue
             return
 
-    def _current_stmt(self, thread: str) -> Optional[Stmt]:
-        frames = self.cursors[thread]
-        if not frames:
-            return None
-        body, i = frames[-1]
-        return body[i]
-
     # -- enabledness -----------------------------------------------------------
 
     def enabled_units(self) -> list[str]:
-        units = [t.name for t in self.program.threads if self.cursors[t.name]]
-        units.extend(sorted(u for u, q in self.pending.items() if q))
+        # cursors are keyed in thread declaration order
+        units = [t for t, frames in self.cursors.items() if frames]
+        units += sorted([u for u, q in self.pending.items() if q])
         return units
 
     # -- reads-from resolution ---------------------------------------------------
@@ -188,13 +181,16 @@ class ExecState:
 
     # -- stepping ------------------------------------------------------------
 
-    def _event(self, unit: str, idx: int, stmt: Stmt, act: Act,
-               obj: tuple[str, ...], ord: MO) -> Event:
-        """The event ``unit`` executes as its ``idx``-th, built once."""
+    def _event(self, unit: str, idx: int, stmt: Stmt, act: Act) -> Event:
+        """The event ``unit`` executes as its ``idx``-th, built once; its
+        object and order are read off ``stmt`` (for a shadow-write, the
+        ``Store`` it flushes)."""
         key = (unit, idx, id(stmt), act)
         ev = self.table.get(key)
         if ev is None:
-            ev = self.table[key] = Event(thr=unit, act=act, obj=obj, ord=ord,
+            obj = () if act is FENCE else (
+                (stmt.obj, stmt.obj) if act is RMW else (stmt.obj,))
+            ev = self.table[key] = Event(thr=unit, act=act, obj=obj, ord=stmt.mo,
                                          idx=idx, stmt=stmt)
         return ev
 
@@ -207,47 +203,51 @@ class ExecState:
         """Execute the next event of ``unit`` in place; returns ``self``.
         The one enabledness check: a ``ReplayError`` at the schedule index
         of this step."""
-        if not (self.cursors.get(unit) or self.pending.get(unit)):
-            raise ReplayError(len(self.rels.events) - self.rels.init_len, unit,
-                              "not enabled")
         rels = self.rels
         # a unit's next idx is the number of events it has executed
         idx = rels.unit_mask.get(unit, 0).bit_count()
-        if is_shadow_unit(unit):
-            w = self.pending[unit].popleft()
-            ew = rels.events[w]
-            obj = ew.obj_written
-            rels.append_flush(self._event(unit, idx, ew.stmt, Act.SHADOW, (obj,), ew.ord), w)
+        queue = self.pending.get(unit)
+        if queue:   # a shadow-thread flushes its oldest pending write
+            w = queue.popleft()
+            rels.append_flush(self._event(unit, idx, rels.events[w].stmt, SHADOW), w)
             return self
-        stmt = self._current_stmt(unit)
+        frames = self.cursors.get(unit)
+        if not frames:
+            raise ReplayError(len(rels.events) - rels.init_len, unit, "not enabled")
+        body, i = frames[-1]
+        stmt = body[i]
+        cls = stmt.__class__
         env = self.lcl[unit]
-        if isinstance(stmt, Store):
-            ev = self._event(unit, idx, stmt, Act.WRITE, (stmt.obj,), stmt.mo)
+        if cls is Store:
+            ev = self._event(unit, idx, stmt, WRITE)
             w = rels.append_write(ev, eval_expr(stmt.value, env))
-            self.pending.setdefault(shadow_unit(unit, stmt.obj), deque()).append(w)
-        elif isinstance(stmt, Fence):
-            rels.append_fence(self._event(unit, idx, stmt, Act.FENCE, (), stmt.mo))
-        elif isinstance(stmt, (Load, Fadd, Cas)):
+            queue = self.pending.get(ev.flush_unit)
+            if queue is None:
+                self.pending[ev.flush_unit] = deque((w,))
+            else:
+                queue.append(w)
+        elif cls is Load or cls is Fadd or cls is Cas:
             src = self.resolve_rf(unit, stmt.obj)
             old = rels.value_of[src]
             new = None
-            if isinstance(stmt, Fadd):
+            if cls is Fadd:
                 new = old + eval_expr(stmt.delta, env)
-            elif isinstance(stmt, Cas) and old == eval_expr(stmt.expect, env):
+            elif cls is Cas and old == eval_expr(stmt.expect, env):
                 new = eval_expr(stmt.desired, env)
             if new is None:     # a load, or a failed cas
-                ev = self._event(unit, idx, stmt, Act.READ, (stmt.obj,), stmt.mo)
-                rels.append_read(ev, src)
+                rels.append_read(self._event(unit, idx, stmt, READ), src)
             else:
-                ev = self._event(unit, idx, stmt, Act.RMW, (stmt.obj, stmt.obj), stmt.mo)
-                rels.append_rmw(ev, src, new)
+                rels.append_rmw(self._event(unit, idx, stmt, RMW), src, new)
             env[stmt.local] = old
+        elif cls is Fence:
+            rels.append_fence(self._event(unit, idx, stmt, FENCE))
         else:
             raise AssertionError(f"unexpected statement {stmt!r}")
-        frames = self.cursors[unit]
-        body, i = frames[-1]
-        frames[-1] = (body, i + 1)
-        self._normalize(unit)
+        i += 1
+        frames[-1] = (body, i)
+        # only an assignment, a branch or a block's end moves the cursor on
+        if i == len(body) or body[i].__class__ in (LocalAssign, IfBlock):
+            self._normalize(unit)
         return self
 
     # -- views ---------------------------------------------------------------

@@ -71,10 +71,12 @@ except ImportError:
         from hashlib import sha256      # a build without built-in hashes
 
 from .ir import (
-    Act,
+    NA,
+    READ,
+    RMW,
+    WRITE,
     Event,
     LocalRef,
-    MO,
     Program,
     QualifiedRef,
     Store,
@@ -151,7 +153,7 @@ def conflicts(a: Event, b: Event, release_objs: frozenset[str]) -> bool:
         return True
     if (a.is_write_like and b.is_write_like
             and a.obj_written == b.obj_written
-            and (a.act is Act.RMW or b.act is Act.RMW
+            and (a.act is RMW or b.act is RMW
                  or a.obj_written in release_objs)):
         return True
     for upd, other in ((a, b), (b, a)):
@@ -176,7 +178,7 @@ def conflict_mask(rels: LiveRelations, p: int) -> int:
         mask |= rels.obj_update_mask[obj] | (rels.obj_read_mask.get(obj, 0) & others)
     if e.is_write_like:
         obj = e.obj_written
-        if e.act is Act.RMW or obj in rels.release_objs:
+        if e.act is RMW or obj in rels.release_objs:
             mask |= rels.obj_write_mask[obj]
         else:
             mask |= rels.obj_update_mask[obj] & rels.obj_write_mask[obj]
@@ -256,8 +258,8 @@ def detect_na_races(rels: Relations) -> list[tuple[Event, Event]]:
     threads, at least one a write, unordered by non-racing happens-before."""
     events = rels.events
     accesses = [p for p, e in enumerate(events)
-                if e.ord is MO.NA and not e.is_init
-                and e.act in (Act.READ, Act.WRITE, Act.RMW)]
+                if e.ord is NA and not e.is_init
+                and e.act in (READ, WRITE, RMW)]
     races: list[tuple[Event, Event]] = []
     for i, pa in enumerate(accesses):
         a = events[pa]
@@ -340,7 +342,7 @@ class TraceSummary:
     __slots__ = ("trace_id", "schedule", "final_shared", "final_locals", "rf", "racy")
 
     def __init__(self, trace_id: str, schedule: list[str], final_shared: dict[str, int],
-                 final_locals: dict[str, dict[str, int]], rf: list[tuple[str, str]],
+                 final_locals: dict[str, dict[str, int]], rf: list[list[str]],
                  racy: bool) -> None:
         self.trace_id = trace_id
         self.schedule = schedule
@@ -393,7 +395,7 @@ class ExplorationReport:
                     "schedule": t.schedule,
                     "final_shared": t.final_shared,
                     "final_locals": t.final_locals,
-                    "rf": [list(edge) for edge in t.rf],
+                    "rf": t.rf,
                     "racy": t.racy,
                 }
                 for t in self.traces
@@ -443,7 +445,7 @@ class _Explorer:
         self.assert_names = [bare_names(a.expr) for a in program.asserts]
         # init writes are non-atomic but never race, so a program with no
         # non-atomic statement has no race to look for
-        self.has_na = any(getattr(s, "mo", None) is MO.NA
+        self.has_na = any(getattr(s, "mo", None) is NA
                           for t in program.threads for s in flatten(t.body))
         self.report = ExplorationReport(program=program.name)
         self._seen_ids: set[str] = set()
@@ -484,7 +486,7 @@ class _Explorer:
             self._find_races(child)
             overdue = overdue_write(child.rels, *verdict)
             if overdue is not None:
-                recoveries |= bit_of[shadow_unit(overdue.thr, overdue.obj_written)]
+                recoveries |= bit_of[overdue.flush_unit]
         return out, events, cands, recoveries
 
     # -- race detection ----------------------------------------------------------
@@ -597,7 +599,7 @@ class _Explorer:
                     schedule=schedule,
                     final_shared=dict(shr),
                     final_locals=final_locals,
-                    rf=sorted((w.name, r.name) for r, w in rf_pairs(rels)
+                    rf=sorted([w.name, r.name] for r, w in rf_pairs(rels)
                               if not r.is_init),
                     racy=bool(races),
                 ))

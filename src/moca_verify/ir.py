@@ -75,6 +75,16 @@ class Act(str, Enum):
         return self.value
 
 
+# Module names for the per-step and per-leaf code.  On Python 3.11
+# ``Act.RMW`` is looked up through ``EnumType.__getattr__``, at about five
+# times the cost of a global; ``o in REL_ORDERS`` is ``at_least(o, MO.REL)``
+# without its two calls.
+WRITE, READ, RMW, FENCE, SHADOW = Act.WRITE, Act.READ, Act.RMW, Act.FENCE, Act.SHADOW
+NA, RLX, SC = MO.NA, MO.RLX, MO.SC
+REL_ORDERS = frozenset(o for o in MO if at_least(o, MO.REL))
+ACQ_ORDERS = frozenset(o for o in MO if at_least(o, MO.ACQ))
+
+
 INIT_THREAD = "init"
 
 
@@ -135,14 +145,15 @@ class Event(_Value):
     Events are hashed and queried on every relation lookup, so the hash and
     the derived attributes (``key``, ``objects``, ``obj_read``,
     ``obj_written``, ``is_write_like``, ``is_read_like``, ``is_init``,
-    ``is_store_update``, ``parent_thr``) and the
-    display strings (``name``, ``pretty()``) are fixed once at construction.
+    ``is_store_update``, ``parent_thr``, ``flush_unit``) and the display
+    strings (``name``, ``pretty()``) are fixed once at construction.
+    ``flush_unit`` is the shadow-thread that flushes a write, else None.
     """
 
     _fields = ("thr", "act", "obj", "ord", "idx")
     __slots__ = (*_fields, "stmt", "_identity", "_hash", "key", "objects", "obj_read",
                  "obj_written", "is_write_like", "is_read_like", "is_init",
-                 "is_store_update", "parent_thr", "name", "_pretty")
+                 "is_store_update", "parent_thr", "flush_unit", "name", "_pretty")
 
     def __init__(self, thr: str, act: Act, obj: tuple[str, ...], ord: MO, idx: int,
                  stmt: Optional["Stmt"] = None) -> None:
@@ -172,6 +183,7 @@ class Event(_Value):
         # program thread the event acts for: a shadow-write acts for the
         # thread of the write it flushes
         _set(self, "parent_thr", thr[thr.index("(") + 1:-1] if act is Act.SHADOW else thr)
+        _set(self, "flush_unit", shadow_unit(thr, obj[0]) if act is Act.WRITE else None)
         objs, act_s, ord_s = ",".join(obj), act.value, ord.value
         # the identity the trace id hashes
         _set(self, "name", f"{thr}#{idx}:{act_s}:{objs}:{ord_s}")
@@ -287,25 +299,26 @@ def eval_expr(e: Expr, env: dict[str, int],
 
     ``resolve`` handles QualifiedRef nodes (assert evaluation).
     """
-    if isinstance(e, Const):
+    cls = e.__class__   # the node classes have no subclasses
+    if cls is Const:
         return e.value
-    if isinstance(e, LocalRef):
+    if cls is LocalRef:
         if e.name not in env:
             raise UndefinedName(e.name)
         return env[e.name]
-    if isinstance(e, QualifiedRef):
-        if resolve is None:
-            raise ExprError("qualified reference outside assert context")
-        return resolve(e)
-    if isinstance(e, UnOp):
-        return int(_UNARY[e.op](eval_expr(e.operand, env, resolve)))
-    if isinstance(e, BinOp):
+    if cls is BinOp:
         lv = eval_expr(e.left, env, resolve)
         if e.op == "&&":
             return int(lv != 0 and eval_expr(e.right, env, resolve) != 0)
         if e.op == "||":
             return int(lv != 0 or eval_expr(e.right, env, resolve) != 0)
         return int(_BINARY[e.op][1](lv, eval_expr(e.right, env, resolve)))
+    if cls is UnOp:
+        return int(_UNARY[e.op](eval_expr(e.operand, env, resolve)))
+    if cls is QualifiedRef:
+        if resolve is None:
+            raise ExprError("qualified reference outside assert context")
+        return resolve(e)
     raise ExprError(f"bad expression node: {e!r}")
 
 

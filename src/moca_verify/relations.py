@@ -75,7 +75,8 @@ induced by shadow-write order, and the placements of the sc events.
 
 from __future__ import annotations
 
-from .ir import Act, ContractViolation, Event, MO, at_least
+from .ir import (ACQ_ORDERS, FENCE, NA, REL_ORDERS, RLX, RMW, SC, SHADOW, WRITE,
+                 ContractViolation, Event)
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -86,7 +87,7 @@ if TYPE_CHECKING:
 
 def _is_weak(w: Event) -> bool:
     """A non-rmw write strictly weaker than release."""
-    return w.act is not Act.RMW and w.ord in (MO.NA, MO.RLX)
+    return w.act is not RMW and w.ord in (NA, RLX)
 
 
 def release_heads(events: list[Event], src: int, earlier: int) -> int:
@@ -107,7 +108,7 @@ def release_heads(events: list[Event], src: int, earlier: int) -> int:
         p = earlier.bit_length() - 1
         earlier ^= 1 << p
         w = events[p]
-        if (owner is None or owner == w.thr) and at_least(w.ord, MO.REL):
+        if (owner is None or owner == w.thr) and w.ord in REL_ORDERS:
             heads |= 1 << p
         if _is_weak(w):
             if owner is None:
@@ -120,10 +121,6 @@ def release_heads(events: list[Event], src: int, earlier: int) -> int:
 # ---------------------------------------------------------------------------
 # Incremental relations
 # ---------------------------------------------------------------------------
-
-def _add_bit(masks: dict[str, int], key: str, bit: int) -> None:
-    masks[key] = masks.get(key, 0) | bit
-
 
 class LiveRelations:
     """Append-only relation state carried by an execution state.
@@ -240,7 +237,7 @@ class LiveRelations:
         before ``w``, and ``w`` itself if it is release-class."""
         ew = self.events[w]
         out = self.unit_mask.get(ew.thr, 0) & self.rel_fence_mask & ((1 << w) - 1)
-        if ew.is_write_like and at_least(ew.ord, MO.REL):
+        if ew.is_write_like and ew.ord in REL_ORDERS:
             out |= 1 << w
         return out
 
@@ -251,9 +248,13 @@ class LiveRelations:
         ``sw``/``dob``, with the extra causal predecessors ``cd_direct``
         (a mask); every other per-position entry starts empty."""
         p = len(self.events)
-        hb_mask, cd_mask = self.hb_mask, self.cd_mask
-        last = self.last_of_unit(e.thr)
-        hb = hb_mask[last] | 1 << last if last >= 0 else 0
+        bit = 1 << p
+        hb_mask, cd_mask, unit_mask = self.hb_mask, self.cd_mask, self.unit_mask
+        thr = e.thr
+        mine = unit_mask.get(thr, 0)
+        # po: the unit's last event and its predecessors
+        hb = hb_mask[mine.bit_length() - 1] | mine if mine else 0
+        unit_mask[thr] = mine | bit
         direct = sw | dob
         while direct:
             low = direct & -direct
@@ -277,16 +278,18 @@ class LiveRelations:
         self.flush_pos.append(-1)
         self.origin_of.append(-1)
         self.value_of.append(None)
-        bit = 1 << p
-        _add_bit(self.unit_mask, e.thr, bit)
-        _add_bit(self.parent_mask, e.parent_thr, bit)
+        parents = self.parent_mask
+        parents[e.parent_thr] = parents.get(e.parent_thr, 0) | bit
         if e.is_read_like:
-            _add_bit(self.obj_read_mask, e.obj_read, bit)
+            reads = self.obj_read_mask
+            reads[e.obj_read] = reads.get(e.obj_read, 0) | bit
         if e.is_write_like:
-            _add_bit(self.obj_write_mask, e.obj_written, bit)
+            writes = self.obj_write_mask
+            writes[e.obj_written] = writes.get(e.obj_written, 0) | bit
         if e.is_store_update:
-            _add_bit(self.obj_update_mask, e.obj_written, bit)
-        if e.act is Act.FENCE and at_least(e.ord, MO.REL):
+            updates = self.obj_update_mask
+            updates[e.obj_written] = updates.get(e.obj_written, 0) | bit
+        if e.act is FENCE and e.ord in REL_ORDERS:
             self.rel_fence_mask |= bit
         return p
 
@@ -309,7 +312,7 @@ class LiveRelations:
     def _sync_for_read(self, e: Event, src: int) -> tuple[int, int]:
         """The sw and dob source masks of an acquire-class read (or the read
         half of an rmw) of ``src``."""
-        if not at_least(e.ord, MO.ACQ):
+        if e.ord not in ACQ_ORDERS:
             return 0, 0
         # release-sequence heads whose sequence contains the source
         earlier = self.obj_write_mask[e.obj_read] & ((1 << src) - 1)
@@ -323,7 +326,7 @@ class LiveRelations:
         if self.events[src].thr != e.thr:
             cd |= 1 << self.flush_pos[src]
         p = self._register(e, cd, sw, dob)
-        if e.ord is MO.SC:
+        if e.ord is SC:
             self.sc_placed.append((p, p))
         self.rf[p] = src
         self.readers[src] |= 1 << p
@@ -355,7 +358,7 @@ class LiveRelations:
         # the atomic update orders after earlier reads of other threads
         cd |= self.obj_read_mask.get(obj, 0) & ~self.unit_mask.get(e.thr, 0)
         p = self._register(e, cd, sw, dob)
-        if e.ord is MO.SC:
+        if e.ord is SC:
             self.sc_placed.append((p, p))
         self.value_of[p] = new
         self.rf[p] = src
@@ -366,13 +369,13 @@ class LiveRelations:
 
     def append_fence(self, e: Event) -> int:
         sw = 0
-        if at_least(e.ord, MO.ACQ):
+        if e.ord in ACQ_ORDERS:
             rf = self.rf
             for p in set_bits(self.unit_mask.get(e.thr, 0)):
                 if rf[p] >= 0:   # a read-like event of the thread
                     sw |= self.sw_sources(rf[p])
         p = self._register(e, 0, sw)
-        if e.ord is MO.SC:
+        if e.ord is SC:
             self.sc_placed.append((p, p))
         return p
 
@@ -384,7 +387,7 @@ class LiveRelations:
         # flushing thread's own reads commute with it
         cd |= self.obj_read_mask.get(obj, 0) & ~self.unit_mask.get(ew.thr, 0)
         p = self._register(e, cd)
-        if ew.ord is MO.SC:   # an sc write takes its place at its flush
+        if ew.ord is SC:   # an sc write takes its place at its flush
             self.sc_placed.append((w, p))
         self.origin_of[p] = w
         self.flush_pos[w] = p
@@ -469,10 +472,14 @@ def rf_pairs(rels: Relations | "Sequence") -> list[tuple[Event, Event]]:
 
 
 def compute_relations(seq: "Sequence") -> RelationSet:
+    """The relations of ``seq``, rebuilt from its raw facts.  The result
+    shares ``seq``'s events, ``pos``, ``rf`` and ``flush_pos`` instead of
+    copying them: ``ExecState.sequence()`` has already copied them off the
+    live state, and neither side writes to them afterwards."""
     events = seq.events
     n = len(events)
-    rf = list(seq.rf)
-    flush_pos = list(seq.flush_pos)
+    rf = seq.rf
+    flush_pos = seq.flush_pos
     origin_of = seq.origin_of
 
     # one pass files every event under the tables it belongs to
@@ -498,19 +505,20 @@ def compute_relations(seq: "Sequence") -> RelationSet:
         if e.is_write_like:
             obj = e.obj_written
             obj_write_mask[obj] = obj_write_mask.get(obj, 0) | bit
-        if act is Act.SHADOW:
+        if act is SHADOW:
             mo.setdefault(e.obj[0], []).append(origin_of[p])
-        elif act is Act.RMW:
+        elif act is RMW:
             mo.setdefault(e.obj_written, []).append(p)
-        elif act is Act.FENCE:
+        elif act is FENCE:
             fences.append(p)
-        if e.ord is MO.SC:
-            if act is Act.WRITE:
+        if e.ord is SC:
+            if act is WRITE:
                 if flush_pos[p] >= 0:
                     placed.append((p, flush_pos[p]))
-            elif act is not Act.SHADOW:
+            elif act is not SHADOW:
                 placed.append((p, p))
-    placed.sort(key=lambda t: t[1])
+    if len(placed) > 1:
+        placed.sort(key=lambda t: t[1])
 
     # synchronizes-with (a release write, or a release fence before the
     # write, read by an acquire read or followed by an acquire fence) and
@@ -520,17 +528,18 @@ def compute_relations(seq: "Sequence") -> RelationSet:
     for r in reads:
         w = rf[r]
         er, ew = events[r], events[w]
-        sources = 1 << w if ew.is_write_like and at_least(ew.ord, MO.REL) else 0
-        acq_fences_after_r = []
-        for f in fences:
-            ef = events[f]
-            if ef.thr == ew.thr and ef.idx < ew.idx and at_least(ef.ord, MO.REL):
-                sources |= 1 << f
-            if ef.thr == er.thr and ef.idx > er.idx and at_least(ef.ord, MO.ACQ):
-                acq_fences_after_r.append(f)
-        for fa in acq_fences_after_r:
-            sw[fa] |= sources
-        if at_least(er.ord, MO.ACQ):
+        sources = 1 << w if ew.is_write_like and ew.ord in REL_ORDERS else 0
+        if fences:
+            acq_fences_after_r = []
+            for f in fences:
+                ef = events[f]
+                if ef.thr == ew.thr and ef.idx < ew.idx and ef.ord in REL_ORDERS:
+                    sources |= 1 << f
+                if ef.thr == er.thr and ef.idx > er.idx and ef.ord in ACQ_ORDERS:
+                    acq_fences_after_r.append(f)
+            for fa in acq_fences_after_r:
+                sw[fa] |= sources
+        if er.ord in ACQ_ORDERS:
             sw[r] |= sources
             dob[r] = release_heads(events, w, obj_write_mask[er.obj_read] & ((1 << w) - 1))
 
@@ -558,10 +567,12 @@ def compute_relations(seq: "Sequence") -> RelationSet:
                 a = events[b + (sync >> b).bit_length() - 1]
                 raise ContractViolation(
                     f"synchronization edge points backward: {a} -> {e}")
-            for s in set_bits(sync):
-                into_s = reach[s] | 1 << s
+            while sync:
+                low = sync & -sync
+                into_s = reach[low.bit_length() - 1] | low
                 reach_e |= into_s
                 via |= into_s
+                sync ^= low
         unit_last[e.thr] = b
         po_mask[b], reach[b], via_sync[b] = po, reach_e, via
         if e.is_init:   # the init events form the sequence's prefix
@@ -582,7 +593,7 @@ def compute_relations(seq: "Sequence") -> RelationSet:
                 f"read of a foreign write not yet flushed: {events[r]} reads {events[w]}")
 
     return RelationSet(
-        events=list(events), pos=dict(seq.pos), rf=rf, readers=readers,
+        events=events, pos=seq.pos, rf=rf, readers=readers,
         flush_pos=flush_pos, mo=mo, sc_placed=placed, sw=sw, dob=dob, hb_mask=hb_mask,
         init_len=seq.init_len, unit_mask=unit_mask,
         obj_read_mask=obj_read_mask, obj_write_mask=obj_write_mask,

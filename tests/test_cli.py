@@ -329,6 +329,19 @@ class TestReplay:
         assert f"{flag[0]} has no effect with --replay" in result.output
         assert "trace_id:" not in result.output
 
+    @pytest.mark.parametrize("text", ['5', '[["T1"]]', '"T1"', '{"T1": 1}'])
+    def test_replay_takes_only_a_list_of_unit_names(self, runner, tmp_path, text):
+        # an int, a nested list, a string and an object were each replayed
+        # or crashed; each is refused as an unreadable schedule is
+        sched = tmp_path / "sched.json"
+        sched.write_text(text)
+        result = runner.invoke(
+            main, ["verify", corpus("mp"), "--replay", str(sched)])
+        assert result.exit_code == 2
+        assert f"error: cannot read schedule {sched}: not a JSON list of unit names" \
+            in result.output
+        assert "trace_id:" not in result.output
+
     def test_replay_bad_schedule_exits_two(self, runner, tmp_path):
         sched = tmp_path / "sched.json"
         sched.write_text(json.dumps(["sth_x(T1)"]))

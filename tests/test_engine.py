@@ -6,9 +6,9 @@ import pytest
 from conftest import corpus_names, corpus_program
 
 from moca_verify import early_write_transform, explore, parse_program, run_sequence
-from moca_verify.engine import ExecState, ReplayError
+from moca_verify.engine import ExecState, ReplayError, Sequence
 from moca_verify.ir import Act, Event
-from moca_verify.relations import LiveRelations, rf_pairs
+from moca_verify.relations import LiveRelations, RelationSet, compute_relations, rf_pairs
 
 W_RWR_SCHEDULE = ["T1", "sth_x(T1)", "T2", "T2", "T2", "sth_x(T2)"]
 
@@ -214,3 +214,28 @@ class TestClone:
                     assert clone.rels.release_objs is st.rels.release_objs
                     self.assert_separate(st.rels, clone.rels, LiveRelations.__slots__)
         assert states > 1000
+
+
+class TestSequenceSnapshot:
+    """``compute_relations`` shares the lists of the ``Sequence`` it reads,
+    so ``ExecState.sequence()`` must copy them off the live state."""
+
+    def test_advancing_the_state_changes_neither_sequence_nor_relations(self, mp):
+        state = run_sequence(mp, ["T1", "T2"])  # T2 reads f's init; x is pending
+        seq = state.sequence()
+        rels = compute_relations(seq)
+
+        def fields(obj, names):
+            return {name: repr(getattr(obj, name)) for name in names}
+
+        before = fields(seq, Sequence.__slots__), fields(rels, RelationSet.__slots__)
+        write_x = next(p for p, e in enumerate(seq.events)
+                       if e.thr == "T1" and e.act is Act.WRITE)
+        for unit in ["sth_x(T1)", "T1", "sth_f(T1)", "T2"]:
+            state.advance(unit)
+        # the live state wrote in place what the snapshot holds
+        assert seq.flush_pos[write_x] == -1 <= state.rels.flush_pos[write_x]
+        assert (fields(seq, Sequence.__slots__), fields(rels, RelationSet.__slots__)) == before
+        live = [getattr(state.rels, name) for name in LiveRelations.__slots__]
+        assert not mutable_ids([getattr(seq, name) for name in Sequence.__slots__]) \
+            & mutable_ids(live)

@@ -607,6 +607,20 @@ def test_every_name_the_benchmark_spans_wrap_is_importable():
     assert {name for name in spans.WRAPPED if not tracer.calls[name]} == set()
 
 
+def test_explored_trace_ids_match_the_benchmark_pins():
+    """``bench/trace_ids.json`` pins the trace-id set of every corpus
+    program and of ``counter-4``; the file is only read here.  The pins do
+    not depend on local names or values, so ``counter_source(4)`` stands
+    for the benchmark's seeded ``counter-4``."""
+    pins = json.loads((CORPUS.parent / "bench" / "trace_ids.json").read_text())
+    programs = {f"corpus/{name}": corpus_program(name) for name in corpus_names()}
+    programs["counter-4"] = parse_program(counter_source(4))
+    assert len(programs) == 26
+    for key, program in programs.items():
+        assert sorted(explore(program).trace_ids) == pins[key], key
+    assert len(pins["counter-4"]) == 576
+
+
 def test_every_rule_has_a_benchmark_prune_counter():
     """The benchmark counts ``check_step``'s prunes per rule it names in
     ``PRUNE_RULES``; a rule missing there would be pruned uncounted."""
