@@ -42,7 +42,7 @@ EXIT_INTERNAL = 4
 def _load(path: str):
     try:
         text = Path(path).read_text()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         click.echo(f"error: cannot read {path}: {e}", err=True)
         sys.exit(EXIT_USAGE)
     try:
@@ -242,7 +242,7 @@ def _trace_line(ev, shr: dict[str, int]) -> str:
 def _replay(program, replay_file: str, use_early_write: bool, dump_trace: bool) -> None:
     try:
         schedule = json.loads(Path(replay_file).read_text())
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
         click.echo(f"error: cannot read schedule {replay_file}: {e}", err=True)
         sys.exit(EXIT_USAGE)
     if not (isinstance(schedule, list) and all(isinstance(u, str) for u in schedule)):

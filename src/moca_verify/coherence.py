@@ -10,9 +10,10 @@ Two rule families are implemented:
 
 The shadow-order rules read a relations object directly: either the engine's
 ``LiveRelations`` or a ``RelationSet`` rebuilt by ``compute_relations``; the
-two expose the same fields, indexed by sequence position.  The rules work on
-positions and turn them into events only for a witness.  Reads and writes
-are visited in sequence order, so both give the same first witness.
+first subclasses the second, so both hold the same fields, indexed by
+sequence position.  The rules work on positions and turn them into events
+only for a witness.  Reads and writes are visited in sequence order, so
+both give the same first witness.
 
 The base rule ``shmo`` (the modification order of each object is the order
 of its shared-store updates) holds by construction and has no check: ``mo``
@@ -86,7 +87,7 @@ relation classes keep ``readers``.
 from __future__ import annotations
 
 from .ir import RMW, SC, SHADOW, WRITE, Event
-from .relations import LiveRelations, Relations
+from .relations import LiveRelations, RelationSet, position
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -110,7 +111,7 @@ class CoherenceVerdict:
         return {r: w for r, w in self.rules.items() if w is not None}
 
 
-def flush_before(rels: Relations, a: int, b: int) -> Optional[bool]:
+def flush_before(rels: RelationSet, a: int, b: int) -> Optional[bool]:
     """Does the shared-store update of the write at position ``a`` occur
     before that of the write at ``b``?  None if undecided."""
     fa, fb = rels.flush_pos[a], rels.flush_pos[b]
@@ -130,7 +131,7 @@ def flush_before(rels: Relations, a: int, b: int) -> Optional[bool]:
 # Shadow-order rules
 # ---------------------------------------------------------------------------
 
-def _shmo1_triggered(rels: Relations, e: int) -> int:
+def _shmo1_triggered(rels: RelationSet, e: int) -> int:
     """Positions of the writes whose flush the event at ``e`` must follow:
     the write-like mhb-predecessors of ``e`` and the sources of its
     read-like ones, read off the set bits of ``hb_mask[e]`` without the
@@ -161,7 +162,7 @@ def _shmo1_triggered(rels: Relations, e: int) -> int:
     return out & ~skip
 
 
-def _rule_shmo1(rels: Relations, at: Optional[int] = None) -> Optional[Witness]:
+def _rule_shmo1(rels: RelationSet, at: Optional[int] = None) -> Optional[Witness]:
     """Each write that ``_shmo1_triggered`` gives for ``e`` flushes before
     ``e``, or before e's own flush if ``e`` is write-like: there
     ``flush_before`` is False iff ``e`` has flushed and the write has not
@@ -182,7 +183,7 @@ def _rule_shmo1(rels: Relations, at: Optional[int] = None) -> Optional[Witness]:
     return None
 
 
-def _reads(rels: Relations, at: Optional[int]) -> list[int]:
+def _reads(rels: RelationSet, at: Optional[int]) -> list[int]:
     """The reads whose ``shmo3`` instances ``at`` decides: its own read, or
     the reads of the write it flushes; every read, by object, for ``None``."""
     if at is not None and rels.events[at].is_read_like:
@@ -196,7 +197,7 @@ def _reads(rels: Relations, at: Optional[int]) -> list[int]:
     return out
 
 
-def _rule_shmo3(rels: Relations, at: Optional[int] = None) -> Optional[Witness]:
+def _rule_shmo3(rels: RelationSet, at: Optional[int] = None) -> Optional[Witness]:
     events, rf, hb_mask, writes = rels.events, rels.rf, rels.hb_mask, rels.obj_write_mask
     for r in _reads(rels, at):
         src = rf[r]
@@ -209,7 +210,7 @@ def _rule_shmo3(rels: Relations, at: Optional[int] = None) -> Optional[Witness]:
     return None
 
 
-def _rule_shrmo(rels: Relations, at: Optional[int] = None) -> Optional[Witness]:
+def _rule_shrmo(rels: RelationSet, at: Optional[int] = None) -> Optional[Witness]:
     events = rels.events
     for e in range(len(events)) if at is None else (at,):
         ev = events[e]
@@ -223,7 +224,7 @@ def _rule_shrmo(rels: Relations, at: Optional[int] = None) -> Optional[Witness]:
     return None
 
 
-def _sc_graph(rels: Relations) -> tuple[list[int], dict[int, int]]:
+def _sc_graph(rels: RelationSet) -> tuple[list[int], dict[int, int]]:
     """The ``shto`` graph: the placed sc events in placement order, and for
     each the mask of its predecessors among them by hb, mo (flush order), rf
     (source to read) and fr (read to every write mo-after its source).
@@ -258,7 +259,7 @@ def _ancestors(preds: dict[int, int], p: int) -> int:
     return seen
 
 
-def _rule_shto(rels: Relations, at: Optional[int] = None) -> Optional[Witness]:
+def _rule_shto(rels: RelationSet, at: Optional[int] = None) -> Optional[Witness]:
     """``_sc_graph`` is acyclic.  A cycle is reported as the two
     earliest-placed members of the strongly connected component of the
     earliest-placed event on any cycle, in placement order.  An edge is
@@ -276,7 +277,7 @@ def _rule_shto(rels: Relations, at: Optional[int] = None) -> Optional[Witness]:
     return None
 
 
-def shto_order(rels: Relations) -> Optional[list[int]]:
+def shto_order(rels: RelationSet) -> Optional[list[int]]:
     """A total order of the placed sc events that extends ``_sc_graph``,
     as positions: the earliest-placed event whose predecessors are all
     listed comes next.  None if the graph has a cycle."""
@@ -297,7 +298,7 @@ _RULES = (("shmo1", _rule_shmo1), ("shmo3", _rule_shmo3), ("shrmo", _rule_shrmo)
           ("shto", _rule_shto))
 
 
-def check_moca(rels: Relations) -> CoherenceVerdict:
+def check_moca(rels: RelationSet) -> CoherenceVerdict:
     """Evaluate every shadow-order rule on a (possibly partial) sequence."""
     return CoherenceVerdict({name: rule(rels) for name, rule in _RULES})
 
@@ -320,13 +321,13 @@ def check_step(rels: LiveRelations) -> Optional[tuple[str, Witness]]:
     return None
 
 
-def overdue_write(rels: Relations, rule: str, witness: Witness) -> Optional[Event]:
+def overdue_write(rels: RelationSet, rule: str, witness: Witness) -> Optional[Event]:
     """The write whose pending shared-store update a failure of ``rule``
     blames, or None: flushing it is the direct repair."""
     if rule in ("shmo1", "shmo3"):
-        w = rels.pos[witness[0]]
+        w = position(rels, witness[0])
     elif rule == "shrmo":
-        w = rels.pos[witness[1]]
+        w = position(rels, witness[1])
     else:
         return None
     return None if rels.flush_pos[w] >= 0 else rels.events[w]
@@ -354,7 +355,7 @@ def _least_pair(events: list[Event], hb_mask: list[int], ps: int, target: int,
     return (events[least.bit_length() - 1], events[best]) if least else None
 
 
-def check_c11_oracle(rels: Relations) -> CoherenceVerdict:
+def check_c11_oracle(rels: RelationSet) -> CoherenceVerdict:
     """Validate (hb, rf, mo) against the per-location coherence axioms
     and the sc total-order axiom; violations are verdicts, not exceptions.
     Each axiom reports its first violating pair, in scan order; ``to``'s is

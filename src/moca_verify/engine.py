@@ -29,8 +29,6 @@ whole schedule.
 
 from __future__ import annotations
 
-from collections import deque
-
 from .ir import (
     FENCE,
     NA,
@@ -68,31 +66,30 @@ class Sequence:
     """The raw facts of an executed sequence, all ``compute_relations``
     reads: events, the deterministic rf, each flushed write's store-update
     position, each shadow-write's write, the init length.  Per-event
-    facts are lists indexed by position, as on ``LiveRelations``; ``pos``
-    maps an event to its position."""
+    facts are lists indexed by position, as on ``LiveRelations``."""
 
-    __slots__ = ("events", "rf", "pos", "flush_pos", "origin_of", "init_len")
+    __slots__ = ("events", "rf", "flush_pos", "origin_of", "init_len")
 
-    def __init__(self, events: list[Event], rf: list[int], pos: dict[Event, int],
-                 flush_pos: list[int], origin_of: list[int], init_len: int) -> None:
+    def __init__(self, events: list[Event], rf: list[int], flush_pos: list[int],
+                 origin_of: list[int], init_len: int) -> None:
         self.events = events
         self.rf = rf                # read -> source position, else -1
-        self.pos = pos
         self.flush_pos = flush_pos  # write/rmw -> position of its store update, else -1
         self.origin_of = origin_of  # shadow-write -> position of its write, else -1
         self.init_len = init_len
 
 
 class ExecState:
-    """Per-thread locals and cursors, pending-write queues, and the live
+    """Per-thread locals and cursors, pending writes, and the live
     relations, which hold the shared store: ``shr`` reads each object's
     value off its mo-last write.
 
     ``advance`` steps the state in place; ``step`` steps a clone and leaves
-    the state as it was.  ``pending`` queues each shadow-thread's writes as
-    positions.  ``table`` maps ``(unit, idx, id(stmt), act)`` to
-    the event that program point executes as, built on first use; every
-    clone shares it (a shadow-write is keyed by its write's ``stmt``).
+    the state as it was.  ``pending`` maps each shadow-thread to the mask of
+    the positions of its unflushed writes; the lowest is the oldest.
+    ``table`` maps ``(unit, idx, id(stmt), act)`` to the event that program
+    point executes as, built on first use; every clone shares it (a
+    shadow-write is keyed by its write's ``stmt``).
     """
 
     def __init__(self, program: Program):
@@ -103,7 +100,7 @@ class ExecState:
         self.cursors: dict[str, list[tuple[list[Stmt], int]]] = {
             t.name: [(t.body, 0)] for t in program.threads
         }
-        self.pending: dict[str, deque[int]] = {}
+        self.pending: dict[str, int] = {}
         self.rels = LiveRelations(release_class_objects(program))
         self._seed_init_events()
         for t in program.threads:
@@ -125,7 +122,7 @@ class ExecState:
         other.table = self.table
         other.lcl = {t: dict(env) for t, env in self.lcl.items()}
         other.cursors = {t: list(frames) for t, frames in self.cursors.items()}
-        other.pending = {u: deque(q) for u, q in self.pending.items()}
+        other.pending = dict(self.pending)
         other.rels = self.rels.clone()
         return other
 
@@ -160,7 +157,7 @@ class ExecState:
     def enabled_units(self) -> list[str]:
         # cursors are keyed in thread declaration order
         units = [t for t, frames in self.cursors.items() if frames]
-        units += sorted([u for u, q in self.pending.items() if q])
+        units += sorted([u for u, writes in self.pending.items() if writes])
         return units
 
     # -- reads-from resolution ---------------------------------------------------
@@ -206,9 +203,10 @@ class ExecState:
         rels = self.rels
         # a unit's next idx is the number of events it has executed
         idx = rels.unit_mask.get(unit, 0).bit_count()
-        queue = self.pending.get(unit)
-        if queue:   # a shadow-thread flushes its oldest pending write
-            w = queue.popleft()
+        writes = self.pending.get(unit)
+        if writes:   # a shadow-thread flushes its oldest pending write
+            w = (writes & -writes).bit_length() - 1
+            self.pending[unit] = writes & (writes - 1)
             rels.append_flush(self._event(unit, idx, rels.events[w].stmt, SHADOW), w)
             return self
         frames = self.cursors.get(unit)
@@ -221,11 +219,7 @@ class ExecState:
         if cls is Store:
             ev = self._event(unit, idx, stmt, WRITE)
             w = rels.append_write(ev, eval_expr(stmt.value, env))
-            queue = self.pending.get(ev.flush_unit)
-            if queue is None:
-                self.pending[ev.flush_unit] = deque((w,))
-            else:
-                queue.append(w)
+            self.pending[ev.flush_unit] = self.pending.get(ev.flush_unit, 0) | 1 << w
         elif cls is Load or cls is Fadd or cls is Cas:
             src = self.resolve_rf(unit, stmt.obj)
             old = rels.value_of[src]
@@ -264,7 +258,6 @@ class ExecState:
         return Sequence(
             events=list(r.events),
             rf=list(r.rf),
-            pos=dict(r.pos),
             flush_pos=list(r.flush_pos),
             origin_of=list(r.origin_of),
             init_len=r.init_len,

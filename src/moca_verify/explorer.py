@@ -89,7 +89,7 @@ from .ir import (
 from .engine import ExecState
 from .relations import (
     LiveRelations,
-    Relations,
+    RelationSet,
     compute_relations,
     mhb_pos,
     rf_pairs,
@@ -210,7 +210,7 @@ def _json_strings(items: list[str]) -> str:
     return '["' + '", "'.join(items) + '"]' if items else "[]"
 
 
-def canonical_trace_id(rels: Relations) -> str:
+def canonical_trace_id(rels: RelationSet) -> str:
     """Stable id of the equivalence class of the sequence behind ``rels``.
 
     Hashes the executed events, the reads-from edges, the per-object store
@@ -253,7 +253,7 @@ def canonical_trace_id(rels: Relations) -> str:
 # Race and assertion reporting
 # ---------------------------------------------------------------------------
 
-def detect_na_races(rels: Relations) -> list[tuple[Event, Event]]:
+def detect_na_races(rels: RelationSet) -> list[tuple[Event, Event]]:
     """Pairs of non-atomic same-object accesses from different program
     threads, at least one a write, unordered by non-racing happens-before."""
     events = rels.events
@@ -550,15 +550,16 @@ class _Explorer:
         """Count the maximal ``state`` and queue what ``_flush_records``
         reads of it: its sequence, schedule, final shared values (a leaf has
         no enabled unit, so nothing changes them) and final locals, and its
-        assert outcome."""
+        assert outcome.  A leaf past ``max_seqs`` ends the search instead, so
+        a search of exactly ``max_seqs`` sequences is complete."""
+        if self.report.sequences_explored >= self.max_seqs:
+            raise ExplorationBudgetExceeded()
         self.report.sequences_explored += 1
         self._queued.append((state.sequence(), state.schedule_so_far(), state.shr,
                              state.final_locals(),
                              check_asserts(self.program, state, self.assert_names)))
         if len(self._queued) >= RECORD_BATCH:
             self._flush_records()
-        if self.report.sequences_explored >= self.max_seqs:
-            raise ExplorationBudgetExceeded()
 
     def _flush_records(self) -> None:
         """Record the queued leaves: each stage runs over the whole batch in

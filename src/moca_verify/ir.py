@@ -142,8 +142,7 @@ class Event(_Value):
     event within a sequence.  ``stmt`` links back to the originating statement
     and is excluded from equality.
 
-    Events are hashed and queried on every relation lookup, so the hash and
-    the derived attributes (``key``, ``objects``, ``obj_read``,
+    The derived attributes (``key``, ``objects``, ``obj_read``,
     ``obj_written``, ``is_write_like``, ``is_read_like``, ``is_init``,
     ``is_store_update``, ``parent_thr``, ``flush_unit``) and the display
     strings (``name``, ``pretty()``) are fixed once at construction.
@@ -151,13 +150,12 @@ class Event(_Value):
     """
 
     _fields = ("thr", "act", "obj", "ord", "idx")
-    __slots__ = (*_fields, "stmt", "_identity", "_hash", "key", "objects", "obj_read",
+    __slots__ = (*_fields, "stmt", "key", "objects", "obj_read",
                  "obj_written", "is_write_like", "is_read_like", "is_init",
                  "is_store_update", "parent_thr", "flush_unit", "name", "_pretty")
 
     def __init__(self, thr: str, act: Act, obj: tuple[str, ...], ord: MO, idx: int,
                  stmt: Optional["Stmt"] = None) -> None:
-        identity = (thr, act, obj, ord, idx)
         reads = act is Act.READ or act is Act.RMW
         if act is Act.WRITE or act is Act.SHADOW:
             written = obj[0]
@@ -165,11 +163,9 @@ class Event(_Value):
             written = obj[-1]
         else:
             written = None
-        for name, value in zip(self._fields, identity):
+        for name, value in zip(self._fields, (thr, act, obj, ord, idx)):
             _set(self, name, value)
         _set(self, "stmt", stmt)
-        _set(self, "_identity", identity)
-        _set(self, "_hash", hash(identity))
         _set(self, "key", (thr, idx))
         _set(self, "objects", frozenset(obj))
         _set(self, "obj_read", obj[0] if reads else None)
@@ -188,16 +184,6 @@ class Event(_Value):
         # the identity the trace id hashes
         _set(self, "name", f"{thr}#{idx}:{act_s}:{objs}:{ord_s}")
         _set(self, "_pretty", f"{thr}#{idx}:{act_s}({objs}){ord_s}")
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not Event:
-            return NotImplemented
-        return self._hash == other._hash and self._identity == other._identity
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def pretty(self) -> str:
         return self._pretty

@@ -19,16 +19,16 @@ Two implementations are kept deliberately separate:
 
 Within one sequence an event's position is its id: every per-event table is
 a list indexed by position, and every reference to another event is a
-position (``-1`` for none) or a bitmask of positions.  ``pos`` maps an
-``Event`` to its position; it is read only where an event enters from
-outside (``hb(a, b)``, ``mhb(a, b)``, tests).  The rules, the oracles, the
-trace id and race detection work on positions and turn them back into
-events only for witnesses and reports.
+position (``-1`` for none) or a bitmask of positions.  Where an event enters
+from outside (``hb(a, b)``, ``mhb(a, b)``, ``coherence.overdue_write``,
+tests), ``position`` finds it as the ``idx``-th event of its unit.  The
+rules, the oracles, the trace id and race detection work on positions and
+turn them back into events only for witnesses and reports.
 
-Both implementations expose the data the coherence rules quantify over
-under the same names and shapes, so every consumer reads either one:
+``RelationSet`` declares the data the coherence rules quantify over, and
+``LiveRelations`` subclasses it, so every consumer reads either one:
 
-* ``events`` (by position) and ``pos`` (event to position);
+* ``events``, by position;
 * ``hb_mask[p]``, the positions of p's strict happens-before predecessors,
   so ``hb`` is one bit test and ``hb_pairs`` lists the edges;
 * ``rf[p]``, the source position of a read-like event, else -1;
@@ -119,10 +119,49 @@ def release_heads(events: list[Event], src: int, earlier: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# The shared fields
+# ---------------------------------------------------------------------------
+
+class RelationSet:
+    """The relations every coherence rule reads, the fields the module
+    docstring lists; per-event fields are lists indexed by position.
+    ``compute_relations`` fills one from a finished sequence;
+    ``LiveRelations`` extends it as the engine appends events."""
+
+    __slots__ = ("events", "init_len", "rf", "readers", "flush_pos", "mo",
+                 "sc_placed", "sw", "dob", "hb_mask", "unit_mask", "obj_read_mask",
+                 "obj_write_mask")
+
+    def hb(self, a: Event, b: Event) -> bool:
+        return bool(self.hb_mask[position(self, b)] >> position(self, a) & 1)
+
+    def mhb(self, a: Event, b: Event) -> bool:
+        return mhb_pos(self, position(self, a), position(self, b))
+
+
+def position(rels: RelationSet, e: Event) -> int:
+    """The position of ``e``: the ``e.idx``-th event of its unit.  A
+    ``KeyError`` if the event there is not ``e``, one of another sequence."""
+    mask = rels.unit_mask.get(e.thr, 0)
+    for _ in range(e.idx):
+        mask &= mask - 1
+    p = (mask & -mask).bit_length() - 1
+    if p < 0 or rels.events[p] != e:
+        raise KeyError(e)
+    return p
+
+
+def mhb_pos(rels: RelationSet, a: int, b: int) -> bool:
+    """Non-racing happens-before on positions: hb without the direct sw and
+    dob edges."""
+    return bool((rels.hb_mask[b] & ~(rels.sw[b] | rels.dob[b])) >> a & 1)
+
+
+# ---------------------------------------------------------------------------
 # Incremental relations
 # ---------------------------------------------------------------------------
 
-class LiveRelations:
+class LiveRelations(RelationSet):
     """Append-only relation state carried by an execution state.
 
     Each fact is stored once; the lookups below read the position masks
@@ -144,16 +183,11 @@ class LiveRelations:
     the whole exploration and shared by every clone.
     """
 
-    __slots__ = (
-        "events", "pos", "init_len", "value_of", "rf", "readers",
-        "flush_pos", "origin_of", "mo", "hb_mask", "cd_mask", "sw", "dob",
-        "sc_placed", "release_objs", "unit_mask", "parent_mask",
-        "obj_read_mask", "obj_write_mask", "obj_update_mask", "rel_fence_mask",
-    )
+    __slots__ = ("value_of", "origin_of", "cd_mask", "release_objs", "parent_mask",
+                 "obj_update_mask", "rel_fence_mask")
 
     def __init__(self, release_objs: frozenset[str]) -> None:
         self.events: list[Event] = []
-        self.pos: dict[Event, int] = {}
         self.init_len = 0
         # per position
         self.value_of: list[Optional[int]] = []
@@ -183,7 +217,6 @@ class LiveRelations:
     def clone(self) -> "LiveRelations":
         other = object.__new__(LiveRelations)
         other.events = list(self.events)
-        other.pos = dict(self.pos)
         other.init_len = self.init_len
         other.value_of = list(self.value_of)
         other.rf = list(self.rf)
@@ -206,15 +239,6 @@ class LiveRelations:
         return other
 
     # -- queries --------------------------------------------------------------
-
-    def hb(self, a: Event, b: Event) -> bool:
-        return bool(self.hb_mask[self.pos[b]] >> self.pos[a] & 1)
-
-    def mhb(self, a: Event, b: Event) -> bool:
-        return mhb_pos(self, self.pos[a], self.pos[b])
-
-    def cd(self, a: Event, b: Event) -> bool:
-        return bool(self.cd_mask[self.pos[b]] >> self.pos[a] & 1)
 
     def last_of_unit(self, unit: str) -> int:
         """Position of the unit's last event, -1 for none."""
@@ -268,7 +292,6 @@ class LiveRelations:
             cd |= cd_mask[low.bit_length() - 1] | low
             cd_direct ^= low
         self.events.append(e)
-        self.pos[e] = p
         hb_mask.append(hb)
         cd_mask.append(cd)
         self.sw.append(sw)
@@ -396,53 +419,8 @@ class LiveRelations:
 
 
 # ---------------------------------------------------------------------------
-# Post-hoc reference
+# Helpers and the post-hoc reference
 # ---------------------------------------------------------------------------
-
-class RelationSet:
-    """Relations of one finished sequence, rebuilt from scratch; per-event
-    fields are lists indexed by position, as on ``LiveRelations``."""
-
-    __slots__ = ("events", "pos", "rf", "readers", "flush_pos", "mo", "sc_placed",
-                 "sw", "dob", "hb_mask", "init_len", "unit_mask", "obj_read_mask",
-                 "obj_write_mask")
-
-    def __init__(self, events: list[Event], pos: dict[Event, int], rf: list[int],
-                 readers: list[int], flush_pos: list[int], mo: dict[str, list[int]],
-                 sc_placed: list[tuple[int, int]], sw: list[int], dob: list[int],
-                 hb_mask: list[int], init_len: int, unit_mask: dict[str, int],
-                 obj_read_mask: dict[str, int], obj_write_mask: dict[str, int]) -> None:
-        self.events = events
-        self.pos = pos
-        self.rf = rf                            # source position, or -1
-        self.readers = readers                  # mask of each write's reads
-        self.flush_pos = flush_pos              # store-update position, or -1
-        self.mo = mo
-        self.sc_placed = sc_placed
-        self.sw = sw                            # mask of each event's sw sources
-        self.dob = dob                          # mask of each event's dob sources
-        self.hb_mask = hb_mask                  # positions of strict hb predecessors
-        self.init_len = init_len
-        self.unit_mask = unit_mask              # positions of each unit's events
-        self.obj_read_mask = obj_read_mask      # positions of each object's reads
-        self.obj_write_mask = obj_write_mask    # positions of each object's writes
-
-    def hb(self, a: Event, b: Event) -> bool:
-        return bool(self.hb_mask[self.pos[b]] >> self.pos[a] & 1)
-
-    def mhb(self, a: Event, b: Event) -> bool:
-        return mhb_pos(self, self.pos[a], self.pos[b])
-
-
-# either implementation: both expose the fields the coherence rules read
-Relations = LiveRelations | RelationSet
-
-
-def mhb_pos(rels: Relations, a: int, b: int) -> bool:
-    """Non-racing happens-before on positions: hb without the direct sw and
-    dob edges."""
-    return bool((rels.hb_mask[b] & ~(rels.sw[b] | rels.dob[b])) >> a & 1)
-
 
 def set_bits(mask: int) -> Iterator[int]:
     """Positions of the set bits of ``mask``, ascending."""
@@ -459,12 +437,12 @@ def mask_edges(events: list[Event], masks: list[int]) -> list[tuple[Event, Event
     return [(events[a], b) for b, mask in zip(events, masks) for a in set_bits(mask)]
 
 
-def hb_pairs(rels: Relations) -> list[tuple[Event, Event]]:
+def hb_pairs(rels: RelationSet) -> list[tuple[Event, Event]]:
     """Every happens-before edge ``(a, b)``."""
     return mask_edges(rels.events, rels.hb_mask)
 
 
-def rf_pairs(rels: Relations | "Sequence") -> list[tuple[Event, Event]]:
+def rf_pairs(rels: RelationSet | "Sequence") -> list[tuple[Event, Event]]:
     """Every reads-from edge ``(read, source)``, in the read's position
     order."""
     events = rels.events
@@ -473,9 +451,9 @@ def rf_pairs(rels: Relations | "Sequence") -> list[tuple[Event, Event]]:
 
 def compute_relations(seq: "Sequence") -> RelationSet:
     """The relations of ``seq``, rebuilt from its raw facts.  The result
-    shares ``seq``'s events, ``pos``, ``rf`` and ``flush_pos`` instead of
-    copying them: ``ExecState.sequence()`` has already copied them off the
-    live state, and neither side writes to them afterwards."""
+    shares ``seq``'s events, ``rf`` and ``flush_pos`` instead of copying
+    them: ``ExecState.sequence()`` has already copied them off the live
+    state, and neither side writes to them afterwards."""
     events = seq.events
     n = len(events)
     rf = seq.rf
@@ -592,9 +570,10 @@ def compute_relations(seq: "Sequence") -> RelationSet:
             raise ContractViolation(
                 f"read of a foreign write not yet flushed: {events[r]} reads {events[w]}")
 
-    return RelationSet(
-        events=events, pos=seq.pos, rf=rf, readers=readers,
-        flush_pos=flush_pos, mo=mo, sc_placed=placed, sw=sw, dob=dob, hb_mask=hb_mask,
-        init_len=seq.init_len, unit_mask=unit_mask,
-        obj_read_mask=obj_read_mask, obj_write_mask=obj_write_mask,
-    )
+    rels = RelationSet()
+    rels.events, rels.init_len, rels.rf, rels.flush_pos = events, seq.init_len, rf, flush_pos
+    rels.readers, rels.mo, rels.sc_placed = readers, mo, placed
+    rels.sw, rels.dob, rels.hb_mask = sw, dob, hb_mask
+    rels.unit_mask, rels.obj_read_mask, rels.obj_write_mask = (
+        unit_mask, obj_read_mask, obj_write_mask)
+    return rels

@@ -84,6 +84,27 @@ class TestVerify:
         result = runner.invoke(main, ["verify", corpus("ww-rr"), "--max-seqs", "2"])
         assert result.exit_code == 3
 
+    @pytest.mark.parametrize("name,total", [("empty", 1), ("mp", 3)])
+    def test_budget_of_exactly_the_search_is_complete(self, runner, name, total):
+        # the budget runs out only when one more sequence than it allows
+        # arrives: a search of exactly --max-seqs sequences is complete
+        for max_seqs, code in ((total, 0), (total - 1, 3), (0, 3)):
+            result = runner.invoke(
+                main, ["verify", corpus(name), "--json", "--max-seqs", str(max_seqs)])
+            assert result.exit_code == code, (max_seqs, result.output)
+            payload = json.loads(result.stdout)
+            assert payload["sequences_explored"] == max_seqs
+            assert payload["budget_exhausted"] == (code == 3)
+
+    @pytest.mark.parametrize("command", ["verify", "enumerate", "transform", "relations"])
+    def test_source_that_is_not_utf8_exits_two(self, runner, tmp_path, command):
+        f = tmp_path / "bytes.lit"
+        f.write_bytes(b"program b\ninit x = 0\xff\n")
+        result = runner.invoke(main, [command, str(f)])
+        assert result.exit_code == 2, result.output
+        assert f"error: cannot read {f}: " in result.stderr
+        assert "internal error" not in result.output
+
     def test_expect_mismatch_exits_one(self, runner, tmp_path):
         src = (CORPUS / "mp.lit").read_text().replace(
             "expect traces = 3", "expect traces = 99")
@@ -341,6 +362,15 @@ class TestReplay:
         assert f"error: cannot read schedule {sched}: not a JSON list of unit names" \
             in result.output
         assert "trace_id:" not in result.output
+
+    def test_replay_schedule_that_is_not_utf8_exits_two(self, runner, tmp_path):
+        sched = tmp_path / "sched.json"
+        sched.write_bytes(b'["T1", "\xff"]')
+        result = runner.invoke(
+            main, ["verify", corpus("mp"), "--replay", str(sched)])
+        assert result.exit_code == 2, result.output
+        assert f"error: cannot read schedule {sched}: " in result.stderr
+        assert "internal error" not in result.output
 
     def test_replay_bad_schedule_exits_two(self, runner, tmp_path):
         sched = tmp_path / "sched.json"

@@ -11,7 +11,7 @@ from moca_verify import parse_program, run_sequence
 from moca_verify.coherence import check_c11_oracle, check_moca, check_step
 from moca_verify.engine import ExecState
 from moca_verify.ir import ContractViolation
-from moca_verify.relations import compute_relations
+from moca_verify.relations import compute_relations, position
 from moca_verify.transform import early_write_transform
 from moca_verify.explorer import _estimate_events, enumerate_all, explore
 
@@ -103,7 +103,7 @@ thread T1:
   store(x, 1, rlx)
 """)
         seq = run_sequence(p, ["T1", "T1", "sth_x(T1)"]).sequence()
-        r, w = (seq.pos[by_key(seq, "T1", i)] for i in (0, 1))
+        r, w = (seq.events.index(by_key(seq, "T1", i)) for i in (0, 1))
         seq.rf[r] = w   # deliberately corrupted: the source is po-after the read
         with pytest.raises(ContractViolation, match="read before its source"):
             compute_relations(seq)
@@ -117,7 +117,7 @@ thread T2:
   r = load(x, rlx)
 """)
         seq = run_sequence(p, ["T1", "T2", "sth_x(T1)"]).sequence()
-        r, w = (seq.pos[by_key(seq, t, 0)] for t in ("T2", "T1"))
+        r, w = (seq.events.index(by_key(seq, t, 0)) for t in ("T2", "T1"))
         seq.rf[r] = w   # deliberately corrupted: T1's write flushes after the read
         with pytest.raises(ContractViolation, match="not yet flushed"):
             compute_relations(seq)
@@ -196,7 +196,7 @@ class TestIncrementalAgainstPostHoc:
             assert check_step(st.rels) is None
         st = st.step("T2")
         read = len(st.rels.events) - 1
-        writes = [st.rels.pos[by_key(st.rels, "T1", i)] for i in (0, 2)]
+        writes = [position(st.rels, by_key(st.rels, "T1", i)) for i in (0, 2)]
         assert st.rels.dob[read] == sum(1 << w for w in writes)
         rule, witness = check_step(st.rels)
         assert rule == "shmo1"
@@ -259,7 +259,7 @@ thread T1:
         st, seq, rels = run(p, ["T1", "T1", "sth_x(T1)"])
         r = next(e for e in seq.events if e.key == ("T1", 0))
         w = next(e for e in seq.events if e.key == ("T1", 1))
-        rels.rf[rels.pos[r]] = rels.pos[w]  # deliberately corrupted: source is po-after the read
+        rels.rf[position(rels, r)] = position(rels, w)  # deliberately corrupted: source is po-after the read
         verdict = check_c11_oracle(rels)
         assert verdict.rules["co"] == (r, w)
 

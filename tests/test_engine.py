@@ -178,6 +178,11 @@ def mutable_ids(value) -> set[int]:
     return ids
 
 
+def slot_names(cls) -> list[str]:
+    """Every slot of ``cls``: its own ``__slots__`` and its bases'."""
+    return [name for c in cls.__mro__ for name in getattr(c, "__slots__", ())]
+
+
 class TestClone:
     """A field that ``clone`` forgets, or a container it shares, would let
     one exploration branch see another's events."""
@@ -212,7 +217,7 @@ class TestClone:
                         [k for k in vars(st) if k not in ("program", "table", "rels")])
                     # the program's release-class objects are shared, and frozen
                     assert clone.rels.release_objs is st.rels.release_objs
-                    self.assert_separate(st.rels, clone.rels, LiveRelations.__slots__)
+                    self.assert_separate(st.rels, clone.rels, slot_names(LiveRelations))
         assert states > 1000
 
 
@@ -236,6 +241,6 @@ class TestSequenceSnapshot:
         # the live state wrote in place what the snapshot holds
         assert seq.flush_pos[write_x] == -1 <= state.rels.flush_pos[write_x]
         assert (fields(seq, Sequence.__slots__), fields(rels, RelationSet.__slots__)) == before
-        live = [getattr(state.rels, name) for name in LiveRelations.__slots__]
+        live = [getattr(state.rels, name) for name in slot_names(LiveRelations)]
         assert not mutable_ids([getattr(seq, name) for name in Sequence.__slots__]) \
             & mutable_ids(live)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from functools import partial
 
 import pytest
 
@@ -39,8 +40,8 @@ from moca_verify.coherence import (
 )
 from moca_verify.engine import ExecState, run_sequence
 from moca_verify.explorer import _estimate_events, conflict_mask, conflicts
-from moca_verify.ir import Act, MO, at_least
-from moca_verify.relations import compute_relations, rf_pairs, set_bits
+from moca_verify.ir import Act, Event, MO, at_least
+from moca_verify.relations import compute_relations, position, rf_pairs, set_bits
 from moca_verify.transform import early_write_transform
 
 
@@ -51,12 +52,12 @@ from moca_verify.transform import early_write_transform
 def reference_shmo1(rels, at=None):
     """Every write against every target: the write is triggered if it is
     mhb-before the target, or one of its readers is, from another thread."""
-    events, pos = rels.events, rels.pos
+    events, pos = rels.events, partial(position, rels)
 
     def triggered(e_w, e):
         if e.thr == e_w.thr:
             return False
-        readers = [events[r] for r in positions(rels.readers[pos[e_w]])]
+        readers = [events[r] for r in positions(rels.readers[pos(e_w)])]
         return rels.mhb(e_w, e) or any(rels.mhb(r, e) for r in readers)
 
     targets = [e for e in events if not e.is_init] if at is None else [events[at]]
@@ -66,11 +67,11 @@ def reference_shmo1(rels, at=None):
             if not triggered(e_w, e):
                 continue
             if e.is_write_like:
-                if flush_before(rels, pos[e_w], pos[e]) is False:
+                if flush_before(rels, pos(e_w), pos(e)) is False:
                     return (e_w, e)
             else:
-                f = rels.flush_pos[pos[e_w]]
-                if f < 0 or f >= pos[e]:
+                f = rels.flush_pos[pos(e_w)]
+                if f < 0 or f >= pos(e):
                     return (e_w, e)
     return None
 
@@ -123,19 +124,19 @@ def reference_sc_graph(rels):
     """The placed sc events in placement order and the ``shto`` edge
     between two of them by definition: hb, mo, rf (source to read), or fr
     (read to a write mo-after its source, other than the read itself)."""
-    events, pos, rf = rels.events, rels.pos, rels.rf
+    events, pos, rf = rels.events, partial(position, rels), rels.rf
     mo_index = {w: i for ws in rels.mo.values() for i, w in enumerate(ws)}
 
     def mo(a, b):
-        pa, pb = pos[a], pos[b]
+        pa, pb = pos(a), pos(b)
         return (a.is_write_like and b.is_write_like
                 and a.obj_written == b.obj_written
                 and pa in mo_index and pb in mo_index and mo_index[pa] < mo_index[pb])
 
     def edge(a, b):
-        if rels.hb(a, b) or mo(a, b) or rf[pos[b]] == pos[a]:
+        if rels.hb(a, b) or mo(a, b) or rf[pos(b)] == pos(a):
             return True
-        src = rf[pos[a]]
+        src = rf[pos(a)]
         return a is not b and src >= 0 and mo(events[src], b)
 
     return [events[p] for p, _ in rels.sc_placed], edge
@@ -166,7 +167,7 @@ def reference_shto_order(rels):
         if root is None:
             return None
         remaining.remove(root)
-        order.append(rels.pos[root])
+        order.append(position(rels, root))
     return order
 
 
@@ -411,6 +412,27 @@ def test_derived_lookups_match_event_scans():
     assert children > 10_000
     assert shown == {"last_of_unit", "last_write", "last_rmw", "sw_sources",
                      "release_fences", "flush_event", "next_idx"}
+
+
+def test_position_is_the_units_idx_th_event():
+    """``position`` reads an event's position off its unit's mask, which
+    holds because a unit's k-th event has ``idx`` k: on live and rebuilt
+    relations, for every event.  An event the sequence does not hold, the
+    next one or one with another identity, is a ``KeyError``."""
+    children = 0
+    stranger = Event(thr="T1", act=Act.READ, obj=("no-such-object",), ord=MO.SC, idx=0)
+    for program in walk_programs():
+        for parent, child in unreduced_children(program):
+            children += 1
+            where = (program.name, child.schedule_so_far())
+            for rels in (child.rels, compute_relations(child.sequence())):
+                for p, e in enumerate(rels.events):
+                    assert position(rels, e) == p, where
+                with pytest.raises(KeyError):
+                    position(rels, stranger)
+            with pytest.raises(KeyError):
+                position(parent.rels, child.rels.events[-1])
+    assert children > 10_000
 
 
 def test_read_resolution_places_every_source_before_its_read():

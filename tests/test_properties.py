@@ -44,7 +44,7 @@ from moca_verify.ir import (
     release_class_objects,
     stmt_objs,
 )
-from moca_verify.relations import compute_relations, rf_pairs
+from moca_verify.relations import compute_relations, position, rf_pairs
 from moca_verify.transform import early_write_transform
 
 STORE_ORDERS = ["na", "rlx", "rel", "acq_rel", "sc"]
@@ -131,9 +131,10 @@ def _ordered_before(state) -> "callable":
         return e.act in (Act.SHADOW, Act.RMW)
 
     def edge(a, b) -> bool:
-        if rels.pos[a] > rels.pos[b]:
+        pa, pb = position(rels, a), position(rels, b)
+        if pa > pb:
             return False
-        if rels.cd(a, b):
+        if rels.cd_mask[pb] >> pa & 1:
             return True
         if flushish(a) and (b.is_read_like or flushish(b)) \
                 and a.obj_written in b.objects:
@@ -193,7 +194,7 @@ def check_hb_validity(source: str, rng: random.Random,
             assert not rels.hb(x, x), source
             for y in events:
                 if rels.hb(x, y):
-                    assert x.is_init or seq.pos[x] < seq.pos[y], source
+                    assert x.is_init or position(rels, x) < position(rels, y), source
                     for z in events:
                         if rels.hb(y, z):
                             assert rels.hb(x, z), (source, x, y, z)

@@ -15,8 +15,10 @@ from moca_verify.explorer import _Explorer, canonical_trace_id
 from moca_verify.ir import Act, ContractViolation, MO, at_least
 from moca_verify.engine import Sequence
 from moca_verify.relations import (
+    RelationSet,
     compute_relations,
     mask_edges,
+    position,
     rf_pairs,
     set_bits,
 )
@@ -47,7 +49,7 @@ def reference_hb_mask(seq, rels):
 
     mask = {e: 0 for e in events}
     for start in events:
-        bit = 1 << seq.pos[start]
+        bit = 1 << position(rels, start)
         reached = set()
         stack = [(start, False)]
         while stack:
@@ -160,7 +162,7 @@ thread T2:
         _, seq, rels = run(p, ["T1", "T1", "sth_x(T1)", "sth_x(T1)", "T2"])
         head, cont = by_key(seq, "T1", 0), by_key(seq, "T1", 1)
         r = by_key(seq, "T2", 0)
-        assert seq.rf[seq.pos[r]] == seq.pos[cont]
+        assert seq.rf[position(rels, r)] == position(rels, cont)
         assert (head, r) in edge_set(rels, rels.dob)
         assert (cont, r) not in edge_set(rels, rels.sw)   # continuation is not release-class
         assert rels.hb(head, r)
@@ -178,8 +180,8 @@ thread T2:
         # two otherwise: the sc order takes them by placement, read first
         _, seq, rels = run(p, ["T1", "T2", "sth_x(T1)"])
         assert [(p, rels.events[at].act) for p, at in rels.sc_placed] == [
-            (seq.pos[by_key(seq, "T2", 0)], Act.READ),
-            (seq.pos[by_key(seq, "T1", 0)], Act.SHADOW)]
+            (position(rels, by_key(seq, "T2", 0)), Act.READ),
+            (position(rels, by_key(seq, "T1", 0)), Act.SHADOW)]
         order = shto_order(rels)
         assert [rels.events[p].act for p in order] == [Act.READ, Act.WRITE]
 
@@ -198,7 +200,7 @@ thread T2:
                     assert not rels.hb(a, a)
                     for b in seq.events:
                         if rels.hb(a, b):
-                            assert a.is_init or seq.pos[a] < seq.pos[b]
+                            assert a.is_init or position(rels, a) < position(rels, b)
 
 
 class TestFenceSynchronization:
@@ -258,12 +260,9 @@ class TestLiveMatchesReference:
                     st = st.step(u)
                     seq = st.sequence()
                     rels = compute_relations(seq)
-                    # every position table and every per-object field both
-                    # classes keep, dicts in iteration order
-                    for field in ("events", "pos", "init_len", "rf", "readers",
-                                  "flush_pos", "hb_mask", "sw", "dob", "mo",
-                                  "sc_placed", "unit_mask",
-                                  "obj_read_mask", "obj_write_mask"):
+                    # every field the rebuild fills, which the live class
+                    # inherits, dicts in iteration order
+                    for field in RelationSet.__slots__:
                         live, rebuilt = getattr(st.rels, field), getattr(rels, field)
                         if isinstance(live, dict):
                             live, rebuilt = list(live.items()), list(rebuilt.items())
@@ -369,7 +368,7 @@ class TestHappensBeforeMask:
         w_f, r_f = by_key(seq, "T1", 1), by_key(seq, "T2", 0)
         # swap the synchronizing pair so the sw edge points backward: every
         # event and every position the sequence holds moves with the swap
-        i, j = seq.pos[w_f], seq.pos[r_f]
+        i, j = seq.events.index(w_f), seq.events.index(r_f)
         swap = {i: j, j: i}
 
         def moved(p):
@@ -382,7 +381,7 @@ class TestHappensBeforeMask:
 
         swapped = Sequence(
             events=[seq.events[swap.get(p, p)] for p in range(len(seq.events))],
-            rf=permuted(seq.rf), pos={e: moved(p) for e, p in seq.pos.items()},
+            rf=permuted(seq.rf),
             flush_pos=permuted(seq.flush_pos), origin_of=permuted(seq.origin_of),
             init_len=seq.init_len)
         assert dict(rf_pairs(swapped)) == dict(rf_pairs(seq))   # same facts, moved
@@ -403,7 +402,7 @@ def reference_dob(rels):
             continue
         order = [rels.events[w] for w in set_bits(rels.obj_write_mask[r.obj_read])]
         for head in order:
-            if head == src or rels.pos[head] > rels.pos[src]:
+            if head == src or position(rels, head) > position(rels, src):
                 continue
             if at_least(head.ord, MO.REL) and src in release_sequence_members(order, head):
                 dob.add((head, r))
